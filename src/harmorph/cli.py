@@ -13,8 +13,9 @@ import sys
 import click
 
 from . import verify as vf
-from .morphisms import (dual_quat_family, dual_real_morphism, holomorphic_compose,
-                        quat_family, real_morphism, typeIV_bigcell_morphism)
+from .morphisms import (control_morphism, dual_quat_family, dual_real_morphism,
+                        holomorphic_compose, quat_family, real_morphism,
+                        typeIV_bigcell_morphism)
 from .sampling import fresh_seed
 from .spaces import SPACE_IDS, expected_basis_size, make_space
 
@@ -73,16 +74,12 @@ def spaces(n):
 @click.option("--lemma", type=click.Choice(["formula-real", "long"]), required=True)
 @click.option("--n", type=int, default=2, show_default=True)
 @click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--backend", type=click.Choice(["rational", "float"]), default="rational",
-              show_default=True)
 @seed_option
 @format_option
 @output_option
 @click.pass_context
-def identities(ctx, lemma, n, trials, backend, seed, fmt, output):
+def identities(ctx, lemma, n, trials, seed, fmt, output):
     """Exact sum identities on the rational backend."""
-    if backend != "rational":
-        raise click.UsageError("identity suites run on the rational backend only")
     seed = _resolve_seed(seed)
     if lemma == "formula-real":
         report = vf.verify_lemma_formula_real(n, trials, seed)
@@ -151,17 +148,13 @@ def _build_targets(space_id, n, k, l, family_l):
               help="Polynomial in z1..zm to compose with the family members.")
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--tol", type=float, default=None, help="Residual tolerance (space-dependent default).")
-@click.option("--backend", type=click.Choice(["float", "rational"]), default="float",
-              show_default=True)
 @seed_option
 @format_option
 @output_option
 @click.pass_context
-def verify_cmd(ctx, space_id, n, k, l, family_l, compose_poly, trials, tol, backend,
-               seed, fmt, output):
+def verify_cmd(ctx, space_id, n, k, l, family_l, compose_poly, trials, tol, seed, fmt,
+               output):
     """Harmonicity / orthogonal-family verification of one construction."""
-    if backend != "float":
-        raise click.UsageError("verification suites require the float backend (sqrt/exp)")
     seed = _resolve_seed(seed)
     single, family = _build_targets(space_id, n, k, l, family_l)
     if compose_poly is not None:
@@ -249,30 +242,12 @@ def run_sweep(n_max: int, trials: int, seed: int) -> list[vf.VerificationReport]
         reports.append(vf.verify_harmonic(mor, trials, seed))
         reports.append(vf.verify_invariance(mor, min(trials, 20), seed))
     # sensitivity: the known non-harmonic control must FAIL its suite
-    control = vf.verify_harmonic(_control_morphism(2), min(trials, 20), seed)
+    control = vf.verify_harmonic(control_morphism(2), min(trials, 20), seed)
     control.suite = "sensitivity-control"
     control.failures = []  # expected to fail; keep the report light
     control.passed = not control.passed and control.max_residuals.get("tau", 0.0) >= 0.1
     reports.append(control)
     return reports
-
-
-def _control_morphism(n: int):
-    from .jets import Entry, base_map_value
-    from .morphisms import Morphism, STABILIZER_RIGHT
-
-    space = make_space("slr-so", n)
-
-    def domain(x):
-        # moderate-scale window so the non-harmonic signal stays well above
-        # the residual normalization floor at every sampled point
-        if not space.membership(x, 1e-8):
-            return False
-        phi11 = complex(base_map_value(space, x, check=False)[0, 0]).real
-        return 0.1 <= phi11 <= 10.0
-
-    return Morphism(Entry(1, 1), space, f"control:phi11:n={n}", domain,
-                    (STABILIZER_RIGHT,))
 
 
 # ---------------------------------------------------------------------------

@@ -178,28 +178,6 @@ class ScaleByI(Expr):
     a: Expr
 
 
-def sqrt(e: Expr) -> Sqrt:
-    return Sqrt(_wrap(e))
-
-
-def times_i(e: Expr) -> ScaleByI:
-    return ScaleByI(_wrap(e))
-
-
-def entry(k: int, l: int) -> Entry:
-    return Entry(k, l)
-
-
-def max_entry_index(e: Expr) -> int:
-    if isinstance(e, Entry):
-        return max(e.k, e.l)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return max(max_entry_index(e.a), max_entry_index(e.b))
-    if isinstance(e, (Sqrt, ScaleByI)):
-        return max_entry_index(e.a)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # base map and its jets
 # ---------------------------------------------------------------------------
@@ -255,6 +233,16 @@ class JetContext:
         d1, d2 = self.direction_jets[zi]
         return Jet2(complex(self.phi[k - 1, l - 1]), complex(d1[k - 1, l - 1]), complex(d2[k - 1, l - 1]))
 
+    def base_map_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """tau(phi_kl) as a matrix, and kappa(phi_kl, phi_ij) indexed [k, l, i, j]."""
+        d = self.phi.shape[0]
+        tau = np.zeros((d, d), dtype=complex)
+        kappa = np.zeros((d, d, d, d), dtype=complex)
+        for d1, d2 in self.direction_jets:
+            tau += d2
+            kappa += np.einsum("kl,ij->klij", d1, d1)
+        return tau, kappa
+
 
 def _eval(e: Expr, entry_fn, memo: dict) -> Jet2:
     key = id(e)
@@ -303,41 +291,36 @@ def eval_value(f: Expr, space: SpaceSpec, x: np.ndarray) -> complex:
     return _eval(f, entry_fn, {}).v
 
 
-def _ctx(space, x, basis) -> JetContext:
-    if isinstance(x, JetContext):
-        return x
-    return JetContext(space, x, basis)
+def eval_jet_cached(f: Expr, ctx: JetContext, zi: int) -> Jet2:
+    """eval_jet of f along basis direction zi, from the base-map jets in ctx."""
+    return _eval(f, lambda k, l: ctx.entry_jet(k, l, zi), {})
 
 
-def tau(f: Expr, space: SpaceSpec, x, basis: PBasis | None = None) -> complex:
-    """Tension field: sum of second derivatives over the orthonormal basis."""
-    ctx = _ctx(space, x, basis)
-    total = 0.0
-    for zi in range(len(ctx.basis)):
-        memo = {}
-        total += _eval(f, lambda k, l: ctx.entry_jet(k, l, zi), memo).d2
-    return total
+def direction_jets(f: Expr, space: SpaceSpec, x: np.ndarray,
+                   basis: PBasis | None = None) -> list[Jet2]:
+    """Jets of f at x along every direction of the basis (default: p_basis)."""
+    ctx = JetContext(space, x, basis)
+    return [eval_jet_cached(f, ctx, zi) for zi in range(len(ctx.basis))]
 
 
-def kappa(f: Expr, g: Expr, space: SpaceSpec, x, basis: PBasis | None = None) -> complex:
-    """Conformality operator: sum of products of first derivatives (bilinear)."""
-    ctx = _ctx(space, x, basis)
-    total = 0.0
-    for zi in range(len(ctx.basis)):
-        jf = _eval(f, lambda k, l: ctx.entry_jet(k, l, zi), {})
-        jg = jf if g is f else _eval(g, lambda k, l: ctx.entry_jet(k, l, zi), {})
-        total += jf.d1 * jg.d1
-    return total
+def jet_sums(js: list[Jet2]) -> tuple[complex, complex, float]:
+    """(tau(f), kappa(f, f), energy) from the jets of f along an orthonormal basis.
+
+    tau sums the second derivatives, kappa the squared first derivatives
+    (bilinear, no conjugation), and the energy sum of |d1|^2 is the scale
+    used to normalize residuals.
+    """
+    tau = kappa = energy = 0.0
+    for j in js:
+        tau += j.d2
+        kappa += j.d1 * j.d1
+        energy += abs(j.d1) ** 2
+    return tau, kappa, energy
 
 
-def gradient_energy(f: Expr, space: SpaceSpec, x, basis: PBasis | None = None) -> float:
-    """Sum over the basis of |d1|^2; the scale used to normalize residuals."""
-    ctx = _ctx(space, x, basis)
-    total = 0.0
-    for zi in range(len(ctx.basis)):
-        jf = _eval(f, lambda k, l: ctx.entry_jet(k, l, zi), {})
-        total += abs(jf.d1) ** 2
-    return total
+def kappa_sum(jf: list[Jet2], jg: list[Jet2]) -> complex:
+    """kappa(f, g) from the jets of f and g along the same orthonormal basis."""
+    return sum(a.d1 * b.d1 for a, b in zip(jf, jg))
 
 
 def normalized_residual(value: complex, energy: float) -> float:

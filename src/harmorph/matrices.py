@@ -28,21 +28,9 @@ def is_exact(a: np.ndarray) -> bool:
     return a.dtype == object
 
 
-def _check_same_backend(a: np.ndarray, b: np.ndarray) -> None:
-    if is_exact(a) != is_exact(b):
-        raise BackendError("mixed exact/float matrix backends")
-
-
 def _check_square(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    _check_same_backend(a, b)
-    return a @ b
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:

@@ -36,10 +36,6 @@ class Morphism:
         return eval_value(self.expr, self.space, x)
 
 
-def _entry(k, l):
-    return Entry(k, l)
-
-
 def _member_domain(space: SpaceSpec) -> Callable[[np.ndarray], bool]:
     return lambda x: space.membership(x, 1e-8)
 
@@ -55,10 +51,25 @@ def real_morphism(n: int, k: int, l: int) -> Morphism:
     """(phi_kl + i psi_kl) / phi_ll on GL+(n, R), globally defined."""
     _check_kl(n, k, l)
     space = make_space("slr-so", n)
-    psi = Sqrt(_entry(k, k) * _entry(l, l) - _entry(k, l) ** 2)
-    expr = (_entry(k, l) + ScaleByI(psi)) / _entry(l, l)
+    psi = Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2)
+    expr = (Entry(k, l) + ScaleByI(psi)) / Entry(l, l)
     return Morphism(expr, space, f"slr-so:n={n}:kl={k}{l}", _member_domain(space),
                     (STABILIZER_RIGHT, POSITIVE_SCALE))
+
+
+def control_morphism(n: int) -> Morphism:
+    """phi_11 on GL+(n, R): not harmonic, so its harmonic suite must FAIL."""
+    space = make_space("slr-so", n)
+
+    def domain(x: np.ndarray) -> bool:
+        # moderate-scale window so the non-harmonic signal stays well above
+        # the residual normalization floor at every sampled point
+        if not space.membership(x, 1e-8):
+            return False
+        phi11 = complex(base_map_value(space, x, check=False)[0, 0]).real
+        return 0.1 <= phi11 <= 10.0
+
+    return Morphism(Entry(1, 1), space, f"control:phi11:n={n}", domain, (STABILIZER_RIGHT,))
 
 
 def quat_family(n: int, l: int) -> list[Morphism]:
@@ -70,7 +81,7 @@ def quat_family(n: int, l: int) -> list[Morphism]:
     for k in range(1, 2 * n + 1):
         if k == l:
             continue
-        expr = _entry(k, l) / _entry(l, l)
+        expr = Entry(k, l) / Entry(l, l)
         out.append(Morphism(expr, space, f"sus-sp:n={n}:l={l}:k={k}",
                             _member_domain(space), (STABILIZER_RIGHT, POSITIVE_SCALE)))
     return out
@@ -97,8 +108,8 @@ def dual_real_morphism(n: int, k: int, l: int, margin: float = DEFAULT_MARGIN) -
     """(phi*_kl + i psi*_kl) / phi*_ll on SU(n), defined off the stated bad set."""
     _check_kl(n, k, l)
     space = make_space("su-so", n)
-    psi = Sqrt(_entry(k, k) * _entry(l, l) - _entry(k, l) ** 2)
-    expr = (_entry(k, l) + ScaleByI(psi)) / _entry(l, l)
+    psi = Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2)
+    expr = (Entry(k, l) + ScaleByI(psi)) / Entry(l, l)
 
     def domain(x: np.ndarray) -> bool:
         if not space.membership(x, 1e-8):
@@ -125,7 +136,7 @@ def dual_quat_family(n: int, l: int, margin: float = DEFAULT_MARGIN) -> list[Mor
     for k in range(1, 2 * n + 1):
         if k == l:
             continue
-        expr = _entry(k, l) / _entry(l, l)
+        expr = Entry(k, l) / Entry(l, l)
         out.append(Morphism(expr, space, f"su-sp:n={n}:l={l}:k={k}", domain,
                             (STABILIZER_RIGHT,)))
     return out

@@ -122,6 +122,3 @@ class ComplexRational:
         if self.im == 0:
             return str(self.re)
         return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
-
-
-I_RAT = ComplexRational(0, 1)

@@ -81,29 +81,18 @@ def _check_ordered(k: int, l: int) -> None:
         raise IndexError(f"X/Y units require k < l, got ({k},{l})")
 
 
-def elem_X_exact(n: int, k: int, l: int) -> ExactBasisElement:
-    _check_ordered(k, l)
+def exact_unit(n: int, k: int, l: int, sign: int, one) -> np.ndarray:
+    """one * (E_kl + sign E_lk), or one * E_kk when k == l, with entries of one's type.
+
+    Built by assignment only, so making a unit costs no exact arithmetic.
+    """
     _check_index(n, k, l)
-    m = exact_matrix([[Fraction(0)] * n for _ in range(n)])
-    m[k - 1, l - 1] = Fraction(1)
-    m[l - 1, k - 1] = Fraction(1)
-    return m, HALF
-
-
-def elem_Y_exact(n: int, k: int, l: int) -> ExactBasisElement:
-    _check_ordered(k, l)
-    _check_index(n, k, l)
-    m = exact_matrix([[Fraction(0)] * n for _ in range(n)])
-    m[k - 1, l - 1] = Fraction(1)
-    m[l - 1, k - 1] = Fraction(-1)
-    return m, HALF
-
-
-def elem_D_exact(n: int, k: int) -> ExactBasisElement:
-    _check_index(n, k, k)
-    m = exact_matrix([[Fraction(0)] * n for _ in range(n)])
-    m[k - 1, k - 1] = Fraction(1)
-    return m, Fraction(1)
+    m = np.empty((n, n), dtype=object)
+    m[:] = type(one)(0)
+    m[k - 1, l - 1] = one
+    if k != l:
+        m[l - 1, k - 1] = one if sign > 0 else -one
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -402,80 +391,51 @@ def p_basis_exact(space: SpaceSpec) -> list[ExactBasisElement]:
     """Appendix bases as (rational matrix, scale^2) pairs."""
     n = space.n
     if space.id == "slr-so":
-        els = [elem_D_exact(n, k) for k in range(1, n + 1)]
-        els += [elem_X_exact(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+        one = Fraction(1)
+        els = [(exact_unit(n, k, k, 1, one), one) for k in range(1, n + 1)]
+        els += [(exact_unit(n, k, l, 1, one), HALF)
+                for k in range(1, n + 1) for l in range(k + 1, n + 1)]
         return els
     if space.id == "sus-sp":
         return _sus_sp_basis_exact(n)
     raise ValueError(f"no hand-written exact basis for space {space.id}")
 
 
-def _cq(re=0, im=0) -> ComplexRational:
-    return ComplexRational(re, im)
-
-
 def _exact_quat_block(n, tl=None, br=None, tr=None, bl=None) -> np.ndarray:
     out = np.empty((2 * n, 2 * n), dtype=object)
-    out[:] = _cq(0)
+    out[:] = ComplexRational(0)
     for block, (r0, c0) in ((tl, (0, 0)), (tr, (0, n)), (bl, (n, 0)), (br, (n, n))):
         if block is not None:
             out[r0:r0 + n, c0:c0 + n] = block
     return out
 
 
-def _exact_sym(n, k, l, im=False):
-    """(E_kl + E_lk) over ComplexRational, optionally times i; no normalization."""
-    m = np.empty((n, n), dtype=object)
-    m[:] = _cq(0)
-    one = _cq(0, 1) if im else _cq(1)
-    m[k - 1, l - 1] = one
-    m[l - 1, k - 1] = one
-    return m
-
-
-def _exact_skew(n, k, l, im=False):
-    m = np.empty((n, n), dtype=object)
-    m[:] = _cq(0)
-    one = _cq(0, 1) if im else _cq(1)
-    m[k - 1, l - 1] = one
-    m[l - 1, k - 1] = -one
-    return m
-
-
-def _exact_diag_unit(n, k):
-    m = np.empty((n, n), dtype=object)
-    m[:] = _cq(0)
-    m[k - 1, k - 1] = _cq(1)
-    return m
-
-
 def _sus_sp_basis_exact(n: int) -> list[ExactBasisElement]:
+    one, i = ComplexRational(1), ComplexRational(0, 1)
+    quarter = Fraction(1, 4)
     els: list[ExactBasisElement] = []
     for k in range(1, n + 1):
-        d = _exact_diag_unit(n, k)
+        d = exact_unit(n, k, k, 1, one)
         els.append((_exact_quat_block(n, tl=d, br=d), HALF))
     pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     for k, l in pairs:
-        x = _exact_sym(n, k, l)
-        els.append((_exact_quat_block(n, tl=x, br=x), Fraction(1, 4)))
+        x = exact_unit(n, k, l, 1, one)
+        els.append((_exact_quat_block(n, tl=x, br=x), quarter))
     for k, l in pairs:
-        iy = _exact_skew(n, k, l, im=True)
-        els.append((_exact_quat_block(n, tl=iy, br=-iy), Fraction(1, 4)))
+        iy = exact_unit(n, k, l, -1, i)
+        els.append((_exact_quat_block(n, tl=iy, br=-iy), quarter))
     for k, l in pairs:
-        y = _exact_skew(n, k, l)
-        els.append((_exact_quat_block(n, tr=y, bl=-y), Fraction(1, 4)))
+        y = exact_unit(n, k, l, -1, one)
+        els.append((_exact_quat_block(n, tr=y, bl=-y), quarter))
     for k, l in pairs:
-        iy = _exact_skew(n, k, l, im=True)
-        els.append((_exact_quat_block(n, tr=iy, bl=iy), Fraction(1, 4)))
+        iy = exact_unit(n, k, l, -1, i)
+        els.append((_exact_quat_block(n, tr=iy, bl=iy), quarter))
     return els
 
 
 def symplectic_J_exact(n: int) -> np.ndarray:
-    eye = _exact_diag_unit(n, 1)
-    eye[:] = _cq(0)
-    for i in range(n):
-        eye[i, i] = _cq(1)
-    return _exact_quat_block(n, tr=eye, bl=-eye)
+    """symplectic_J(n) with ComplexRational entries."""
+    return exact_matrix(symplectic_J(n).real.astype(int).tolist(), complex_backend=True)
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import jets
-from .jets import (JetContext, Jet2, eval_jet, eval_value, fd_jet,
-                   normalized_residual)
+from .jets import (Entry, JetContext, Sqrt, direction_jets, eval_jet, eval_jet_cached,
+                   eval_value, fd_jet, jet_sums, kappa_sum, normalized_residual,
+                   rotated_basis)
 from .matrices import leading_principal_minors
 from .morphisms import POSITIVE_SCALE, Morphism
 from .sampling import (complex_rational_vector, rational_vector, rng_from_seed,
                        sample_group_point, sample_stabilizer_point)
 from .scalars import ComplexRational
-from .spaces import (SpaceSpec, elem_D_exact, elem_X_exact, elem_Y_exact,
-                     make_space, p_basis, p_basis_exact, symplectic_J_exact)
+from .spaces import (HALF, SpaceSpec, exact_unit, make_space, p_basis, p_basis_exact,
+                     symplectic_J_exact)
 
 SCHEMA_VERSION = 1
 
@@ -179,9 +179,9 @@ def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> Verif
     """Both exact sum identities over the symmetric/diagonal and Y families."""
     report = VerificationReport("lemma-formula-real", None, [], n, trials, seed, None)
     timer = _Timer(report)
-    sym = [elem_D_exact(n, k) for k in range(1, n + 1)]
-    sym += [elem_X_exact(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-    skew = [elem_Y_exact(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    sym = p_basis_exact(make_space("slr-so", n))
+    skew = [(exact_unit(n, k, l, -1, Fraction(1)), HALF)
+            for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     for t in range(trials):
         rng = rng_from_seed(seed, t)
         x, y, a, b = (np.array(rational_vector(rng, n), dtype=object) for _ in range(4))
@@ -233,13 +233,15 @@ def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationR
 _DOMAIN_ATTEMPTS = 1000
 
 
-def sample_in_domain(morphism: Morphism, seed: int, trial: int) -> np.ndarray:
-    space = morphism.space
+def sample_in_domain(morphisms: Morphism | list[Morphism], seed: int, trial: int) -> np.ndarray:
+    """A group point of the trial inside the domain of the morphism, or of every member."""
+    family = morphisms if isinstance(morphisms, list) else [morphisms]
     for r in range(_DOMAIN_ATTEMPTS):
-        x = sample_group_point(space, seed, index=trial * _DOMAIN_ATTEMPTS + r)
-        if morphism.domain(x):
+        x = sample_group_point(family[0].space, seed, index=trial * _DOMAIN_ATTEMPTS + r)
+        if all(m.domain(x) for m in family):
             return x
-    raise SamplingError(f"no in-domain point for {morphism.label} after {_DOMAIN_ATTEMPTS} attempts")
+    labels = ", ".join(m.label for m in family)
+    raise SamplingError(f"no in-domain point for {labels} after {_DOMAIN_ATTEMPTS} attempts")
 
 
 def _oracle_check(report: VerificationReport, morphism: Morphism, x: np.ndarray,
@@ -284,11 +286,7 @@ def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
         x = sample_group_point(space, seed, index=t)
         ctx = JetContext(space, x, basis)
         phi = ctx.phi
-        tau_phi = np.zeros((d, d), dtype=complex)
-        grads = []
-        for zi, (d1, d2) in enumerate(ctx.direction_jets):
-            tau_phi += d2
-            grads.append(d1)
+        tau_phi, kap = ctx.base_map_sums()
         # (i) tau(phi_kl) = c * phi_kl, as a ratio where phi_kl is nonzero
         for k in range(d):
             for l in range(d):
@@ -296,9 +294,6 @@ def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
                 if err is not None:
                     report.check(t, "tau_phi_ratio", err, ratio_tol, _inputs(x=x))
         # (ii) the kappa(phi, phi) product formula
-        kap = np.zeros((d, d, d, d), dtype=complex)
-        for g in grads:
-            kap += np.einsum("kl,ij->klij", g, g)
         if space.id == "slr-so":
             expected = 2.0 * (np.einsum("ki,lj->klij", phi, phi) + np.einsum("kj,li->klij", phi, phi))
             for k in range(d):
@@ -322,8 +317,6 @@ def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
 
 def _check_psi_relations(report, space, ctx, t, x, tol) -> None:
     """Relations (iii)-(v): the sqrt components psi_kl on the real space."""
-    from .jets import Entry, Sqrt, _eval
-
     n = space.ambient_dim
     phi = ctx.phi
 
@@ -333,27 +326,24 @@ def _check_psi_relations(report, space, ctx, t, x, tol) -> None:
     for k in range(1, n + 1):
         for l in range(k + 1, n + 1):
             psi = psi_expr(k, l)
-            psi_jets = [_eval(psi, lambda a, b: ctx.entry_jet(a, b, zi), {})
-                        for zi in range(len(ctx.basis))]
+            psi_jets = [eval_jet_cached(psi, ctx, zi) for zi in range(len(ctx.basis))]
             psi_val = psi_jets[0].v
+            tpsi, kpp, _ = jet_sums(psi_jets)
             # (iv) kappa(psi, psi) = 2 psi^2
-            kpp = sum(j.d1 * j.d1 for j in psi_jets)
             err = _rel_err_guarded(kpp, 2.0 * psi_val ** 2)
             if err is not None:
                 report.check(t, "kappa_psi_psi", err, tol, _inputs(x=x))
             # (v) tau(psi) = 2(n-1) psi
-            tpsi = sum(j.d2 for j in psi_jets)
             err = _rel_err_guarded(tpsi, 2.0 * (n - 1) * psi_val)
             if err is not None:
                 report.check(t, "tau_psi", err, tol, _inputs(x=x))
             # (iii) kappa(phi_ml, psi_kl) = 2 phi_ml psi_kl  (shared index k -> use (k, m))
             for m in range(1, n + 1):
                 pj = [ctx.entry_jet(k, m, zi) for zi in range(len(ctx.basis))]
-                kps = sum(pj[zi].d1 * psi_jets[zi].d1 for zi in range(len(ctx.basis)))
+                kps = kappa_sum(pj, psi_jets)
                 err = _rel_err_guarded(kps, 2.0 * phi[k - 1, m - 1] * psi_val)
                 if err is not None:
                     report.check(t, "kappa_phi_psi", err, tol, _inputs(x=x))
-    return
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +364,7 @@ def verify_harmonic(morphism: Morphism, trials: int = 100, seed: int = 0,
         x = sample_in_domain(morphism, seed, t)
         ctx = JetContext(space, x, basis)
         js = [eval_jet_cached(morphism.expr, ctx, zi) for zi in range(len(basis))]
-        tau_v = sum(j.d2 for j in js)
-        kappa_v = sum(j.d1 * j.d1 for j in js)
-        energy = sum(abs(j.d1) ** 2 for j in js)
+        tau_v, kappa_v, energy = jet_sums(js)
         report.check(t, "tau", normalized_residual(tau_v, energy), tol, _inputs(x=x))
         report.check(t, "kappa", normalized_residual(kappa_v, energy), tol, _inputs(x=x))
         if t % ORACLE_SUBSAMPLE == 0:
@@ -400,38 +388,26 @@ def verify_family(family: list[Morphism], trials: int = 100, seed: int = 0,
     timer = _Timer(report)
     basis = p_basis(space)
     for t in range(trials):
-        x = None
-        for r in range(_DOMAIN_ATTEMPTS):
-            cand = sample_group_point(space, seed, index=t * _DOMAIN_ATTEMPTS + r)
-            if all(m.domain(cand) for m in family):
-                x = cand
-                break
-        if x is None:
-            raise SamplingError("no point in the intersection of the family domains")
+        x = sample_in_domain(family, seed, t)
         ctx = JetContext(space, x, basis)
-        d1s = []
+        member_jets = []
         energies = []
         for m in family:
             js = [eval_jet_cached(m.expr, ctx, zi) for zi in range(len(basis))]
-            tau_v = sum(j.d2 for j in js)
-            energy = sum(abs(j.d1) ** 2 for j in js)
-            d1s.append([j.d1 for j in js])
+            tau_v, _, energy = jet_sums(js)
+            member_jets.append(js)
             energies.append(energy)
             report.check(t, f"tau[{m.label}]", normalized_residual(tau_v, energy), tol,
                          _inputs(x=x))
         for a in range(len(family)):
             for b in range(a, len(family)):
-                kv = sum(da * db for da, db in zip(d1s[a], d1s[b]))
+                kv = kappa_sum(member_jets[a], member_jets[b])
                 scale = max(1.0, (energies[a] * energies[b]) ** 0.5)
                 report.check(t, f"kappa[{family[a].label}|{family[b].label}]",
                              abs(kv) / scale, tol, _inputs(x=x))
         if t % ORACLE_SUBSAMPLE == 0:
             _oracle_check(report, family[t % len(family)], x, t)
     return timer.done()
-
-
-def eval_jet_cached(expr, ctx: JetContext, zi: int) -> Jet2:
-    return jets._eval(expr, lambda k, l: ctx.entry_jet(k, l, zi), {})
 
 
 def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,
@@ -492,12 +468,9 @@ def verify_basis_independence(space: SpaceSpec, morphism: Morphism, rotations: i
     stock = p_basis(space)
     for t in range(rotations):
         x = sample_in_domain(morphism, seed, t)
-        tau0 = jets.tau(morphism.expr, space, x, stock)
-        kap0 = jets.kappa(morphism.expr, morphism.expr, space, x, stock)
-        rot = jets.rotated_basis(stock, rng_from_seed(seed, t, 11))
-        tau1 = jets.tau(morphism.expr, space, x, rot)
-        kap1 = jets.kappa(morphism.expr, morphism.expr, space, x, rot)
-        energy = jets.gradient_energy(morphism.expr, space, x, stock)
+        tau0, kap0, energy = jet_sums(direction_jets(morphism.expr, space, x, stock))
+        rot = rotated_basis(stock, rng_from_seed(seed, t, 11))
+        tau1, kap1, _ = jet_sums(direction_jets(morphism.expr, space, x, rot))
         scale = max(1.0, energy)
         report.check(t, "tau_rotation_diff", abs(tau1 - tau0) / scale, tol, _inputs(x=x))
         report.check(t, "kappa_rotation_diff", abs(kap1 - kap0) / scale, tol, _inputs(x=x))

@@ -27,11 +27,6 @@ def test_identities_pass_and_report_exact_count(runner):
     assert "exact: 20/20" in result.output
 
 
-def test_identities_reject_float_backend(runner):
-    result = runner.invoke(main, ["identities", "--lemma", "long", "--backend", "float"])
-    assert result.exit_code == 2
-
-
 def test_lemmas_verb(runner):
     result = runner.invoke(main, ["lemmas", "--space", "sus-sp", "--n", "1",
                                   "--trials", "5", "--seed", "7"])
@@ -52,12 +47,6 @@ def test_verify_json_report(runner):
 def test_verify_rejects_equal_indices(runner):
     result = runner.invoke(main, ["verify", "--space", "slr-so", "--n", "3",
                                   "--k", "2", "--l", "2"])
-    assert result.exit_code == 2
-
-
-def test_verify_rejects_rational_backend(runner):
-    result = runner.invoke(main, ["verify", "--space", "slr-so", "--n", "2",
-                                  "--k", "1", "--l", "2", "--backend", "rational"])
     assert result.exit_code == 2
 
 

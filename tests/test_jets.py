@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from harmorph.jets import (BranchCutError, Const, Entry, EvaluationError, Jet2,
-                           ScaleByI, Sqrt, base_map_jet, base_map_value,
-                           eval_jet, eval_value, fd_jet, gradient_energy,
-                           kappa, max_entry_index, normalized_residual,
-                           rotated_basis, tau)
+from harmorph.jets import (Add, BranchCutError, Const, Entry, EvaluationError, Jet2,
+                           Mul, ScaleByI, Sqrt, Sub, base_map_jet, base_map_value,
+                           direction_jets, eval_jet, eval_value, fd_jet, jet_sums,
+                           kappa_sum, normalized_residual, rotated_basis)
+from harmorph.morphisms import (dual_quat_family, dual_real_morphism, quat_family,
+                                real_morphism, typeIV_bigcell_morphism)
 from harmorph.sampling import rng_from_seed, sample_group_point
 from harmorph.spaces import SPACE_IDS, elem_D, elem_X, make_space, p_basis
+from harmorph.verify import sample_in_domain
 
 
 def test_jet_arithmetic_against_polynomials():
@@ -44,7 +46,9 @@ def test_jet_division_by_zero_raises():
 
 def test_expression_operators_build_dag():
     e = (Entry(1, 2) + 1) * Entry(2, 2) ** 2 - Entry(1, 1) / 2
-    assert max_entry_index(e) == 2
+    assert isinstance(e, Sub) and isinstance(e.a, Mul)
+    assert e.a.a == Add(Entry(1, 2), Const(1))
+    assert e.a.b == Mul(Entry(2, 2), Entry(2, 2))
     with pytest.raises(ValueError):
         Entry(1, 1) ** -1
 
@@ -99,13 +103,11 @@ def test_quotient_rule_invariants():
         x = sample_group_point(space, 31, index=i)
         p = eval_value(p_expr, space, x)
         q = eval_value(q_expr, space, x)
-        tp = tau(p_expr, space, x)
-        tq = tau(q_expr, space, x)
-        tr = tau(ratio, space, x)
-        kpp = kappa(p_expr, p_expr, space, x)
-        kpq = kappa(p_expr, q_expr, space, x)
-        kqq = kappa(q_expr, q_expr, space, x)
-        kr = kappa(ratio, ratio, space, x)
+        jp, jq = direction_jets(p_expr, space, x), direction_jets(q_expr, space, x)
+        tp, kpp, _ = jet_sums(jp)
+        tq, kqq, _ = jet_sums(jq)
+        tr, kr, _ = jet_sums(direction_jets(ratio, space, x))
+        kpq = kappa_sum(jp, jq)
         lhs_tau = q ** 3 * tr
         rhs_tau = q ** 2 * tp - p * q * tq - 2 * q * kpq + 2 * p * kqq
         scale = max(1.0, abs(lhs_tau), abs(rhs_tau))
@@ -129,12 +131,47 @@ def test_tau_kappa_basis_rotation_invariance():
     expr = Entry(1, 2) / Entry(2, 2)
     stock = p_basis(space)
     rot = rotated_basis(stock, rng_from_seed(5))
-    assert abs(tau(expr, space, x, stock) - tau(expr, space, x, rot)) < 1e-10
-    assert abs(kappa(expr, expr, space, x, stock) - kappa(expr, expr, space, x, rot)) < 1e-10
+    tau0, kap0, _ = jet_sums(direction_jets(expr, space, x, stock))
+    tau1, kap1, _ = jet_sums(direction_jets(expr, space, x, rot))
+    assert abs(tau0 - tau1) < 1e-10
+    assert abs(kap0 - kap1) < 1e-10
 
 
 def test_normalized_residual_convention():
     assert normalized_residual(1.0, 0.5) == 1.0     # floor at 1
     assert normalized_residual(1.0, 4.0) == 0.25
-    assert gradient_energy(Const(3.0), make_space("slr-so", 2),
-                           np.eye(2, dtype=complex)) == 0.0
+    js = direction_jets(Const(3.0), make_space("slr-so", 2), np.eye(2, dtype=complex))
+    assert jet_sums(js)[2] == 0.0
+
+
+REFERENCE_CASES = [real_morphism(3, 1, 2), quat_family(2, 1)[0],
+                   dual_real_morphism(3, 1, 2), dual_quat_family(2, 1)[0],
+                   typeIV_bigcell_morphism(3, 2, 1)]
+
+
+def _reference_sums(f, g, space, x):
+    """tau(f), kappa(f, g) and the energy of f by a plain loop of eval_jet over p_basis."""
+    tau = kappa = energy = 0.0
+    for z in p_basis(space):
+        jf, jg = eval_jet(f, space, x, z), eval_jet(g, space, x, z)
+        tau += jf.d2
+        kappa += jf.d1 * jg.d1
+        energy += abs(jf.d1) ** 2
+    return tau, kappa, energy
+
+
+@pytest.mark.parametrize("m", REFERENCE_CASES, ids=lambda m: m.label)
+def test_reductions_equal_reference_loop(m):
+    """jet_sums and kappa_sum reproduce the direct per-direction loop exactly."""
+    for t in range(3):
+        x = sample_in_domain(m, 41, t)
+        assert jet_sums(direction_jets(m.expr, m.space, x)) == \
+            _reference_sums(m.expr, m.expr, m.space, x)
+
+
+def test_cross_kappa_equals_reference_loop():
+    f, g = quat_family(2, 1)[:2]
+    for t in range(3):
+        x = sample_in_domain([f, g], 43, t)
+        kappa = kappa_sum(direction_jets(f.expr, f.space, x), direction_jets(g.expr, g.space, x))
+        assert kappa == _reference_sums(f.expr, g.expr, f.space, x)[1]

@@ -1,12 +1,12 @@
 """Verification suites: green paths, report contract, determinism, sensitivity."""
 
 import json
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from harmorph.jets import Entry
-from harmorph.morphisms import (STABILIZER_RIGHT, Morphism, dual_quat_family,
+import harmorph.verify
+from harmorph.morphisms import (control_morphism, dual_quat_family,
                                 dual_real_morphism, quat_family, real_morphism,
                                 typeIV_bigcell_morphism)
 from harmorph.spaces import make_space
@@ -114,14 +114,8 @@ def test_render_text_report():
         render_report(r, "yaml")
 
 
-def _control(n=2):
-    space = make_space("slr-so", n)
-    return Morphism(Entry(1, 1), space, f"control:phi11:n={n}",
-                    lambda x: space.membership(x, 1e-8), (STABILIZER_RIGHT,))
-
-
 def test_sensitivity_control_fails_with_large_residual():
-    r = verify_harmonic(_control(), TRIALS, SEED)
+    r = verify_harmonic(control_morphism(2), TRIALS, SEED)
     assert not r.passed
     assert r.max_residuals["tau"] >= 0.1
     assert r.failures  # captured evidence
@@ -129,17 +123,31 @@ def test_sensitivity_control_fails_with_large_residual():
 
 
 def test_failure_capture_is_bounded():
-    r = verify_harmonic(_control(), 50, SEED)
+    r = verify_harmonic(control_morphism(2), 50, SEED)
     assert len(r.failures) <= 10
 
 
-def test_exact_suite_failure_detection():
+def test_exact_suite_failure_detection(monkeypatch):
     """A corrupted identity must be caught by the exact comparison."""
-    r = verify_lemma_formula_real(2, 5, SEED)
-    assert r.passed and not r.failures
-    # sanity: records carry serialized rational inputs
-    r2 = verify_lemma_long(1, 5, SEED)
-    assert r2.passed
+    assert verify_lemma_formula_real(2, 5, SEED).passed
+    assert verify_lemma_long(1, 5, SEED).passed
+    # drop the last basis element: both sum identities lose a term
+    full = harmorph.verify.p_basis_exact
+    monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: full(space)[:-1])
+    real = verify_lemma_formula_real(2, 5, SEED)
+    assert not real.passed
+    assert {f["quantity"] for f in real.failures} == {"symmetric-family identity"}
+    for f in real.failures:
+        Fraction(f["value"])
+        assert set(f["inputs"]) == {"x", "y", "alpha", "beta"}
+        for vec in f["inputs"].values():
+            for v in vec:
+                Fraction(v)  # serialized as an exact rational, not a float pair
+    quat = verify_lemma_long(1, 5, SEED)
+    assert not quat.passed and len(quat.failures) == 5
+    for f in quat.failures:
+        assert f["quantity"] == "quaternionic sum identity"
+        assert all(isinstance(v, str) for vec in f["inputs"].values() for v in vec)
 
 
 def test_harmonic_suite_skips_out_of_domain_points():
