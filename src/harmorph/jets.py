@@ -3,9 +3,13 @@
 A function of the base map's entries is an immutable expression DAG.  Its
 value and first two derivatives along s -> x exp(sZ) propagate through the
 DAG by the 2-jet chain rules, seeded by the closed-form derivatives of the
-base map.  The tension field tau and the conformality operator kappa are
-the sums of these jets over an orthonormal basis of the horizontal
-complement; kappa is complex bilinear (no conjugation).
+base map (Taylor-mode forward differentiation).  A jet carries every
+direction of a tangent basis at once: its value is the scalar at the point
+and its derivatives are arrays over the directions, so one DAG walk per
+point gives them all, and every division, square root and branch-cut test
+acts on the scalar value.  The tension field tau and the conformality operator kappa
+are the sums of these derivatives over an orthonormal basis of the
+horizontal complement; kappa is complex bilinear (no conjugation).
 """
 
 from __future__ import annotations
@@ -183,14 +187,15 @@ class ScaleByI(Expr):
 # ---------------------------------------------------------------------------
 
 def _companion(space: SpaceSpec, m: np.ndarray) -> np.ndarray:
-    """The anti-homomorphism T with base map x -> x T(x)."""
+    """The anti-homomorphism T with base map x -> x T(x), on a matrix or a stack of them."""
+    mt = np.swapaxes(m, -1, -2)
     if space.base_map_variant == X_XT:
-        return m.T
+        return mt
     if space.base_map_variant == X_XSTAR:
-        return m.conj().T
+        return mt.conj()
     if space.base_map_variant == X_JT_XT_J:
         J = space.J
-        return J.T @ m.T @ J
+        return J.T @ mt @ J
     raise AssertionError(space.base_map_variant)
 
 
@@ -220,28 +225,33 @@ def base_map_jet(space: SpaceSpec, x: np.ndarray, z: np.ndarray) -> tuple[np.nda
 
 
 class JetContext:
-    """Precomputed base-map jets at one point for every basis direction."""
+    """Base-map jets at one point along every basis direction at once.
+
+    ``phi`` is the base map at x; ``d1`` and ``d2`` stack its first and second
+    derivatives along each basis direction, shape (directions, d, d), computed
+    as in ``base_map_jet`` by stacked matrix products.
+    """
 
     def __init__(self, space: SpaceSpec, x: np.ndarray, basis: PBasis | None = None):
         self.space = space
         self.x = x
         self.basis = basis if basis is not None else p_basis(space)
-        self.phi = base_map_value(space, x, check=False)
-        self.direction_jets = [base_map_jet(space, x, z)[1:] for z in self.basis]
+        d = x.shape[0]
+        z = np.array(self.basis.elements, dtype=complex).reshape(len(self.basis), d, d)
+        tx = _companion(space, x)
+        tz = _companion(space, z)
+        self.phi = x @ tx
+        self.d1 = x @ (z + tz) @ tx
+        self.d2 = x @ (z @ z + 2.0 * (z @ tz) + tz @ tz) @ tx
 
-    def entry_jet(self, k: int, l: int, zi: int) -> Jet2:
-        d1, d2 = self.direction_jets[zi]
-        return Jet2(complex(self.phi[k - 1, l - 1]), complex(d1[k - 1, l - 1]), complex(d2[k - 1, l - 1]))
+    def entry_jet(self, k: int, l: int) -> Jet2:
+        """Jet of the base-map entry (k, l), 1-based, along every basis direction."""
+        return Jet2(complex(self.phi[k - 1, l - 1]), self.d1[:, k - 1, l - 1],
+                    self.d2[:, k - 1, l - 1])
 
     def base_map_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """tau(phi_kl) as a matrix, and kappa(phi_kl, phi_ij) indexed [k, l, i, j]."""
-        d = self.phi.shape[0]
-        tau = np.zeros((d, d), dtype=complex)
-        kappa = np.zeros((d, d, d, d), dtype=complex)
-        for d1, d2 in self.direction_jets:
-            tau += d2
-            kappa += np.einsum("kl,ij->klij", d1, d1)
-        return tau, kappa
+        return self.d2.sum(axis=0), np.einsum("zkl,zij->klij", self.d1, self.d1)
 
 
 def _eval(e: Expr, entry_fn, memo: dict) -> Jet2:
@@ -291,36 +301,32 @@ def eval_value(f: Expr, space: SpaceSpec, x: np.ndarray) -> complex:
     return _eval(f, entry_fn, {}).v
 
 
-def eval_jet_cached(f: Expr, ctx: JetContext, zi: int) -> Jet2:
-    """eval_jet of f along basis direction zi, from the base-map jets in ctx."""
-    return _eval(f, lambda k, l: ctx.entry_jet(k, l, zi), {})
+def eval_jet_cached(f: Expr, ctx: JetContext) -> Jet2:
+    """Jet of f along every basis direction of ctx, from one walk of the DAG."""
+    return _eval(f, ctx.entry_jet, {})
 
 
 def direction_jets(f: Expr, space: SpaceSpec, x: np.ndarray,
-                   basis: PBasis | None = None) -> list[Jet2]:
-    """Jets of f at x along every direction of the basis (default: p_basis)."""
-    ctx = JetContext(space, x, basis)
-    return [eval_jet_cached(f, ctx, zi) for zi in range(len(ctx.basis))]
+                   basis: PBasis | None = None) -> Jet2:
+    """Jet of f at x along every direction of the basis (default: p_basis)."""
+    return eval_jet_cached(f, JetContext(space, x, basis))
 
 
-def jet_sums(js: list[Jet2]) -> tuple[complex, complex, float]:
-    """(tau(f), kappa(f, f), energy) from the jets of f along an orthonormal basis.
+def jet_sums(j: Jet2) -> tuple[complex, complex, float]:
+    """(tau(f), kappa(f, f), energy) from the jet of f along an orthonormal basis.
 
     tau sums the second derivatives, kappa the squared first derivatives
     (bilinear, no conjugation), and the energy sum of |d1|^2 is the scale
-    used to normalize residuals.
+    used to normalize residuals.  A jet whose derivatives are the scalar 0.0
+    (a constant) sums to zero.
     """
-    tau = kappa = energy = 0.0
-    for j in js:
-        tau += j.d2
-        kappa += j.d1 * j.d1
-        energy += abs(j.d1) ** 2
-    return tau, kappa, energy
+    return (complex(np.sum(j.d2)), complex(np.sum(j.d1 * j.d1)),
+            float(np.sum(np.abs(j.d1) ** 2)))
 
 
-def kappa_sum(jf: list[Jet2], jg: list[Jet2]) -> complex:
+def kappa_sum(jf: Jet2, jg: Jet2) -> complex:
     """kappa(f, g) from the jets of f and g along the same orthonormal basis."""
-    return sum(a.d1 * b.d1 for a, b in zip(jf, jg))
+    return complex(np.sum(jf.d1 * jg.d1))
 
 
 def normalized_residual(value: complex, energy: float) -> float:

@@ -114,3 +114,23 @@ def test_parse_polynomial():
         parse_polynomial("z1**z1", 1)
     with pytest.raises(ValueError):
         parse_polynomial("import os", 1)
+
+
+def test_verify_records_jet_error_and_exits_1(runner, monkeypatch):
+    """A point in the domain whose jet cannot be evaluated is a failure, not a traceback."""
+    from harmorph import cli
+    from harmorph.jets import Entry
+    from harmorph.morphisms import Morphism
+    from harmorph.spaces import make_space
+
+    space = make_space("slr-so", 2)
+    bad = Morphism(Entry(1, 1) / (Entry(1, 2) - Entry(1, 2)), space, "zero-denominator",
+                   lambda x: space.membership(x, 1e-8), ())
+    monkeypatch.setattr(cli, "real_morphism", lambda n, k, l: bad)
+    result = runner.invoke(main, ["verify", "--space", "slr-so", "--n", "2", "--k", "1",
+                                  "--l", "2", "--trials", "2", "--seed", "7",
+                                  "--format", "json"])
+    assert result.exit_code == 1
+    assert not isinstance(result.exception, ArithmeticError)
+    report = json.loads(result.stdout)
+    assert {f["quantity"] for f in report["failures"]} == {"evaluation-error"}

@@ -3,15 +3,17 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import harmorph.verify
-from harmorph.morphisms import (control_morphism, dual_quat_family,
-                                dual_real_morphism, quat_family, real_morphism,
-                                typeIV_bigcell_morphism)
+from harmorph.jets import Entry
+from harmorph.morphisms import (STABILIZER_RIGHT, Morphism, control_morphism,
+                                dual_quat_family, dual_real_morphism, quat_family,
+                                real_morphism, typeIV_bigcell_morphism)
 from harmorph.spaces import make_space
-from harmorph.verify import (SCHEMA_VERSION, default_tolerance, render_report,
-                             verify_basis_independence, verify_bigcell,
+from harmorph.verify import (SCHEMA_VERSION, VerificationReport, default_tolerance,
+                             render_report, verify_basis_independence, verify_bigcell,
                              verify_derivative_lemmas, verify_family,
                              verify_harmonic, verify_invariance,
                              verify_lemma_formula_real, verify_lemma_long)
@@ -157,3 +159,35 @@ def test_harmonic_suite_skips_out_of_domain_points():
     for t in range(5):
         x = sample_in_domain(m, SEED, t)
         assert m.domain(x)
+
+
+def _zero_denominator_morphism():
+    """phi_11 / (phi_12 - phi_12) on slr-so n=2: in domain everywhere, never evaluable."""
+    space = make_space("slr-so", 2)
+    return Morphism(Entry(1, 1) / (Entry(1, 2) - Entry(1, 2)), space, "zero-denominator",
+                    lambda x: space.membership(x, 1e-8), (STABILIZER_RIGHT,))
+
+
+def test_jet_errors_at_in_domain_points_are_recorded_failures():
+    bad = _zero_denominator_morphism()
+    for r in (verify_harmonic(bad, 3, SEED), verify_family([real_morphism(2, 1, 2), bad], 3, SEED)):
+        assert not r.passed
+        assert r.max_residuals == {}
+        assert [f["trial"] for f in r.failures] == [0, 1, 2]
+        for f in r.failures:
+            assert f["quantity"] == "evaluation-error"
+            assert "division by zero" in f["value"]
+            assert set(f["inputs"]) == {"x"}
+        json.loads(r.to_json())
+        assert render_report(r).startswith("FAIL")
+
+
+def test_check_all_equals_check_in_order():
+    residuals = np.array([0.5, 3.0, 0.0, 2.0])
+    one, many = (VerificationReport("s", None, [], 2, 1, 0, 1.0) for _ in range(2))
+    for r in residuals:
+        one.check(4, "q", float(r), 1.0, {"x": 1})
+    many.check_all(4, "q", residuals, 1.0, {"x": 1})
+    many.check_all(4, "empty", residuals[:0], 1.0)
+    assert one.to_dict() == many.to_dict()
+    assert [f["value"] for f in many.failures] == [[3.0, 0.0], [2.0, 0.0]]
