@@ -58,7 +58,7 @@ def main():
 
 
 @main.command()
-@click.option("--n", type=int, default=2, show_default=True,
+@click.option("--n", type=click.IntRange(min=1), default=2, show_default=True,
               help="Rank parameter used to display concrete sizes.")
 def spaces(n):
     """List the supported symmetric-space configurations."""
@@ -72,8 +72,8 @@ def spaces(n):
 
 @main.command()
 @click.option("--lemma", type=click.Choice(["formula-real", "long"]), required=True)
-@click.option("--n", type=int, default=2, show_default=True)
-@click.option("--trials", type=int, default=100, show_default=True)
+@click.option("--n", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @seed_option
 @format_option
 @output_option
@@ -91,8 +91,8 @@ def identities(ctx, lemma, n, trials, seed, fmt, output):
 
 @main.command()
 @click.option("--space", "space_id", type=click.Choice(["slr-so", "sus-sp"]), required=True)
-@click.option("--n", type=int, default=2, show_default=True)
-@click.option("--trials", type=int, default=100, show_default=True)
+@click.option("--n", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 @seed_option
 @format_option
@@ -139,14 +139,14 @@ def _build_targets(space_id, n, k, l, family_l):
 
 @main.command(name="verify")
 @click.option("--space", "space_id", type=click.Choice(list(SPACE_IDS)), required=True)
-@click.option("--n", type=int, default=2, show_default=True)
+@click.option("--n", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--k", type=int, default=None)
 @click.option("--l", type=int, default=None)
 @click.option("--family", "family_l", type=int, default=None,
               help="Verify the whole family with this column index l.")
 @click.option("--compose", "compose_poly", type=str, default=None,
               help="Polynomial in z1..zm to compose with the family members.")
-@click.option("--trials", type=int, default=100, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--tol", type=float, default=None, help="Residual tolerance (space-dependent default).")
 @seed_option
 @format_option
@@ -177,16 +177,14 @@ def verify_cmd(ctx, space_id, n, k, l, family_l, compose_poly, trials, tol, seed
 
 
 @main.command()
-@click.option("--n", type=int, default=2, show_default=True)
-@click.option("--trials", type=int, default=1000, show_default=True)
+@click.option("--n", type=click.IntRange(min=2), default=2, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
 @seed_option
 @format_option
 @output_option
 @click.pass_context
 def bigcell(ctx, n, trials, seed, fmt, output):
     """Leading-principal-minor positivity of g g* on SL(n, C)."""
-    if n < 2:
-        raise click.UsageError("bigcell requires n >= 2")
     seed = _resolve_seed(seed)
     report = vf.verify_bigcell(n, trials, seed)
     _emit([report], fmt, output)
@@ -194,8 +192,8 @@ def bigcell(ctx, n, trials, seed, fmt, output):
 
 
 @main.command(name="all")
-@click.option("--n-max", type=int, default=3, show_default=True)
-@click.option("--trials", type=int, default=50, show_default=True,
+@click.option("--n-max", type=click.IntRange(min=2), default=3, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=50, show_default=True,
               help="Trials per float suite in the sweep.")
 @seed_option
 @format_option
@@ -203,8 +201,6 @@ def bigcell(ctx, n, trials, seed, fmt, output):
 @click.pass_context
 def all_cmd(ctx, n_max, trials, seed, fmt, output):
     """Full sweep: every suite at least once up to rank --n-max."""
-    if n_max < 2:
-        raise click.UsageError("--n-max must be at least 2")
     seed = _resolve_seed(seed)
     reports = run_sweep(n_max, trials, seed)
     _emit(reports, fmt, output)

@@ -149,6 +149,16 @@ def dual_quat_family(n: int, l: int, margin: float = DEFAULT_MARGIN) -> list[Mor
 MAX_COMPOSE_DEGREE = 6
 
 
+def _family_space(family: Sequence[Morphism]) -> SpaceSpec:
+    """The space every member of a non-empty family lives on."""
+    if not family:
+        raise ValueError("empty family")
+    space = family[0].space
+    if any(m.space != space for m in family[1:]):
+        raise ValueError("family members live on different spaces")
+    return space
+
+
 def holomorphic_compose(coeffs: Mapping[tuple[int, ...], complex],
                         family: Sequence[Morphism],
                         label: str | None = None) -> Morphism:
@@ -157,12 +167,7 @@ def holomorphic_compose(coeffs: Mapping[tuple[int, ...], complex],
     ``coeffs`` maps exponent tuples (one exponent per member) to complex
     coefficients; total degree at most 6.
     """
-    if not family:
-        raise ValueError("empty family")
-    space = family[0].space
-    for m in family[1:]:
-        if m.space.id != space.id or m.space.n != space.n:
-            raise ValueError("family members live on different spaces")
+    space = _family_space(family)
     expr: Expr = Const(0.0)
     for exps, c in sorted(coeffs.items()):
         if len(exps) != len(family):

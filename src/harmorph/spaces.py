@@ -108,11 +108,14 @@ X_XSTAR = "x_xstar"
 X_JT_XT_J = "x_jt_xt_j"
 
 
+@lru_cache(maxsize=None)
 def symplectic_J(n: int) -> np.ndarray:
-    """The fixed 2n x 2n symplectic matrix [[0, I], [-I, 0]]."""
+    """The fixed 2n x 2n symplectic matrix [[0, I], [-I, 0]], shared and read-only."""
     z = np.zeros((n, n))
     i = np.eye(n)
-    return np.block([[z, i], [-i, z]]).astype(complex)
+    J = np.block([[z, i], [-i, z]]).astype(complex)
+    J.setflags(write=False)
+    return J
 
 
 @dataclass(frozen=True)

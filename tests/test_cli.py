@@ -134,3 +134,22 @@ def test_verify_records_jet_error_and_exits_1(runner, monkeypatch):
     assert not isinstance(result.exception, ArithmeticError)
     report = json.loads(result.stdout)
     assert {f["quantity"] for f in report["failures"]} == {"evaluation-error"}
+
+
+@pytest.mark.parametrize("args", [
+    ["identities", "--lemma", "long", "--trials", "0"],
+    ["identities", "--lemma", "long", "--n", "0"],
+    ["lemmas", "--space", "slr-so", "--trials", "-5"],
+    ["lemmas", "--space", "slr-so", "--n", "0"],
+    ["verify", "--space", "slr-so", "--k", "1", "--l", "2", "--trials", "0"],
+    ["verify", "--space", "slr-so", "--k", "1", "--l", "2", "--n", "0"],
+    ["bigcell", "--trials", "0"],
+    ["bigcell", "--n", "1"],
+    ["all", "--trials", "0"],
+    ["all", "--n-max", "1"],
+    ["spaces", "--n", "0"],
+])
+def test_bad_counts_are_usage_errors(runner, args):
+    result = runner.invoke(main, args + ["--seed", "7"] if args[0] != "spaces" else args)
+    assert result.exit_code == 2
+    assert "is not in the range" in result.output + getattr(result, "stderr", "")

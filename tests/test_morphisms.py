@@ -119,3 +119,15 @@ def test_typeIV_simplest_coordinate_is_entry_ratio():
     g = sample_group_point(make_space("slc-su", 2), 19)
     a = g @ g.conj().T
     assert abs(m.value(g) - a[1, 0] / a[0, 0]) < 1e-12
+
+
+def test_family_checks_shared_by_suite_and_composition():
+    from harmorph.verify import verify_family
+
+    mixed = [real_morphism(2, 1, 2), real_morphism(3, 1, 2)]
+    for build in (lambda fam: verify_family(fam, 1, 0),
+                  lambda fam: holomorphic_compose({(1,) * len(fam): 1}, fam)):
+        with pytest.raises(ValueError, match="empty family"):
+            build([])
+        with pytest.raises(ValueError, match="family members live on different spaces"):
+            build(mixed)

@@ -134,3 +134,12 @@ def test_stabilizer_algebra_dimensions():
 
 def test_space_labels():
     assert make_space("slr-so", 3).label() == "slr-so:n=3"
+
+
+def test_symplectic_J_is_shared_and_read_only():
+    space = make_space("su-sp", 2)
+    J = space.J
+    assert J is space.J is symplectic_J(2)
+    assert not J.flags.writeable
+    with pytest.raises(ValueError):
+        J[0, 0] = 1

@@ -35,6 +35,7 @@ def test_exact_identity_suites_pass():
 
 def test_derivative_lemmas_pass_both_spaces():
     assert verify_derivative_lemmas(make_space("slr-so", 3), TRIALS, SEED).passed
+    assert verify_derivative_lemmas(make_space("slr-so", 1), TRIALS, SEED).passed  # no psi pairs
     assert verify_derivative_lemmas(make_space("sus-sp", 2), TRIALS, SEED).passed
     with pytest.raises(ValueError):
         verify_derivative_lemmas(make_space("su-so", 3), TRIALS, SEED)
@@ -191,3 +192,93 @@ def test_check_all_equals_check_in_order():
     many.check_all(4, "empty", residuals[:0], 1.0)
     assert one.to_dict() == many.to_dict()
     assert [f["value"] for f in many.failures] == [[3.0, 0.0], [2.0, 0.0]]
+
+
+def _as_family_names(report, label):
+    """The report with the family suite's name and quantity names for its one member."""
+    names = {"tau": f"tau[{label}]", "kappa": f"kappa[{label}|{label}]"}
+    d = _strip_time(report)
+    d["suite"] = "family"
+    d["max_residuals"] = {names.get(q, q): v for q, v in d["max_residuals"].items()}
+    d["failures"] = [{**f, "quantity": names.get(f["quantity"], f["quantity"])}
+                     for f in d["failures"]]
+    return d
+
+
+@pytest.mark.parametrize("morphism", [real_morphism(3, 1, 2), dual_real_morphism(3, 1, 2),
+                                      typeIV_bigcell_morphism(3, 2, 1), control_morphism(2),
+                                      _zero_denominator_morphism()],
+                         ids=lambda m: m.label)
+def test_harmonic_suite_is_the_one_member_family(morphism):
+    single = verify_harmonic(morphism, 20, SEED)
+    assert single.suite == "harmonic"
+    assert _as_family_names(single, morphism.label) == _strip_time(
+        verify_family([morphism], 20, SEED))
+
+
+class _RecordingReport(VerificationReport):
+    """Keeps every residual array passed to check_all, per quantity."""
+
+    def __init__(self):
+        super().__init__("s", None, [], 0, 1, 0, 1.0)
+        self.residuals = {}
+
+    def check_all(self, trial, quantity, residuals, tol, inputs=None):
+        self.residuals.setdefault(quantity, []).extend(residuals.tolist())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_psi_residuals_equal_reference_loop(n):
+    """The stacked psi relations give the guarded ratios of a plain per-pair loop, bit for bit."""
+    from harmorph.jets import JetContext, Sqrt, eval_jet_cached, jet_sums, kappa_sum
+    from harmorph.sampling import sample_group_point
+    from harmorph.verify import RATIO_GUARD, _check_psi_relations
+
+    def guarded(lhs, rhs):
+        return [] if abs(rhs) < RATIO_GUARD else [abs(lhs - rhs) / abs(rhs)]
+
+    space = make_space("slr-so", n)
+    for t in range(5):
+        x = sample_group_point(space, SEED, index=t)
+        ctx = JetContext(space, x)
+        ref = {"kappa_psi_psi": [], "tau_psi": [], "kappa_phi_psi": []}
+        for k in range(1, n + 1):
+            for l in range(k + 1, n + 1):
+                jet = eval_jet_cached(Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2), ctx)
+                tau, kap, _ = jet_sums(jet)
+                ref["kappa_psi_psi"] += guarded(kap, 2.0 * jet.v ** 2)
+                ref["tau_psi"] += guarded(tau, 2.0 * (n - 1) * jet.v)
+                for m in range(1, n + 1):
+                    ref["kappa_phi_psi"] += guarded(kappa_sum(ctx.entry_jet(k, m), jet),
+                                                    2.0 * ctx.phi[k - 1, m - 1] * jet.v)
+        report = _RecordingReport()
+        _check_psi_relations(report, space, ctx, t, x, 1e-8)
+        assert report.residuals == ref
+
+
+def test_exact_line_counts_every_failing_trial(monkeypatch):
+    full = harmorph.verify.p_basis_exact
+    monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: full(space)[:-1])
+    r = verify_lemma_formula_real(2, 100, SEED)
+    # 97 trials fail (at 3 the dropped term vanishes), but only 10 failures are captured
+    assert len(r.failures) == 10 and len(r.failed_trials) == 97
+    assert "  exact: 3/100" in render_report(r).splitlines()
+    # a float suite prints no exact line, even when no trial left a residual
+    bad = verify_harmonic(_zero_denominator_morphism(), 3, SEED)
+    assert bad.max_residuals == {}
+    assert "exact:" not in render_report(bad)
+
+
+def test_benchmark_traced_names_are_verify_globals():
+    """perfbench/tracing.py wraps these module globals of harmorph.verify by name."""
+    import ast
+    from pathlib import Path
+
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(source.read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(tg, "id", None) for tg in node.targets] == ["VERIFY_GLOBALS"])
+    names = ast.literal_eval(value)
+    assert names
+    for name in names:
+        assert callable(getattr(harmorph.verify, name, None)), name
