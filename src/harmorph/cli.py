@@ -211,7 +211,7 @@ def run_sweep(n_max: int, trials: int, seed: int) -> list[vf.VerificationReport]
     reports = []
     for n in range(2, n_max + 1):
         reports.append(vf.verify_lemma_formula_real(n, trials, seed))
-    for n in range(1, min(n_max, 3) + 1):
+    for n in range(1, n_max + 1):
         reports.append(vf.verify_lemma_long(n, trials, seed))
     for n in range(2, n_max + 1):
         reports.append(vf.verify_derivative_lemmas(make_space("slr-so", n), trials, seed))
@@ -262,7 +262,7 @@ def parse_polynomial(text: str, nvars: int) -> dict[tuple[int, ...], complex]:
 def _poly_eval(node, nvars) -> dict[tuple[int, ...], complex]:
     zero = (0,) * nvars
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if type(node.value) not in (int, float):  # rejects bool, an int subclass
             raise ValueError(f"unsupported constant {node.value!r}")
         return {zero: complex(node.value)}
     if isinstance(node, ast.Name):
@@ -298,12 +298,12 @@ def _poly_eval(node, nvars) -> dict[tuple[int, ...], complex]:
                     out[e] = out.get(e, 0.0) + c1 * c2
             return out
         if isinstance(node.op, ast.Pow):
-            if not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int)
-                    and node.right.value >= 0):
+            exp = node.right.value if isinstance(node.right, ast.Constant) else None
+            if type(exp) is not int or exp < 0:  # not bool, an int subclass
                 raise ValueError("powers must be non-negative integer constants")
             base = _poly_eval(node.left, nvars)
             out = {zero: 1.0 + 0.0j}
-            for _ in range(node.right.value):
+            for _ in range(exp):
                 nxt: dict[tuple[int, ...], complex] = {}
                 for e1, c1 in out.items():
                     for e2, c2 in base.items():

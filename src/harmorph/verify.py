@@ -3,14 +3,15 @@
 Every suite is deterministic given (parameters, seed): points are drawn
 from the counter-based generator keyed by the seed and the trial index,
 so a report fully determines a re-run.  Exact suites compare both sides
-of an identity in rational arithmetic and never report residuals; float
-suites report the worst normalized residual per quantity and also push a
-10% subsample through the finite-difference oracle.
+of an identity exactly, as integers after clearing denominators, and never
+report residuals; float suites report the worst normalized residual per
+quantity and also push a 10% subsample through the finite-difference oracle.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +25,7 @@ from .matrices import leading_principal_minors
 from .morphisms import POSITIVE_SCALE, Morphism, _family_space
 from .sampling import (complex_rational_vector, rational_vector, rng_from_seed,
                        sample_group_point, sample_stabilizer_point)
-from .scalars import ComplexRational
+from .scalars import ComplexRational, _clear_denominators
 from .spaces import (HALF, SpaceSpec, exact_unit, make_space, p_basis, p_basis_exact,
                      symplectic_J_exact)
 
@@ -192,22 +193,24 @@ def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> Verif
     """Both exact sum identities over the symmetric/diagonal and Y families."""
     report = VerificationReport("lemma-formula-real", None, [], n, trials, seed, None)
     timer = _Timer(report)
-    sym = p_basis_exact(make_space("slr-so", n))
     skew = [(exact_unit(n, k, l, -1, Fraction(1)), HALF)
             for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    families = (("symmetric-family identity", 1,
+                 _integer_family(p_basis_exact(make_space("slr-so", n)))),
+                ("antisymmetric-family identity", -1, _integer_family(skew)))
+    eye = _eye(n)
     for t in range(trials):
         rng = rng_from_seed(seed, t)
-        x, y, a, b = (np.array(rational_vector(rng, n), dtype=object) for _ in range(4))
-        dot = lambda u, w: sum(u[i] * w[i] for i in range(n))
-        lhs_sym = sum(c * (x @ m @ y) * (a @ m @ b) for m, c in sym)
-        rhs_sym = Fraction(1, 2) * (dot(a, x) * dot(y, b) + dot(y, a) * dot(x, b))
-        lhs_skew = sum(c * (x @ m @ y) * (a @ m @ b) for m, c in skew)
-        rhs_skew = Fraction(1, 2) * (dot(a, x) * dot(y, b) - dot(y, a) * dot(x, b))
-        inputs = {"x": _ser_vec(x), "y": _ser_vec(y), "alpha": _ser_vec(a), "beta": _ser_vec(b)}
-        if lhs_sym != rhs_sym:
-            report.record_failure(t, "symmetric-family identity", lhs_sym - rhs_sym, inputs)
-        if lhs_skew != rhs_skew:
-            report.record_failure(t, "antisymmetric-family identity", lhs_skew - rhs_skew, inputs)
+        vecs = [rational_vector(rng, n) for _ in range(4)]
+        scale, (x, y, a, b) = _cleared(vecs)
+        # sum_m c (x m y)(a m b) = 1/2 (<a, x><y, b> +- <y, a><x, b>), all parts real
+        ax_yb = _gmul(_form(eye, a, x), _form(eye, y, b))[0]
+        ya_xb = _gmul(_form(eye, y, a), _form(eye, x, b))[0]
+        for quantity, sign, (denom, family) in families:
+            gap = _family_sum(family, x, y, a, b)[0] - denom // 2 * (ax_yb + sign * ya_xb)
+            if gap:
+                report.record_failure(t, quantity, Fraction(gap, denom * scale),
+                                      _vector_inputs(vecs))
     return timer.done()
 
 
@@ -215,28 +218,83 @@ def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationR
     """Exact quaternionic sum identity over the five block families."""
     report = VerificationReport("lemma-long", None, [], n, trials, seed, None)
     timer = _Timer(report)
-    basis = p_basis_exact(make_space("sus-sp", n))
-    J = symplectic_J_exact(n)
-    d = 2 * n
-
-    def herm(u, w):  # u w* with conjugation on the second argument
-        return sum(u[i] * w[i].conjugate() for i in range(d))
-
-    def omega(u, w):
-        return (u @ J) @ w
-
+    denom, family = _integer_family(p_basis_exact(make_space("sus-sp", n)))
+    J = _sparse(symplectic_J_exact(n))
+    eye = _eye(2 * n)
     for t in range(trials):
         rng = rng_from_seed(seed, t)
-        x, y, a, b = (np.array(complex_rational_vector(rng, d), dtype=object) for _ in range(4))
-        lhs = ComplexRational(0)
-        for m, c in basis:
-            lhs = lhs + c * herm(a @ m, b) * herm(x @ m, y)
-        rhs = Fraction(1, 2) * (herm(x, b) * herm(y, a).conjugate()
-                                + omega(x, a) * omega(y, b).conjugate())
-        if lhs != rhs:
-            inputs = {"x": _ser_vec(x), "y": _ser_vec(y), "alpha": _ser_vec(a), "beta": _ser_vec(b)}
-            report.record_failure(t, "quaternionic sum identity", lhs - rhs, inputs)
+        vecs = [complex_rational_vector(rng, 2 * n) for _ in range(4)]
+        scale, (x, y, a, b) = _cleared(vecs)
+        # sum_m c (a m b*)(x m y*) = 1/2 ((x b*)(a y*) + (x J a) conj(y J b)); with J real,
+        # x J a is the form of J at (x, conj a) and conj(y J b) its form at (conj y, b)
+        ca, cy = ([(re, -im) for re, im in v] for v in (a, y))
+        herm = _gmul(_form(eye, x, b), _form(eye, a, y))
+        omega = _gmul(_form(J, x, ca), _form(J, cy, b))
+        lhs = _family_sum(family, x, y, a, b)
+        gap = [lhs[p] - denom // 2 * (herm[p] + omega[p]) for p in (0, 1)]
+        if any(gap):
+            value = ComplexRational(*(Fraction(g, denom * scale) for g in gap))
+            report.record_failure(t, "quaternionic sum identity", value, _vector_inputs(vecs))
     return timer.done()
+
+
+# Both identities are linear or conjugate-linear in each of x, y, alpha, beta, so
+# they are checked on the Gaussian-integer multiples L v of the sampled vectors and
+# with both sides times D, the lcm of 2 and the scale_sq denominators: the exact
+# claim at the same points, compared with int ==.  A complex number is an int pair.
+
+def _sparse(m: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """The nonzero entries (i, j, Re, Im) of an exact matrix with Gaussian-integer entries."""
+    idx = [(int(i), int(j)) for i, j in zip(*np.nonzero(m))]
+    scale, values = _clear_denominators([m[ij] for ij in idx])
+    if scale != 1:
+        raise ValueError("exact basis entries must be Gaussian integers")
+    return [ij + v for ij, v in zip(idx, values)]
+
+
+def _eye(d: int) -> list[tuple[int, int, int, int]]:
+    return [(i, i, 1, 0) for i in range(d)]
+
+
+def _integer_family(basis: list) -> tuple[int, list]:
+    """(D, [(D scale_sq, sparse entries), ...]) of an exact basis, D as above."""
+    denom = math.lcm(2, *(c.denominator for _, c in basis))
+    return denom, [(c.numerator * (denom // c.denominator), _sparse(m)) for m, c in basis]
+
+
+def _cleared(vectors) -> tuple[int, list]:
+    """The product of the vectors' scales L and their Gaussian-integer multiples."""
+    scales, ints = zip(*map(_clear_denominators, vectors))
+    return math.prod(scales), ints
+
+
+def _form(entries, u, w) -> tuple[int, int]:
+    """sum of m_ij u_i conj(w_j) over the entries (i, j, Re m_ij, Im m_ij)."""
+    re = im = 0
+    for i, j, mr, mi in entries:
+        (ur, ui), (wr, wi) = u[i], w[j]
+        pr, pi = ur * wr + ui * wi, ui * wr - ur * wi
+        re += mr * pr - mi * pi
+        im += mr * pi + mi * pr
+    return re, im
+
+
+def _gmul(p, q) -> tuple[int, int]:
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _family_sum(family, x, y, a, b) -> tuple[int, int]:
+    """sum of w s_m(a, b) s_m(x, y) over the (w, entries) of an integer family."""
+    re = im = 0
+    for w, m in family:
+        pr, pi = _gmul(_form(m, a, b), _form(m, x, y))
+        re += w * pr
+        im += w * pi
+    return re, im
+
+
+def _vector_inputs(vecs):
+    return lambda: dict(zip(("x", "y", "alpha", "beta"), map(_ser_vec, vecs)))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,26 @@ def test_parse_polynomial():
         parse_polynomial("import os", 1)
 
 
+@pytest.mark.parametrize("text", ["z1 + True", "z1*False + z2", "z1**True", "z2**False"])
+def test_parse_polynomial_rejects_booleans(text):
+    with pytest.raises(ValueError):
+        parse_polynomial(text, 2)
+
+
+def test_compose_with_boolean_is_usage_error(runner):
+    result = runner.invoke(main, ["verify", "--space", "sus-sp", "--n", "2", "--family", "1",
+                                  "--compose", "z1*True + z2", "--trials", "2", "--seed", "7"])
+    assert result.exit_code == 2
+
+
+def test_all_sweep_checks_lemma_long_up_to_n_max(runner):
+    result = runner.invoke(main, ["all", "--n-max", "4", "--trials", "1", "--seed", "7",
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    reports = [json.loads(line) for line in result.output.splitlines() if line.startswith("{")]
+    assert [r["n"] for r in reports if r["suite"] == "lemma-long"] == [1, 2, 3, 4]
+
+
 def test_verify_records_jet_error_and_exits_1(runner, monkeypatch):
     """A point in the domain whose jet cannot be evaluated is a failure, not a traceback."""
     from harmorph import cli

@@ -153,6 +153,110 @@ def test_exact_suite_failure_detection(monkeypatch):
         assert all(isinstance(v, str) for vec in f["inputs"].values() for v in vec)
 
 
+def _reference_lemma_formula_real(n, trials, seed):
+    """Both real identities on object arrays of Fractions, one dense product per element."""
+    from harmorph.sampling import rational_vector, rng_from_seed
+    from harmorph.spaces import HALF, exact_unit
+    from harmorph.verify import _ser_vec
+
+    report = VerificationReport("lemma-formula-real", None, [], n, trials, seed, None)
+    sym = harmorph.verify.p_basis_exact(make_space("slr-so", n))
+    skew = [(exact_unit(n, k, l, -1, Fraction(1)), HALF)
+            for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    for t in range(trials):
+        rng = rng_from_seed(seed, t)
+        x, y, a, b = (np.array(rational_vector(rng, n), dtype=object) for _ in range(4))
+        dot = lambda u, w: sum(u[i] * w[i] for i in range(n))
+        lhs_sym = sum(c * (x @ m @ y) * (a @ m @ b) for m, c in sym)
+        rhs_sym = Fraction(1, 2) * (dot(a, x) * dot(y, b) + dot(y, a) * dot(x, b))
+        lhs_skew = sum(c * (x @ m @ y) * (a @ m @ b) for m, c in skew)
+        rhs_skew = Fraction(1, 2) * (dot(a, x) * dot(y, b) - dot(y, a) * dot(x, b))
+        inputs = {"x": _ser_vec(x), "y": _ser_vec(y), "alpha": _ser_vec(a), "beta": _ser_vec(b)}
+        if lhs_sym != rhs_sym:
+            report.record_failure(t, "symmetric-family identity", lhs_sym - rhs_sym, inputs)
+        if lhs_skew != rhs_skew:
+            report.record_failure(t, "antisymmetric-family identity", lhs_skew - rhs_skew, inputs)
+    return report
+
+
+def _reference_lemma_long(n, trials, seed):
+    """The quaternionic identity on object arrays of ComplexRationals."""
+    from harmorph.sampling import complex_rational_vector, rng_from_seed
+    from harmorph.scalars import ComplexRational
+    from harmorph.spaces import symplectic_J_exact
+    from harmorph.verify import _ser_vec
+
+    report = VerificationReport("lemma-long", None, [], n, trials, seed, None)
+    basis = harmorph.verify.p_basis_exact(make_space("sus-sp", n))
+    J = symplectic_J_exact(n)
+    d = 2 * n
+    herm = lambda u, w: sum(u[i] * w[i].conjugate() for i in range(d))
+    omega = lambda u, w: (u @ J) @ w
+    for t in range(trials):
+        rng = rng_from_seed(seed, t)
+        x, y, a, b = (np.array(complex_rational_vector(rng, d), dtype=object) for _ in range(4))
+        lhs = ComplexRational(0)
+        for m, c in basis:
+            lhs = lhs + c * herm(a @ m, b) * herm(x @ m, y)
+        rhs = Fraction(1, 2) * (herm(x, b) * herm(y, a).conjugate()
+                                + omega(x, a) * omega(y, b).conjugate())
+        if lhs != rhs:
+            inputs = {"x": _ser_vec(x), "y": _ser_vec(y), "alpha": _ser_vec(a), "beta": _ser_vec(b)}
+            report.record_failure(t, "quaternionic sum identity", lhs - rhs, inputs)
+    return report
+
+
+def _rescale_middle(basis):
+    k = len(basis) // 2
+    return basis[:k] + [(basis[k][0], basis[k][1] * Fraction(3, 2))] + basis[k + 1:]
+
+
+@pytest.mark.parametrize("corrupt", [None, lambda b: b[1:], lambda b: b[:-1], _rescale_middle],
+                         ids=["intact", "drop-first", "drop-last", "rescale"])
+@pytest.mark.parametrize("lemma, n", [("formula-real", 2), ("formula-real", 3),
+                                      ("formula-real", 4), ("long", 1), ("long", 2),
+                                      ("long", 3)])
+def test_exact_suites_equal_reference_loop(monkeypatch, lemma, n, corrupt):
+    """The integer kernel gives the object-array computation's reports, failures included."""
+    suite, reference = {"formula-real": (verify_lemma_formula_real, _reference_lemma_formula_real),
+                        "long": (verify_lemma_long, _reference_lemma_long)}[lemma]
+    if corrupt is not None:
+        full = harmorph.verify.p_basis_exact
+        monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: corrupt(full(space)))
+    # more than MAX_CAPTURED_FAILURES trials, except where the reference is slow
+    trials = 4 if (lemma, n) == ("long", 3) else 12
+    for seed in (SEED, 5):
+        got, want = suite(n, trials, seed), reference(n, trials, seed)
+        assert _strip_time(got) == _strip_time(want)
+        assert got.failed_trials == want.failed_trials
+
+
+@pytest.mark.parametrize("suite, n", [(verify_lemma_long, 4), (verify_lemma_long, 5),
+                                      (verify_lemma_formula_real, 5),
+                                      (verify_lemma_formula_real, 6)],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_exact_identities_at_higher_ranks(suite, n):
+    r = suite(n, 100, SEED)
+    assert r.passed and not r.failed_trials
+
+
+def test_purely_imaginary_quaternionic_gap_is_a_failure(monkeypatch):
+    """With the one element of n = 1 dropped, x = y = alpha = (1, 0) and beta = (i, 0)
+    leave lhs - rhs = 0 - (-i/2), a gap with no real part."""
+    from harmorph.scalars import ComplexRational
+
+    one, i, zero = ComplexRational(1), ComplexRational(0, 1), ComplexRational(0)
+    draws = iter([[one, zero], [one, zero], [one, zero], [i, zero]])
+    monkeypatch.setattr(harmorph.verify, "complex_rational_vector", lambda rng, d: next(draws))
+    monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: [])
+    r = verify_lemma_long(1, 1, SEED)
+    assert not r.passed
+    assert r.failures == [{"trial": 0, "quantity": "quaternionic sum identity",
+                           "value": "(0+1/2i)",
+                           "inputs": {"x": ["1", "0"], "y": ["1", "0"], "alpha": ["1", "0"],
+                                      "beta": ["(0+1i)", "0"]}}]
+
+
 def test_harmonic_suite_skips_out_of_domain_points():
     """Sampled points always satisfy the morphism's domain predicate."""
     m = dual_real_morphism(2, 1, 2)
