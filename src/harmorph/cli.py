@@ -202,7 +202,10 @@ def bigcell(ctx, n, trials, seed, fmt, output):
 def all_cmd(ctx, n_max, trials, seed, fmt, output):
     """Full sweep: every suite at least once up to rank --n-max."""
     seed = _resolve_seed(seed)
-    reports = run_sweep(n_max, trials, seed)
+    try:
+        reports = run_sweep(n_max, trials, seed)
+    except vf.SamplingError as exc:
+        raise click.ClickException(str(exc))
     _emit(reports, fmt, output)
     _finish(ctx, reports)
 
@@ -215,24 +218,25 @@ def run_sweep(n_max: int, trials: int, seed: int) -> list[vf.VerificationReport]
         reports.append(vf.verify_lemma_long(n, trials, seed))
     for n in range(2, n_max + 1):
         reports.append(vf.verify_derivative_lemmas(make_space("slr-so", n), trials, seed))
-    for n in (1, 2):
+    for n in range(1, n_max + 1):
         reports.append(vf.verify_derivative_lemmas(make_space("sus-sp", n), trials, seed))
     for n in range(2, n_max + 1):
         m = real_morphism(n, 1, 2)
         reports.append(vf.verify_harmonic(m, trials, seed))
         reports.append(vf.verify_invariance(m, min(trials, 20), seed))
         reports.append(vf.verify_basis_independence(m.space, m, 10, seed))
-    reports.append(vf.verify_family(quat_family(1, 1), trials, seed))
-    if n_max >= 2:
-        fam = quat_family(2, 1)
+    for n in range(1, n_max + 1):
+        fam = quat_family(n, 1)
         reports.append(vf.verify_family(fam, trials, seed))
-        reports.append(vf.verify_invariance(fam[0], min(trials, 20), seed))
-        composed = holomorphic_compose({(2, 0): 1, (1, 1): 3}, fam[:2])
-        reports.append(vf.verify_harmonic(composed, trials, seed))
+        if n == 2:
+            reports.append(vf.verify_invariance(fam[0], min(trials, 20), seed))
+            composed = holomorphic_compose({(2, 0): 1, (1, 1): 3}, fam[:2])
+            reports.append(vf.verify_harmonic(composed, trials, seed))
     for n in range(2, n_max + 1):
         reports.append(vf.verify_harmonic(dual_real_morphism(n, 1, 2), trials, seed))
-    reports.append(vf.verify_family(dual_quat_family(2, 1), trials, seed))
-    for n in range(2, min(n_max, 3) + 1):
+    for n in range(2, n_max + 1):
+        reports.append(vf.verify_family(dual_quat_family(n, 1), trials, seed))
+    for n in range(2, n_max + 1):
         reports.append(vf.verify_bigcell(n, max(trials, 200), seed))
         mor = typeIV_bigcell_morphism(n, 2, 1)
         reports.append(vf.verify_harmonic(mor, trials, seed))

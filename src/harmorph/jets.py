@@ -4,17 +4,18 @@ A function of the base map's entries is an immutable expression DAG.  Its
 value and first two derivatives along s -> x exp(sZ) propagate through the
 DAG by the 2-jet chain rules, seeded by the closed-form derivatives of the
 base map (Taylor-mode forward differentiation).  A jet carries every
-direction of a tangent basis at once: its value is the scalar at the point
-and its derivatives are arrays over the directions, so one DAG walk per
-point gives them all, and every division, square root and branch-cut test
-acts on the scalar value.  The tension field tau and the conformality operator kappa
-are the sums of these derivatives over an orthonormal basis of the
-horizontal complement; kappa is complex bilinear (no conjugation).
+direction of a tangent basis and every point of a stack at once: its value
+has the stack's shape and its derivatives one more leading axis over the
+directions, so one DAG walk gives them all.  Every division, square root
+and branch-cut test acts per point, and a point that fails one is recorded,
+not raised, so the other points go on.  The tension field tau and the
+conformality operator kappa are the sums of these derivatives over an
+orthonormal basis of the horizontal complement; kappa is complex bilinear
+(no conjugation).
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +38,79 @@ class EvaluationError(ArithmeticError):
 # 2-jets
 # ---------------------------------------------------------------------------
 
+# Values are multiplied and divided as Python multiplies and divides complex
+# numbers: with Python's operators at one point, and for arrays with the same
+# real products and sums, rounded one by one (never fused), and the same
+# quotient.  numpy's complex loops round differently, and the finite-difference
+# oracle divides value differences by h^2 = 1e-8, so a last-bit change in a value
+# would move an oracle residual by about 1e-8.  This keeps every value the same
+# number whether its point is evaluated alone or in a stack.
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _cmul(a, b):
+    if not (np.ndim(a) or np.ndim(b)):
+        return complex(a) * complex(b)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return _complex(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _cdiv(a, b):
+    """a / b for nonzero b: divide through by the larger of |Re b| and |Im b|."""
+    if not (np.ndim(a) or np.ndim(b)):
+        return complex(a) / complex(b)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_re = np.abs(br) >= np.abs(bi)
+    big, small = np.where(by_re, br, bi), np.where(by_re, bi, br)
+    u, w = np.where(by_re, ar, ai), np.where(by_re, ai, ar)
+    ratio = small / big
+    denom = big + small * ratio
+    return _complex((u + w * ratio) / denom, np.where(by_re, 1.0, -1.0) * ((w - u * ratio) / denom))
+
+
+def _guard(value, bad, make_error, errors):
+    """value with 1 where bad, so that no arithmetic fails there.
+
+    Each bad point whose entry of the error record ``errors`` is still None gets
+    make_error(its value); without a record the first bad point's error is raised.
+    """
+    if not bad.any():
+        return value
+    shape = np.shape(value) if errors is None else errors.shape
+    bad = np.broadcast_to(bad, shape)
+    at = np.broadcast_to(value, shape)
+    for i in np.flatnonzero(bad):
+        if errors is None:
+            raise make_error(complex(at.flat[i]))
+        if errors.flat[i] is None:
+            errors.flat[i] = make_error(complex(at.flat[i]))
+    return np.where(bad, 1.0, at)
+
+
+def _sqrt_error(w: complex) -> BranchCutError:
+    if w == 0:
+        return BranchCutError("sqrt of zero has no finite jet")
+    return BranchCutError(f"sqrt argument {w} lies on the principal branch cut")
+
+
 @dataclass(frozen=True)
 class Jet2:
-    """Value and first two derivatives of a scalar function along a fixed curve."""
+    """Value and first two derivatives of a scalar function along fixed curves.
 
-    v: complex
-    d1: complex
-    d2: complex
+    At one point ``v`` is a scalar; at a stack of points it has the stack's
+    shape.  ``d1`` and ``d2`` carry, ahead of the stack's axes, one axis over
+    tangent directions (none for a single direction), and are the scalar 0 for
+    a constant.  Division and square root check each point: an array operand
+    with a bad point raises for the first one, as a scalar does.
+    """
+
+    v: complex | np.ndarray
+    d1: complex | np.ndarray
+    d2: complex | np.ndarray
 
     def __add__(self, o: "Jet2") -> "Jet2":
         return Jet2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
@@ -53,33 +120,38 @@ class Jet2:
 
     def __mul__(self, o: "Jet2") -> "Jet2":
         return Jet2(
-            self.v * o.v,
+            _cmul(self.v, o.v),
             self.d1 * o.v + self.v * o.d1,
             self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
         )
 
     def __truediv__(self, o: "Jet2") -> "Jet2":
-        if o.v == 0:
-            raise EvaluationError("division by zero in expression evaluation")
-        inv = 1.0 / o.v
-        w = self.v * inv
+        return self.divide(o, None)
+
+    def divide(self, o: "Jet2", errors: np.ndarray | None) -> "Jet2":
+        """self / o; points where o is 0 go to ``errors`` as in _guard."""
+        ov = _guard(o.v, np.asarray(o.v == 0),
+                    lambda _: EvaluationError("division by zero in expression evaluation"), errors)
+        inv = _cdiv(1.0, ov)
+        w = _cmul(self.v, inv)
         d1 = (self.d1 - w * o.d1) * inv
         d2 = (self.d2 - 2.0 * d1 * o.d1 - w * o.d2) * inv
         return Jet2(w, d1, d2)
 
-    def sqrt(self) -> "Jet2":
-        w = complex(self.v)
-        if w == 0:
-            raise BranchCutError("sqrt of zero has no finite jet")
-        if w.real <= 0 and abs(w.imag) <= BRANCH_CUT_EPS * abs(w):
-            raise BranchCutError(f"sqrt argument {w} lies on the principal branch cut")
-        r = cmath.sqrt(w)  # principal branch
+    def sqrt(self, errors: np.ndarray | None = None) -> "Jet2":
+        """Principal square root; 0 and points within eps of the branch cut go to
+        ``errors`` as in _guard."""
+        w = np.asarray(self.v, dtype=complex)
+        # hypot is abs() of a complex number; numpy's complex abs rounds differently
+        cut = (w.real <= 0) & (np.abs(w.imag) <= BRANCH_CUT_EPS * np.hypot(w.real, w.imag))
+        w = _guard(w, cut, _sqrt_error, errors)
+        r = np.sqrt(w)  # principal branch, the same numbers as cmath.sqrt
         d1 = self.d1 / (2.0 * r)
         d2 = self.d2 / (2.0 * r) - self.d1 * self.d1 / (4.0 * w * r)
         return Jet2(r, d1, d2)
 
     def times_i(self) -> "Jet2":
-        return Jet2(1j * self.v, 1j * self.d1, 1j * self.d2)
+        return Jet2(_cmul(1j, self.v), 1j * self.d1, 1j * self.d2)
 
 
 # ---------------------------------------------------------------------------
@@ -224,39 +296,71 @@ def base_map_jet(space: SpaceSpec, x: np.ndarray, z: np.ndarray) -> tuple[np.nda
     return phi, d1, d2
 
 
-class JetContext:
-    """Base-map jets at one point along every basis direction at once.
+_BLOCK = 10  # points per product x M in JetContext
 
-    ``phi`` is the base map at x; ``d1`` and ``d2`` stack its first and second
-    derivatives along each basis direction, shape (directions, d, d), computed
-    as in ``base_map_jet`` by stacked matrix products.
+
+class JetContext:
+    """Base-map jets at a point, or at a stack of points, along every basis direction.
+
+    For x of shape (..., d, d), ``phi`` is the base map, shape (..., d, c), and
+    ``d1`` and ``d2`` stack its first and second derivatives along each basis
+    direction, shape (directions, ..., d, c), computed as in ``base_map_jet``.
+    They hold the c base-map columns listed in ``columns`` (1-based), by default
+    all of them: a suite over a stack asks only for the columns its maps read,
+    which keeps the stack's jets small.
     """
 
-    def __init__(self, space: SpaceSpec, x: np.ndarray, basis: PBasis | None = None):
+    def __init__(self, space: SpaceSpec, x: np.ndarray, basis: PBasis | None = None,
+                 columns=None):
         self.space = space
         self.x = x
         self.basis = basis if basis is not None else p_basis(space)
-        d = x.shape[0]
-        z = np.array(self.basis.elements, dtype=complex).reshape(len(self.basis), d, d)
-        tx = _companion(space, x)
+        d, dirs = x.shape[-1], len(self.basis)
+        cols = range(1, d + 1) if columns is None else sorted(columns)
+        self._column = {l: i for i, l in enumerate(cols)}
+        z = self.basis.stack.reshape(dirs, d, d)
         tz = _companion(space, z)
-        self.phi = x @ tx
-        self.d1 = x @ (z + tz) @ tx
-        self.d2 = x @ (z @ z + 2.0 * (z @ tz) + tz @ tz) @ tx
+        # x M T(x) for M = Z + TZ and Z^2 + 2 Z TZ + TZ^2 of every direction: x times
+        # all the M as one matrix product, then T(x), a block of points at a time so
+        # that the products stay small, keeping the wanted columns
+        m = np.concatenate([z + tz, z @ z + 2.0 * (z @ tz) + tz @ tz])
+        m = m.transpose(1, 0, 2).reshape(d, 2 * dirs * d)
+        xs = x.reshape(-1, d, d)
+        tx = _companion(space, xs)
+        keep = slice(None) if columns is None else [l - 1 for l in cols]
+        both = np.empty((len(xs), 2 * dirs * d, len(cols)), dtype=complex)
+        for s in range(0, len(xs), _BLOCK):
+            block = xs[s:s + _BLOCK]
+            left = (block.reshape(-1, d) @ m).reshape(len(block), 2 * dirs * d, d)
+            both[s:s + _BLOCK] = (left @ tx[s:s + _BLOCK])[..., keep]
+        both = np.moveaxis(both.reshape(x.shape[:-2] + (d, 2 * dirs, len(cols))), -2, 0)
+        self.phi = (xs @ tx)[..., keep].reshape(x.shape[:-2] + (d, len(cols)))
+        self.d1, self.d2 = both[:dirs], both[dirs:]
 
     def entry_jet(self, k: int, l: int) -> Jet2:
         """Jet of the base-map entry (k, l), 1-based, along every basis direction."""
-        return Jet2(complex(self.phi[k - 1, l - 1]), self.d1[:, k - 1, l - 1],
-                    self.d2[:, k - 1, l - 1])
+        c = self._column[l]
+        return Jet2(self.phi[..., k - 1, c], self.d1[..., k - 1, c], self.d2[..., k - 1, c])
 
     def base_map_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """tau(phi_kl) as a matrix, and kappa(phi_kl, phi_ij) indexed [k, l, i, j]."""
         return self.d2.sum(axis=0), np.einsum("zkl,zij->klij", self.d1, self.d1)
 
 
-def _eval(e: Expr, entry_fn, memo: dict) -> Jet2:
-    key = id(e)
-    hit = memo.get(key)
+def _eval(f: Expr, entry_fn, shape: tuple[int, ...]) -> tuple[Jet2, np.ndarray]:
+    """Jet of f at a stack of points of the given shape, from one walk of the DAG.
+
+    entry_fn(k, l) gives the jet of the base-map entry (k, l) over the stack.
+    Also returns the stack's error record: at each point the first
+    EvaluationError or BranchCutError of the walk there, in DAG order, or None.
+    The jet is meaningless at a point with an error.
+    """
+    errors = np.full(shape, None, dtype=object)
+    return _walk(f, entry_fn, {}, errors), errors
+
+
+def _walk(e: Expr, entry_fn, memo: dict, errors: np.ndarray) -> Jet2:
+    hit = memo.get(id(e))
     if hit is not None:
         return hit
     if isinstance(e, Const):
@@ -264,74 +368,107 @@ def _eval(e: Expr, entry_fn, memo: dict) -> Jet2:
     elif isinstance(e, Entry):
         out = entry_fn(e.k, e.l)
     elif isinstance(e, Add):
-        out = _eval(e.a, entry_fn, memo) + _eval(e.b, entry_fn, memo)
+        out = _walk(e.a, entry_fn, memo, errors) + _walk(e.b, entry_fn, memo, errors)
     elif isinstance(e, Sub):
-        out = _eval(e.a, entry_fn, memo) - _eval(e.b, entry_fn, memo)
+        out = _walk(e.a, entry_fn, memo, errors) - _walk(e.b, entry_fn, memo, errors)
     elif isinstance(e, Mul):
-        out = _eval(e.a, entry_fn, memo) * _eval(e.b, entry_fn, memo)
+        out = _walk(e.a, entry_fn, memo, errors) * _walk(e.b, entry_fn, memo, errors)
     elif isinstance(e, Div):
-        out = _eval(e.a, entry_fn, memo) / _eval(e.b, entry_fn, memo)
+        out = _walk(e.a, entry_fn, memo, errors).divide(_walk(e.b, entry_fn, memo, errors),
+                                                         errors)
     elif isinstance(e, Sqrt):
-        out = _eval(e.a, entry_fn, memo).sqrt()
+        out = _walk(e.a, entry_fn, memo, errors).sqrt(errors)
     elif isinstance(e, ScaleByI):
-        out = _eval(e.a, entry_fn, memo).times_i()
+        out = _walk(e.a, entry_fn, memo, errors).times_i()
     else:
         raise TypeError(f"unknown expression node {type(e).__name__}")
-    memo[key] = out
+    memo[id(e)] = out
     return out
+
+
+def raise_first_error(errors: np.ndarray) -> None:
+    """Raise the error of the first point of an error record that has one."""
+    for err in errors.flat:
+        if err is not None:
+            raise err
 
 
 def eval_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray) -> Jet2:
     """Value and first two derivatives of f along s -> x exp(sZ)."""
     phi, d1, d2 = base_map_jet(space, x, z)
+    jet, errors = _eval(f, lambda k, l: Jet2(phi[k - 1, l - 1], d1[k - 1, l - 1],
+                                             d2[k - 1, l - 1]), ())
+    raise_first_error(errors)
+    return Jet2(complex(jet.v), complex(jet.d1), complex(jet.d2))
 
-    def entry_fn(k, l):
-        return Jet2(complex(phi[k - 1, l - 1]), complex(d1[k - 1, l - 1]), complex(d2[k - 1, l - 1]))
 
-    return _eval(f, entry_fn, {})
+def _values(f: Expr, space: SpaceSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of f at a point or a stack of points, and the walk's error record."""
+    phi = base_map_value(space, x, check=False)
+    jet, errors = _eval(f, lambda k, l: Jet2(phi[..., k - 1, l - 1], 0.0, 0.0), phi.shape[:-2])
+    return np.broadcast_to(jet.v, errors.shape), errors
 
 
 def eval_value(f: Expr, space: SpaceSpec, x: np.ndarray) -> complex:
     """Plain value of f at x (no derivatives)."""
-    phi = base_map_value(space, x, check=False)
-
-    def entry_fn(k, l):
-        return Jet2(complex(phi[k - 1, l - 1]), 0.0, 0.0)
-
-    return _eval(f, entry_fn, {}).v
+    value, errors = _values(f, space, x)
+    raise_first_error(errors)
+    return complex(value)
 
 
-def eval_jet_cached(f: Expr, ctx: JetContext) -> Jet2:
-    """Jet of f along every basis direction of ctx, from one walk of the DAG."""
-    return _eval(f, ctx.entry_jet, {})
+def entry_columns(f: Expr) -> set[int]:
+    """The base-map columns l of the entries (k, l) that f reads."""
+    seen, todo, cols = set(), [f], set()
+    while todo:
+        e = todo.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            if isinstance(e, Entry):
+                cols.add(e.l)
+            todo.extend(v for v in vars(e).values() if isinstance(v, Expr))
+    return cols
+
+
+def eval_jet_cached(f: Expr, ctx: JetContext) -> tuple[Jet2, np.ndarray]:
+    """Jet of f along every basis direction of ctx, at each of its points, from one
+    walk of the DAG, and the walk's error record (see _eval)."""
+    return _eval(f, ctx.entry_jet, ctx.phi.shape[:-2])
 
 
 def direction_jets(f: Expr, space: SpaceSpec, x: np.ndarray,
                    basis: PBasis | None = None) -> Jet2:
     """Jet of f at x along every direction of the basis (default: p_basis)."""
-    return eval_jet_cached(f, JetContext(space, x, basis))
+    jet, errors = eval_jet_cached(f, JetContext(space, x, basis))
+    raise_first_error(errors)
+    return jet
 
 
-def jet_sums(j: Jet2) -> tuple[complex, complex, float]:
+def _direction_sum(a):
+    # a 0-d derivative is one direction's, or a constant's 0
+    return np.sum(a, axis=0) if np.ndim(a) else a
+
+
+def jet_sums(j: Jet2) -> tuple:
     """(tau(f), kappa(f, f), energy) from the jet of f along an orthonormal basis.
 
     tau sums the second derivatives, kappa the squared first derivatives
     (bilinear, no conjugation), and the energy sum of |d1|^2 is the scale
-    used to normalize residuals.  A jet whose derivatives are the scalar 0.0
-    (a constant) sums to zero.
+    used to normalize residuals.  Each has the shape of the jet's stack of
+    points.  A jet whose derivatives are the scalar 0.0 (a constant) sums to
+    zero.
     """
-    return (complex(np.sum(j.d2)), complex(np.sum(j.d1 * j.d1)),
-            float(np.sum(np.abs(j.d1) ** 2)))
+    return (_direction_sum(j.d2), _direction_sum(j.d1 * j.d1),
+            _direction_sum(np.abs(j.d1) ** 2))
 
 
-def kappa_sum(jf: Jet2, jg: Jet2) -> complex:
+def kappa_sum(jf: Jet2, jg: Jet2):
     """kappa(f, g) from the jets of f and g along the same orthonormal basis."""
-    return complex(np.sum(jf.d1 * jg.d1))
+    return _direction_sum(jf.d1 * jg.d1)
 
 
-def normalized_residual(value: complex, energy: float) -> float:
+def normalized_residual(value, energy):
     """|value| / max(1, S): the zero-target residual convention."""
-    return abs(value) / max(1.0, energy)
+    return np.abs(value) / np.maximum(1.0, energy)
 
 
 DEFAULT_FD_STEP = 1e-4
@@ -340,11 +477,9 @@ DEFAULT_FD_STEP = 1e-4
 def fd_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray,
            h: float = DEFAULT_FD_STEP) -> Jet2:
     """Independent central-difference oracle for eval_jet (O(h^2) accurate)."""
-    xp = x @ mat_exp(h * z)
-    xm = x @ mat_exp(-h * z)
-    fp = eval_value(f, space, xp)
-    f0 = eval_value(f, space, x)
-    fm = eval_value(f, space, xm)
+    values, errors = _values(f, space, np.stack([x @ mat_exp(h * z), x, x @ mat_exp(-h * z)]))
+    raise_first_error(errors)
+    fp, f0, fm = (complex(v) for v in values)
     return Jet2(f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h))
 
 

@@ -34,8 +34,9 @@ def _check_square(a: np.ndarray) -> None:
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential; float backends only."""
-    _check_square(a)
+    """Matrix exponential of a matrix or of each matrix of a stack; float backends only."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if is_exact(a):
         raise BackendError("mat_exp is not defined on the exact backend")
     return scipy.linalg.expm(a)

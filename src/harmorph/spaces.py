@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -136,7 +136,8 @@ class SpaceSpec:
             raise ValueError(f"space {self.id} carries no symplectic structure")
         return symplectic_J(self.n)
 
-    def membership(self, x: np.ndarray, tol: float = 1e-10) -> bool:
+    def membership(self, x: np.ndarray, tol: float = 1e-10):
+        """Whether x is a point of the ambient group; for a stack, per matrix."""
         return _membership(self, x, tol)
 
     def stabilizer_membership(self, k: np.ndarray, tol: float = 1e-10) -> bool:
@@ -165,28 +166,43 @@ def make_space(space_id: str, n: int) -> SpaceSpec:
     raise ValueError(f"unknown space id {space_id!r}; expected one of {SPACE_IDS}")
 
 
-def _membership(space: SpaceSpec, x: np.ndarray, tol: float) -> bool:
+def _norms(a: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a stack taken one by one: a
+    norm over the stack's last two axes sums in another order and rounds differently."""
+    if a.ndim == 2:
+        return np.linalg.norm(a)
+    return np.array([np.linalg.norm(m) for m in a.reshape((-1,) + a.shape[-2:])]).reshape(
+        a.shape[:-2])
+
+
+def _modulus(z):
+    """abs() of each complex number: numpy's complex abs rounds differently from hypot."""
+    return np.hypot(z.real, z.imag)
+
+
+def _membership(space: SpaceSpec, x: np.ndarray, tol: float) -> np.ndarray:
+    """Membership of a matrix, or of each matrix of a stack (x of shape (..., d, d)).
+
+    Stacked determinants and products give each matrix the numbers it gets alone,
+    and norms and moduli are taken as for one matrix, so a point's answer does not
+    depend on the points stacked with it.
+    """
     d = space.ambient_dim
-    if x.shape != (d, d):
-        return False
+    if x.shape[-2:] != (d, d):
+        return np.zeros(x.shape[:-2], dtype=bool)
     if space.id == "slr-so":
-        if np.max(np.abs(x.imag)) > tol:
-            return False
-        dx = np.linalg.det(x.real)
-        return dx > 0
+        return ~(np.max(np.abs(x.imag), axis=(-2, -1)) > tol) & (np.linalg.det(x.real) > 0)
     if space.id == "sus-sp":
         J = space.J
-        scale = max(1.0, float(np.linalg.norm(x)))
-        if np.linalg.norm(x @ J - J @ x.conj()) > tol * scale:
-            return False
+        scale = np.maximum(1.0, _norms(x))
         dx = np.linalg.det(x)
-        return dx.real > 0 and abs(dx.imag) <= tol * max(1.0, abs(dx))
+        return (~(_norms(x @ J - J @ x.conj()) > tol * scale) & (dx.real > 0)
+                & (np.abs(dx.imag) <= tol * np.maximum(1.0, _modulus(dx))))
     if space.id in ("su-so", "su-sp"):
-        if np.linalg.norm(x @ x.conj().T - np.eye(d)) > tol:
-            return False
-        return abs(np.linalg.det(x) - 1) <= tol
+        unitary = ~(_norms(x @ np.swapaxes(x, -1, -2).conj() - np.eye(d)) > tol)
+        return unitary & (_modulus(np.linalg.det(x) - 1) <= tol)
     if space.id == "slc-su":
-        return abs(np.linalg.det(x) - 1) <= tol
+        return _modulus(np.linalg.det(x) - 1) <= tol
     raise AssertionError(space.id)
 
 
@@ -219,6 +235,13 @@ class PBasis:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The elements as one array over the directions, built once per basis."""
+        out = np.array(self.elements, dtype=complex)
+        out.setflags(write=False)
+        return out
 
     def __iter__(self):
         return iter(self.elements)

@@ -18,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import (BranchCutError, Entry, EvaluationError, Jet2, JetContext, Sqrt,
-                   direction_jets, eval_jet, eval_jet_cached, eval_value, fd_jet, jet_sums,
-                   kappa_sum, normalized_residual, rotated_basis)
+from .jets import (Entry, Jet2, JetContext, Sqrt, _eval, direction_jets, entry_columns, eval_jet,
+                   eval_jet_cached, eval_value, fd_jet, jet_sums, kappa_sum,
+                   normalized_residual, raise_first_error, rotated_basis)
 from .matrices import leading_principal_minors
 from .morphisms import POSITIVE_SCALE, Morphism, _family_space
 from .sampling import (complex_rational_vector, rational_vector, rng_from_seed,
@@ -304,27 +304,47 @@ def _vector_inputs(vecs):
 _DOMAIN_ATTEMPTS = 1000
 
 
-def sample_in_domain(morphisms: Morphism | list[Morphism], seed: int, trial: int) -> np.ndarray:
-    """A group point of the trial inside the domain of the morphism, or of every member."""
+def sample_in_domain(morphisms: Morphism | list[Morphism], seed: int,
+                     trial: int | np.ndarray) -> np.ndarray:
+    """A group point of the trial inside the domain of the morphism, or of every member;
+    for an array of trials, a stack of them.
+
+    Round r tries the group point of index trial * 1000 + r of every trial still
+    without a point, drawn as one stack, and tests the domain point by point.
+    """
     family = morphisms if isinstance(morphisms, list) else [morphisms]
+    trials = np.asarray(trial)
+    flat = trials.ravel()
+    d = family[0].space.ambient_dim
+    out = np.empty((flat.size, d, d), dtype=complex)
+    todo = np.arange(flat.size)
     for r in range(_DOMAIN_ATTEMPTS):
-        x = sample_group_point(family[0].space, seed, index=trial * _DOMAIN_ATTEMPTS + r)
-        if all(m.domain(x) for m in family):
-            return x
-    labels = ", ".join(m.label for m in family)
-    raise SamplingError(f"no in-domain point for {labels} after {_DOMAIN_ATTEMPTS} attempts")
+        if not todo.size:
+            break
+        x = sample_group_point(family[0].space, seed, index=flat[todo] * _DOMAIN_ATTEMPTS + r)
+        ok = np.array([all(m.domain(p) for m in family) for p in x], dtype=bool)
+        out[todo[ok]] = x[ok]
+        todo = todo[~ok]
+    if todo.size:
+        labels = ", ".join(m.label for m in family)
+        raise SamplingError(f"no in-domain point for {labels} after {_DOMAIN_ATTEMPTS} attempts")
+    return out.reshape(trials.shape + (d, d))
 
 
-def _oracle_check(report: VerificationReport, morphism: Morphism, x: np.ndarray,
+def _oracle_check(report: VerificationReport, morphism: Morphism, xs: np.ndarray,
                   trial: int, jet: Jet2) -> None:
-    """Compare the suite's jet of the morphism with central differences along one direction."""
+    """Compare the suite's jet of the morphism at the trial's point of the stack xs
+    with central differences along one direction."""
     basis = p_basis(morphism.space)
     if not len(basis):
         return
     zi = trial % len(basis)
-    d1, d2 = (complex(np.broadcast_to(a, len(basis))[zi]) for a in (jet.d1, jet.d2))
+    x = xs[trial]
+    v = complex(np.broadcast_to(jet.v, len(xs))[trial])
+    d1, d2 = (complex(np.broadcast_to(a, (len(basis), len(xs)))[zi, trial])
+              for a in (jet.d1, jet.d2))
     fd = fd_jet(morphism.expr, morphism.space, x, basis.elements[zi], h=ORACLE_STEP)
-    scale = max(1.0, abs(jet.v) + abs(d1) + abs(d2))
+    scale = max(1.0, abs(v) + abs(d1) + abs(d2))
     err = (abs(d1 - fd.d1) + abs(d2 - fd.d2)) / scale
     report.check(trial, "oracle", err, ORACLE_ABS_TOL,
                  inputs=lambda: {"morphism": morphism.label, "x": _ser_mat(x)})
@@ -351,8 +371,7 @@ def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
     n = space.n
     c_tau = 2 * (n + 1) if space.id == "slr-so" else 4 * n - 2
     basis = p_basis(space)
-    for t in range(trials):
-        x = sample_group_point(space, seed, index=t)
+    for t, x in enumerate(sample_group_point(space, seed, index=np.arange(trials))):
         ctx = JetContext(space, x, basis)
         phi = ctx.phi
         tau_phi, kap = ctx.base_map_sums()
@@ -375,17 +394,31 @@ def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
     return timer.done()
 
 
+# psi of the 2x2 minor of phi on rows and columns (k, l)
+_PSI = Sqrt(Entry(1, 1) * Entry(2, 2) - Entry(1, 2) ** 2)
+
+
 def _check_psi_relations(report, space, ctx, t, x, tol) -> None:
     """Relations (iii)-(v): the sqrt components psi_kl on the real space."""
     n = space.ambient_dim
     pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     if not pairs:
         return
-    jets = [eval_jet_cached(Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2), ctx)
-            for k, l in pairs]
-    psi = np.array([j.v for j in jets])
-    d1 = np.array([j.d1 for j in jets])   # (pairs, directions)
-    d2 = np.array([j.d2 for j in jets])
+    rows = np.array([k for k, _ in pairs]) - 1
+    cols = np.array([l for _, l in pairs]) - 1
+    kl = (rows, cols)
+
+    def minor_entry(i, j):
+        """Entry (i, j) of the 2x2 minor on rows and columns (k, l), over the pairs."""
+        r, c = kl[i - 1], kl[j - 1]
+        return Jet2(ctx.phi[r, c], ctx.d1[:, r, c], ctx.d2[:, r, c])
+
+    # one walk over the stack of pairs
+    jet, errors = _eval(_PSI, minor_entry, (len(pairs),))
+    raise_first_error(errors)
+    psi = jet.v
+    d1 = np.ascontiguousarray(jet.d1.T)   # (pairs, directions)
+    d2 = np.ascontiguousarray(jet.d2.T)
     inputs = _inputs(x=x)
     # (iv) kappa(psi, psi) = 2 psi^2
     report.check_all(t, "kappa_psi_psi",
@@ -395,7 +428,6 @@ def _check_psi_relations(report, space, ctx, t, x, tol) -> None:
                      tol, inputs)
     # (iii) kappa(phi_km, psi_kl) = 2 phi_km psi_kl, indexed [pair, m].  Each sum runs
     # over the contiguous last axis, in the order of kappa_sum's sum over directions.
-    rows = np.array([k for k, _ in pairs]) - 1
     phi_d1 = np.ascontiguousarray(ctx.d1[:, rows, :].transpose(1, 2, 0))
     report.check_all(t, "kappa_phi_psi",
                      _rel_errs_guarded((phi_d1 * d1[:, None, :]).sum(axis=2),
@@ -423,38 +455,52 @@ def verify_family(family: list[Morphism], trials: int = 100, seed: int = 0,
 def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
              tol: float | None, tag) -> VerificationReport:
     """tau of each member and kappa of each pair at in-domain points; quantity names
-    are "tau" and "kappa" followed by tag(member) and tag(member_a, member_b)."""
+    are "tau" and "kappa" followed by tag(member) and tag(member_a, member_b).
+
+    All trials go together: one stacked sample, one JetContext, one DAG walk per
+    member and residuals as arrays over the trials.  Failures are recorded trial
+    by trial, each trial's in the order of its quantities, then its oracle check.
+    """
     space = _family_space(family)
     if tol is None:
         tol = default_tolerance(space)
     report = VerificationReport(suite, space.id, [m.label for m in family], space.n,
                                 trials, seed, tol)
     timer = _Timer(report)
-    basis = p_basis(space)
-    for t in range(trials):
-        x = sample_in_domain(family, seed, t)
-        ctx = JetContext(space, x, basis)
-        try:
-            member_jets = [eval_jet_cached(m.expr, ctx) for m in family]
-        except (EvaluationError, BranchCutError) as exc:
-            report.record_failure(t, "evaluation-error", str(exc), _inputs(x=x))
+    xs = sample_in_domain(family, seed, np.arange(trials))
+    ctx = JetContext(space, xs, p_basis(space),
+                     set().union(*(entry_columns(m.expr) for m in family)))
+    walks = [eval_jet_cached(m.expr, ctx) for m in family]
+    jets = [jet for jet, _ in walks]
+    # a trial's error is its first failing member's, as evaluating member by member raises it
+    errors = [next((e for e in es if e is not None), None) for es in zip(*(e for _, e in walks))]
+    sums = [jet_sums(jet) for jet in jets]
+    names = [f"tau{tag(m)}" for m in family]
+    residuals = [normalized_residual(tau, energy) for tau, _, energy in sums]
+    for a in range(len(family)):
+        for b in range(a, len(family)):
+            names.append(f"kappa{tag(family[a], family[b])}")
+            # for a == b the scale is max(1, energy), since sqrt(E * E) == E
+            scale = np.maximum(1.0, np.sqrt(sums[a][2] * sums[b][2]))
+            residuals.append(np.abs(kappa_sum(jets[a], jets[b])) / scale)
+    residuals = np.array([np.broadcast_to(r, trials) for r in residuals])
+    ok = np.array([e is None for e in errors])
+    if ok.any():
+        for name, r in zip(names, residuals[:, ok]):
+            # fmax, like check(): a NaN residual neither raises the maximum nor fails
+            report.bump(name, float(np.fmax.reduce(r)))
+    oracle = np.arange(trials) % ORACLE_SUBSAMPLE == 0
+    for t in np.flatnonzero(~ok | (residuals > tol).any(axis=0) | oracle).tolist():
+        inputs = _inputs(x=xs[t])
+        if not ok[t]:
+            report.record_failure(t, "evaluation-error", str(errors[t]), inputs)
             continue
-        energies = []
-        for m, jet in zip(family, member_jets):
-            tau_v, _, energy = jet_sums(jet)
-            energies.append(energy)
-            report.check(t, f"tau{tag(m)}", normalized_residual(tau_v, energy), tol,
-                         _inputs(x=x))
-        # for a == b the scale is max(1, energy), since (E * E) ** 0.5 == E
-        for a in range(len(family)):
-            for b in range(a, len(family)):
-                kv = kappa_sum(member_jets[a], member_jets[b])
-                scale = max(1.0, (energies[a] * energies[b]) ** 0.5)
-                report.check(t, f"kappa{tag(family[a], family[b])}", abs(kv) / scale, tol,
-                             _inputs(x=x))
-        if t % ORACLE_SUBSAMPLE == 0:
+        for name, r in zip(names, residuals[:, t].tolist()):
+            if r > tol:
+                report.record_failure(t, name, r, inputs)
+        if oracle[t]:
             a = t % len(family)
-            _oracle_check(report, family[a], x, t, member_jets[a])
+            _oracle_check(report, family[a], xs, t, jets[a])
     return timer.done()
 
 
@@ -468,8 +514,7 @@ def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,
     from .spaces import stabilizer_algebra
 
     k_gens = stabilizer_algebra(space)
-    for t in range(trials):
-        x = sample_in_domain(morphism, seed, t)
+    for t, x in enumerate(sample_in_domain(morphism, seed, np.arange(trials))):
         k = sample_stabilizer_point(space, seed, index=t)
         fx = eval_value(morphism.expr, space, x)
         fxk = eval_value(morphism.expr, space, x @ k)
@@ -494,8 +539,7 @@ def verify_bigcell(n: int, trials: int = 1000, seed: int = 0) -> VerificationRep
     space = make_space("slc-su", n)
     report = VerificationReport("bigcell", space.id, [], n, trials, seed, 1e-10)
     timer = _Timer(report)
-    for t in range(trials):
-        g = sample_group_point(space, seed, index=t)
+    for t, g in enumerate(sample_group_point(space, seed, index=np.arange(trials))):
         a = g @ g.conj().T
         minors = leading_principal_minors(a)
         for idx, m in enumerate(minors, start=1):
@@ -514,8 +558,7 @@ def verify_basis_independence(space: SpaceSpec, morphism: Morphism, rotations: i
                                 space.n, rotations, seed, tol)
     timer = _Timer(report)
     stock = p_basis(space)
-    for t in range(rotations):
-        x = sample_in_domain(morphism, seed, t)
+    for t, x in enumerate(sample_in_domain(morphism, seed, np.arange(rotations))):
         tau0, kap0, energy = jet_sums(direction_jets(morphism.expr, space, x, stock))
         rot = rotated_basis(stock, rng_from_seed(seed, t, 11))
         tau1, kap1, _ = jet_sums(direction_jets(morphism.expr, space, x, rot))

@@ -134,6 +134,30 @@ def test_all_sweep_checks_lemma_long_up_to_n_max(runner):
     assert result.exit_code == 0
     reports = [json.loads(line) for line in result.output.splitlines() if line.startswith("{")]
     assert [r["n"] for r in reports if r["suite"] == "lemma-long"] == [1, 2, 3, 4]
+    # every suite reaches rank --n-max
+    ranks = {}
+    for r in reports:
+        ranks.setdefault((r["suite"], r["space"]), []).append(r["n"])
+    assert ranks[("bigcell", "slc-su")] == [2, 3, 4]
+    assert ranks[("harmonic", "slc-su")] == ranks[("invariance", "slc-su")] == [2, 3, 4]
+    assert ranks[("derivative-lemmas:sus-sp", "sus-sp")] == [1, 2, 3, 4]
+    assert ranks[("family", "sus-sp")] == [1, 2, 3, 4]
+    assert ranks[("family", "su-sp")] == [2, 3, 4]
+
+
+def test_all_sampling_error_exits_1(runner, monkeypatch):
+    """A suite that cannot sample its domain ends the sweep with a message, not a traceback."""
+    from harmorph import verify
+
+    def no_points(*args, **kwargs):
+        raise verify.SamplingError("no in-domain point for su-sp:n=2:l=1:k=2 after 1000 attempts")
+
+    monkeypatch.setattr(verify, "verify_family", no_points)
+    result = runner.invoke(main, ["all", "--n-max", "2", "--trials", "1", "--seed", "7"])
+    assert result.exit_code == 1
+    assert not isinstance(result.exception, verify.SamplingError)
+    message = result.output + getattr(result, "stderr", "")
+    assert "no in-domain point for su-sp:n=2:l=1:k=2" in message
 
 
 def test_verify_records_jet_error_and_exits_1(runner, monkeypatch):

@@ -12,6 +12,7 @@ from harmorph.jets import (Add, BranchCutError, Const, Div, Entry, EvaluationErr
                            rotated_basis)
 from harmorph.morphisms import (dual_quat_family, dual_real_morphism, quat_family,
                                 real_morphism, typeIV_bigcell_morphism)
+from harmorph.matrices import mat_exp
 from harmorph.sampling import rng_from_seed, sample_group_point
 from harmorph.spaces import SPACE_IDS, elem_D, elem_X, make_space, p_basis
 from harmorph.verify import sample_in_domain
@@ -203,7 +204,8 @@ def test_batched_jet_matches_eval_jet_per_direction(sid, n, expr):
     basis = p_basis(space)
     for i in range(3):
         x = sample_group_point(space, 51, index=i)
-        jet = eval_jet_cached(expr, JetContext(space, x, basis))
+        jet, errors = eval_jet_cached(expr, JetContext(space, x, basis))
+        assert errors.item() is None
         assert jet.v == eval_value(expr, space, x)
         d1, d2 = (np.broadcast_to(a, len(basis)) for a in (jet.d1, jet.d2))
         for zi, z in enumerate(basis):
@@ -215,3 +217,46 @@ def test_batched_jet_matches_eval_jet_per_direction(sid, n, expr):
         tau, kappa, energy = jet_sums(jet)
         if isinstance(expr, Const) or not len(basis):
             assert (tau, kappa, energy) == (0.0, 0.0, 0.0)
+
+
+def _all_nodes_in_python(phi):
+    """ALL_NODES in Python complex arithmetic, on the base-map matrix phi."""
+    import cmath
+    e = {(k, l): complex(phi[k - 1, l - 1]) for k in (1, 2) for l in (1, 2)}
+    # a jet divides by multiplying with the reciprocal
+    return cmath.sqrt(e[1, 1] * e[2, 2] + 1j * e[1, 2]) * (1.0 / (e[2, 1] - complex(3.0)))
+
+
+@pytest.mark.parametrize("sid,n", [("slr-so", 3), ("sus-sp", 2), ("su-so", 3), ("slc-su", 3)])
+def test_values_are_the_same_numbers_alone_and_stacked(sid, n):
+    """A stacked value walk rounds as Python's complex arithmetic at one point, so the
+    oracle's central differences are those of one-point values, bit for bit."""
+    space = make_space(sid, n)
+    basis = p_basis(space)
+    x = sample_group_point(space, 61, index=np.arange(4))
+    for p in x:
+        z = basis.elements[-1]
+        fd = fd_jet(ALL_NODES, space, p, z, h=1e-4)
+        fp, f0, fm = (eval_value(ALL_NODES, space, q)
+                      for q in (p @ mat_exp(1e-4 * z), p, p @ mat_exp(-1e-4 * z)))
+        assert (fd.v, fd.d1, fd.d2) == (f0, (fp - fm) / 2e-4, (fp - 2.0 * f0 + fm) / 1e-8)
+        ref = _all_nodes_in_python(p @ p.T if space.base_map_variant == "x_xt" else p @ p.conj().T)
+        assert eval_value(ALL_NODES, space, p) == ref
+
+
+def test_each_point_keeps_its_first_error_in_dag_order():
+    space = make_space("slr-so", 2)
+    cut = np.diag([0.5, 2.0]).astype(complex)      # phi_11 = 0.25: sqrt(phi_11 - 1) on the cut
+    fine = np.diag([2.0, 0.5]).astype(complex)     # phi_11 = 4
+    zero = Entry(1, 2) - Entry(1, 2)                # phi_12 - phi_12 = 0 at every point
+    sqrt_first = Sqrt(Entry(1, 1) - 1.0) / zero
+    div_first = Entry(1, 1) / zero + Sqrt(Entry(1, 1) - 1.0)
+    for expr, kinds in ((sqrt_first, (BranchCutError, EvaluationError)),
+                        (div_first, (EvaluationError, EvaluationError))):
+        _, errors = eval_jet_cached(expr, JetContext(space, np.stack([cut, fine])))
+        assert [type(e) for e in errors] == list(kinds)
+        for x, kind in zip((cut, fine), kinds):
+            with pytest.raises(kind):
+                eval_value(expr, space, x)
+            with pytest.raises(kind):
+                direction_jets(expr, space, x)

@@ -4,11 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from harmorph.jets import Entry
+from harmorph.morphisms import (Morphism, control_morphism, dual_quat_family,
+                                dual_real_morphism, quat_family, real_morphism,
+                                typeIV_bigcell_morphism)
 from harmorph.sampling import (COND_CAP, complex_rational_vector, fresh_seed,
                                rational_vector, rng_from_seed,
                                sample_group_point, sample_stabilizer_point)
 from harmorph.spaces import SPACE_IDS, make_space
+from harmorph.verify import SamplingError, sample_in_domain
 
 
 def test_rng_is_deterministic_and_spawn_separated():
@@ -70,3 +76,170 @@ def test_complex_rational_vector_exact():
     rng = rng_from_seed(4)
     v = complex_rational_vector(rng, 10)
     assert all(isinstance(q.re, Fraction) and isinstance(q.im, Fraction) for q in v)
+
+
+# ---------------------------------------------------------------------------
+# the stacked samplers against the point-by-point loops they replace
+# ---------------------------------------------------------------------------
+
+def _reference_membership(space, x, tol):
+    """Group membership of one matrix, as tested point by point."""
+    d = space.ambient_dim
+    if x.shape != (d, d):
+        return False
+    if space.id == "slr-so":
+        if np.max(np.abs(x.imag)) > tol:
+            return False
+        return np.linalg.det(x.real) > 0
+    if space.id == "sus-sp":
+        J = space.J
+        scale = max(1.0, float(np.linalg.norm(x)))
+        if np.linalg.norm(x @ J - J @ x.conj()) > tol * scale:
+            return False
+        dx = np.linalg.det(x)
+        return dx.real > 0 and abs(dx.imag) <= tol * max(1.0, abs(dx))
+    if space.id in ("su-so", "su-sp"):
+        if np.linalg.norm(x @ x.conj().T - np.eye(d)) > tol:
+            return False
+        return abs(np.linalg.det(x) - 1) <= tol
+    return abs(np.linalg.det(x) - 1) <= tol
+
+
+def _reference_uniform_complex(rng, shape):
+    return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+
+
+def _reference_unitary(rng, d):
+    z = _reference_uniform_complex(rng, (d, d))
+    q, r = np.linalg.qr(z)
+    ph = np.diagonal(r).copy()
+    ph /= np.abs(ph)
+    q = q * ph
+    q[:, 0] /= np.linalg.det(q)
+    return q
+
+
+def _reference_sample_once(space, rng):
+    d = space.ambient_dim
+    if space.id == "slr-so":
+        m = rng.uniform(-1.0, 1.0, (d, d))
+        dt = np.linalg.det(m)
+        if abs(dt) < 1e-6:
+            return None
+        x = m / abs(dt) ** (1.0 / d)
+        if np.linalg.det(x) < 0:
+            x[:, 0] = -x[:, 0]
+        return x.astype(complex)
+    if space.id == "sus-sp":
+        n = space.n
+        alpha = _reference_uniform_complex(rng, (n, n)) * 0.35
+        beta = _reference_uniform_complex(rng, (n, n)) * 0.35
+        return scipy.linalg.expm(np.block([[alpha, beta], [-beta.conj(), alpha.conj()]]))
+    if space.id in ("su-so", "su-sp"):
+        return _reference_unitary(rng, d)
+    z = _reference_uniform_complex(rng, (d, d))
+    dt = np.linalg.det(z)
+    if abs(dt) < 1e-6:
+        return None
+    return z / dt ** (1.0 / d)
+
+
+def _reference_group_point(space, seed, index):
+    """sample_group_point for one index, drawn point by point."""
+    for attempt in range(1000):
+        x = _reference_sample_once(space, rng_from_seed(seed, index, attempt))
+        if x is None or np.linalg.cond(x) > COND_CAP:
+            continue
+        if _reference_membership(space, x, 1e-10):
+            return x
+    raise RuntimeError(f"sampler failed to produce a {space.id} point after 1000 attempts")
+
+
+def _reference_in_domain(family, seed, trial):
+    """sample_in_domain for one trial, tried point by point."""
+    for r in range(1000):
+        x = _reference_group_point(family[0].space, seed, trial * 1000 + r)
+        if all(m.domain(x) for m in family):
+            return x
+    labels = ", ".join(m.label for m in family)
+    raise SamplingError(f"no in-domain point for {labels} after 1000 attempts")
+
+
+STACK_SEEDS = (0, 7, 20240823)
+SPACE_CASES = [("slr-so", 2), ("slr-so", 5), ("sus-sp", 1), ("sus-sp", 3), ("su-so", 3),
+               ("su-sp", 1), ("su-sp", 2), ("slc-su", 2), ("slc-su", 3)]
+
+
+@pytest.mark.parametrize("sid,n", SPACE_CASES)
+def test_stacked_group_points_equal_reference_loop(sid, n):
+    space = make_space(sid, n)
+    indices = np.array([0, 1, 2, 3, 17, 1000, 1001, 41999, 5, 5])
+    for seed in STACK_SEEDS:
+        stack = sample_group_point(space, seed, index=indices)
+        assert stack.shape == (len(indices),) + (space.ambient_dim,) * 2
+        for i, x in zip(indices, stack):
+            assert np.array_equal(x, _reference_group_point(space, seed, int(i)))
+        assert np.array_equal(sample_group_point(space, seed, index=17), stack[4])
+
+
+@pytest.mark.parametrize("sid,n", SPACE_CASES)
+def test_stacked_membership_equals_reference(sid, n):
+    """Stacked membership decides as the per-point test does, also next to the bounds."""
+    space = make_space(sid, n)
+    x = sample_group_point(space, 3, index=np.arange(6))
+    d = space.ambient_dim
+    e = np.zeros((d, d), dtype=complex)
+    e[0, -1] = 1.0
+    # points moved off the group by about a tolerance, on both sides of it
+    near = [x * (1 + s) for s in (1e-10, 1e-8)] + [x + s * e for s in (2e-11, 1e-9, 1e-8j)]
+    stack = np.concatenate([x] + near)
+    for tol in (1e-10, 1e-9, 1e-8):
+        got = space.membership(stack, tol)
+        assert got.tolist() == [bool(_reference_membership(space, p, tol)) for p in stack]
+        assert 0 < got.sum() < len(stack) or tol == 1e-8
+
+
+@pytest.mark.parametrize("sid,n", [("su-so", 3), ("su-sp", 2), ("slc-su", 3), ("slc-su", 4)])
+def test_stacked_membership_at_the_bounds_equals_reference(sid, n):
+    """With the tolerance at a point's own residual, the last bit of that residual decides:
+    the stacked test must round it as the per-point test does."""
+    space = make_space(sid, n)
+    x = sample_group_point(space, 9, index=np.arange(40))
+    d = space.ambient_dim
+    for p in x[:10]:
+        bounds = [abs(np.linalg.det(p) - 1)]
+        if sid != "slc-su":
+            bounds.append(np.linalg.norm(p @ p.conj().T - np.eye(d)))
+        for tol in bounds:
+            assert space.membership(x, tol).tolist() == [
+                bool(_reference_membership(space, q, tol)) for q in x]
+
+
+def _rejecting_families():
+    """The families of each space, and domains that reject a good share of the group
+    points: the control's window, and the su-so and su-sp domains (the stated condition
+    and the branch-cut guard) with a margin wide enough to reject."""
+    return [[control_morphism(2)], [control_morphism(3)], [dual_real_morphism(2, 1, 2)],
+            [dual_real_morphism(2, 1, 2, margin=0.3)], [dual_real_morphism(3, 2, 3, margin=0.3)],
+            dual_quat_family(1, 1), dual_quat_family(2, 1, margin=0.3),
+            [real_morphism(3, 1, 2)], quat_family(2, 2), [typeIV_bigcell_morphism(3, 3, 1)]]
+
+
+@pytest.mark.parametrize("family", _rejecting_families(), ids=lambda f: f[0].label)
+def test_stacked_domain_points_equal_reference_loop(family):
+    trials = np.arange(12)
+    for seed in STACK_SEEDS:
+        stack = sample_in_domain(family, seed, trials)
+        for t in trials:
+            assert np.array_equal(stack[t], _reference_in_domain(family, seed, int(t)))
+
+
+@pytest.mark.parametrize("sid,n", [(sid, 2) for sid in SPACE_IDS])
+def test_stacked_domain_sampling_error_equals_reference(sid, n):
+    space = make_space(sid, n)
+    nowhere = Morphism(Entry(1, 1), space, f"{sid}:nowhere", lambda x: False, ())
+    with pytest.raises(SamplingError) as ref:
+        _reference_in_domain([nowhere], 5, 0)
+    with pytest.raises(SamplingError) as got:
+        sample_in_domain(nowhere, 5, np.arange(2))
+    assert str(got.value) == str(ref.value)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import harmorph.verify
-from harmorph.jets import Entry
+from harmorph.jets import Const, Entry, Sqrt
 from harmorph.morphisms import (STABILIZER_RIGHT, Morphism, control_morphism,
                                 dual_quat_family, dual_real_morphism, quat_family,
                                 real_morphism, typeIV_bigcell_morphism)
@@ -348,7 +348,7 @@ def test_psi_residuals_equal_reference_loop(n):
         ref = {"kappa_psi_psi": [], "tau_psi": [], "kappa_phi_psi": []}
         for k in range(1, n + 1):
             for l in range(k + 1, n + 1):
-                jet = eval_jet_cached(Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2), ctx)
+                jet, _ = eval_jet_cached(Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2), ctx)
                 tau, kap, _ = jet_sums(jet)
                 ref["kappa_psi_psi"] += guarded(kap, 2.0 * jet.v ** 2)
                 ref["tau_psi"] += guarded(tau, 2.0 * (n - 1) * jet.v)
@@ -386,3 +386,119 @@ def test_benchmark_traced_names_are_verify_globals():
     assert names
     for name in names:
         assert callable(getattr(harmorph.verify, name, None)), name
+
+
+# ---------------------------------------------------------------------------
+# the stacked certification against the trial-by-trial loop it replaces
+# ---------------------------------------------------------------------------
+
+def _reference_certify(suite, family, trials, seed, tag):
+    """The certification loop one trial at a time, on the one-point jet paths."""
+    from harmorph.jets import (BranchCutError, EvaluationError, direction_jets, fd_jet,
+                               jet_sums, kappa_sum, normalized_residual)
+    from harmorph.spaces import p_basis
+    from harmorph.verify import ORACLE_ABS_TOL, ORACLE_STEP, _inputs, sample_in_domain
+
+    space = family[0].space
+    tol = default_tolerance(space)
+    report = VerificationReport(suite, space.id, [m.label for m in family], space.n,
+                                trials, seed, tol)
+    basis = p_basis(space)
+    for t in range(trials):
+        x = sample_in_domain(family, seed, t)
+        try:
+            jets = [direction_jets(m.expr, space, x, basis) for m in family]
+        except (EvaluationError, BranchCutError) as exc:
+            report.record_failure(t, "evaluation-error", str(exc), _inputs(x=x))
+            continue
+        energies = []
+        for m, jet in zip(family, jets):
+            tau, _, energy = jet_sums(jet)
+            energies.append(float(energy))
+            report.check(t, f"tau{tag(m)}", float(normalized_residual(tau, energy)), tol,
+                         _inputs(x=x))
+        for a in range(len(family)):
+            for b in range(a, len(family)):
+                scale = max(1.0, (energies[a] * energies[b]) ** 0.5)
+                report.check(t, f"kappa{tag(family[a], family[b])}",
+                             abs(complex(kappa_sum(jets[a], jets[b]))) / scale, tol, _inputs(x=x))
+        if t % 10 == 0 and len(basis):
+            a = t % len(family)
+            zi = t % len(basis)
+            d1, d2 = (complex(np.broadcast_to(v, len(basis))[zi]) for v in (jets[a].d1, jets[a].d2))
+            fd = fd_jet(family[a].expr, space, x, basis.elements[zi], h=ORACLE_STEP)
+            scale = max(1.0, abs(complex(jets[a].v)) + abs(d1) + abs(d2))
+            report.check(t, "oracle", (abs(d1 - fd.d1) + abs(d2 - fd.d2)) / scale,
+                         ORACLE_ABS_TOL, _inputs(x=x))
+    return report
+
+
+def _slr2(expr, label):
+    space = make_space("slr-so", 2)
+    return Morphism(expr, space, label, lambda x: space.membership(x, 1e-8), (STABILIZER_RIGHT,))
+
+
+# phi_12 / (sqrt(phi_12^2) - phi_12) divides by exactly 0 where phi_12 > 0, and
+# sqrt(phi_11 - 1) lies on the branch cut where phi_11 < 1: stacks in which some
+# trials raise EvaluationError, some BranchCutError and the rest evaluate.
+DIVIDES_BY_ZERO = _slr2(Entry(1, 2) / (Sqrt(Entry(1, 2) * Entry(1, 2)) - Entry(1, 2)),
+                        "zero-where-phi12-positive")
+ON_THE_CUT = _slr2(Sqrt(Entry(1, 1) - 1.0), "cut-where-phi11-below-1")
+
+CERTIFY_CASES = [
+    ("harmonic", [real_morphism(3, 1, 2)]), ("harmonic", [dual_real_morphism(3, 1, 2)]),
+    ("harmonic", [typeIV_bigcell_morphism(3, 2, 1)]), ("harmonic", [control_morphism(2)]),
+    ("harmonic", [DIVIDES_BY_ZERO]), ("harmonic", [ON_THE_CUT]),
+    ("harmonic", [_slr2(Entry(1, 1) / (Entry(1, 2) - Entry(1, 2)), "zero-everywhere")]),
+    # two errors in one walk where phi_11 < 1: the square root's comes first
+    ("harmonic", [_slr2(Sqrt(Entry(1, 1) - 1.0) / (Entry(1, 2) - Entry(1, 2)), "cut-then-zero")]),
+    ("harmonic", [_slr2(Const(2.0) * Const(1.5), "constant")]),
+    ("family", quat_family(2, 1)), ("family", dual_quat_family(1, 1)),
+    ("family", dual_quat_family(2, 1)), ("family", [DIVIDES_BY_ZERO, ON_THE_CUT]),
+    ("family", [ON_THE_CUT, real_morphism(2, 1, 2), _slr2(Const(3.0), "constant")]),
+]
+
+
+@pytest.mark.parametrize("suite,family", CERTIFY_CASES,
+                         ids=lambda c: c if isinstance(c, str) else c[0].label)
+def test_certification_equals_reference_loop(suite, family, monkeypatch):
+    """Same verdict, quantities, failures and failing trials as trial by trial, and
+    residuals equal to round-off (they are already divided by max(1, energy))."""
+    monkeypatch.setattr(harmorph.verify, "MAX_CAPTURED_FAILURES", 10_000)  # compare them all
+    for seed in (SEED, 11):
+        if suite == "harmonic":
+            got = verify_harmonic(family[0], 30, seed)
+            ref = _reference_certify(suite, family, 30, seed, lambda *members: "")
+        else:
+            got = verify_family(family, 30, seed)
+            ref = _reference_certify(suite, family, 30, seed,
+                                     lambda *ms: f"[{'|'.join(m.label for m in ms)}]")
+        assert got.passed == ref.passed
+        assert got.failed_trials == ref.failed_trials
+        assert set(got.max_residuals) == set(ref.max_residuals)
+        for q, v in ref.max_residuals.items():
+            assert abs(got.max_residuals[q] - v) <= 1e-13, q
+        assert ([(f["trial"], f["quantity"], f.get("inputs")) for f in got.failures]
+                == [(f["trial"], f["quantity"], f.get("inputs")) for f in ref.failures])
+        for f, g in zip(got.failures, ref.failures):
+            if isinstance(g["value"], str):
+                assert f["value"] == g["value"]
+            else:
+                assert abs(complex(*f["value"]) - complex(*g["value"])) <= 1e-13
+
+
+def test_error_stacks_mix_failing_and_evaluated_trials():
+    """At the points of the cases above some trials raise each error and the rest evaluate."""
+    from harmorph.jets import BranchCutError, EvaluationError, direction_jets
+    from harmorph.verify import sample_in_domain
+
+    kinds = set()
+    for t in range(30):
+        x = sample_in_domain([DIVIDES_BY_ZERO, ON_THE_CUT], SEED, t)
+        try:
+            for m in (DIVIDES_BY_ZERO, ON_THE_CUT):
+                direction_jets(m.expr, m.space, x)
+            kinds.add("evaluated")
+        except (EvaluationError, BranchCutError) as exc:
+            kinds.add(type(exc).__name__)
+    assert kinds == {"evaluated", "EvaluationError", "BranchCutError"}
