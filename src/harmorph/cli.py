@@ -8,6 +8,7 @@ echoed on standard error so any run can be replayed.
 from __future__ import annotations
 
 import ast
+import math
 import sys
 
 import click
@@ -42,6 +43,13 @@ def _finish(ctx, reports) -> None:
     if not all(r.passed for r in reports):
         ctx.exit(1)
     ctx.exit(0)
+
+
+def _check_tol(ctx, param, value):
+    # nan would pass every check (residual > nan is False) and inf accepts anything
+    if value is not None and not 0 < value < math.inf:
+        raise click.BadParameter(f"{value} is not a finite number > 0")
+    return value
 
 
 format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
@@ -93,7 +101,7 @@ def identities(ctx, lemma, n, trials, seed, fmt, output):
 @click.option("--space", "space_id", type=click.Choice(["slr-so", "sus-sp"]), required=True)
 @click.option("--n", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=float, default=1e-8, show_default=True, callback=_check_tol)
 @seed_option
 @format_option
 @output_option
@@ -147,7 +155,8 @@ def _build_targets(space_id, n, k, l, family_l):
 @click.option("--compose", "compose_poly", type=str, default=None,
               help="Polynomial in z1..zm to compose with the family members.")
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--tol", type=float, default=None, help="Residual tolerance (space-dependent default).")
+@click.option("--tol", type=float, default=None, callback=_check_tol,
+              help="Residual tolerance, finite and > 0 (space-dependent default).")
 @seed_option
 @format_option
 @output_option
@@ -224,7 +233,7 @@ def run_sweep(n_max: int, trials: int, seed: int) -> list[vf.VerificationReport]
         m = real_morphism(n, 1, 2)
         reports.append(vf.verify_harmonic(m, trials, seed))
         reports.append(vf.verify_invariance(m, min(trials, 20), seed))
-        reports.append(vf.verify_basis_independence(m.space, m, 10, seed))
+        reports.append(vf.verify_basis_independence(m, 10, seed))
     for n in range(1, n_max + 1):
         fam = quat_family(n, 1)
         reports.append(vf.verify_family(fam, trials, seed))

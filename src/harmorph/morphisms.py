@@ -24,7 +24,12 @@ POSITIVE_SCALE = "positive-scale"
 
 @dataclass(frozen=True)
 class Morphism:
-    """A candidate complex-valued map on the ambient group."""
+    """A candidate complex-valued map on the ambient group.
+
+    ``domain`` is the map's own condition at a point of the group.  Callers
+    pass points the group sampler has accepted, so it does not test
+    membership again.
+    """
 
     expr: Expr
     space: SpaceSpec
@@ -36,8 +41,9 @@ class Morphism:
         return eval_value(self.expr, self.space, x)
 
 
-def _member_domain(space: SpaceSpec) -> Callable[[np.ndarray], bool]:
-    return lambda x: space.membership(x, 1e-8)
+def _everywhere(x: np.ndarray) -> bool:
+    """The domain of a globally defined map."""
+    return True
 
 
 def _check_kl(n: int, k: int, l: int) -> None:
@@ -53,7 +59,7 @@ def real_morphism(n: int, k: int, l: int) -> Morphism:
     space = make_space("slr-so", n)
     psi = Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2)
     expr = (Entry(k, l) + ScaleByI(psi)) / Entry(l, l)
-    return Morphism(expr, space, f"slr-so:n={n}:kl={k}{l}", _member_domain(space),
+    return Morphism(expr, space, f"slr-so:n={n}:kl={k}{l}", _everywhere,
                     (STABILIZER_RIGHT, POSITIVE_SCALE))
 
 
@@ -64,8 +70,6 @@ def control_morphism(n: int) -> Morphism:
     def domain(x: np.ndarray) -> bool:
         # moderate-scale window so the non-harmonic signal stays well above
         # the residual normalization floor at every sampled point
-        if not space.membership(x, 1e-8):
-            return False
         phi11 = complex(base_map_value(space, x, check=False)[0, 0]).real
         return 0.1 <= phi11 <= 10.0
 
@@ -83,7 +87,7 @@ def quat_family(n: int, l: int) -> list[Morphism]:
             continue
         expr = Entry(k, l) / Entry(l, l)
         out.append(Morphism(expr, space, f"sus-sp:n={n}:l={l}:k={k}",
-                            _member_domain(space), (STABILIZER_RIGHT, POSITIVE_SCALE)))
+                            _everywhere, (STABILIZER_RIGHT, POSITIVE_SCALE)))
     return out
 
 
@@ -112,8 +116,6 @@ def dual_real_morphism(n: int, k: int, l: int, margin: float = DEFAULT_MARGIN) -
     expr = (Entry(k, l) + ScaleByI(psi)) / Entry(l, l)
 
     def domain(x: np.ndarray) -> bool:
-        if not space.membership(x, 1e-8):
-            return False
         stated, cut_ok = dual_real_domain_detail(space, k, l, x, margin)
         return stated and cut_ok
 
@@ -127,8 +129,6 @@ def dual_quat_family(n: int, l: int, margin: float = DEFAULT_MARGIN) -> list[Mor
     space = make_space("su-sp", n)
 
     def domain(x: np.ndarray) -> bool:
-        if not space.membership(x, 1e-8):
-            return False
         phi = base_map_value(space, x, check=False)
         return abs(complex(phi[l - 1, l - 1])) > margin
 
@@ -229,5 +229,5 @@ def typeIV_bigcell_morphism(n: int, i: int, j: int) -> Morphism:
     num = _expr_det([[Entry(r, c) for c in cols] for r in rows])
     den = _expr_det([[Entry(r, c) for c in cols] for r in range(1, j + 1)])
     expr = num / den
-    return Morphism(expr, space, f"slc-su:n={n}:L{i}{j}", _member_domain(space),
+    return Morphism(expr, space, f"slc-su:n={n}:L{i}{j}", _everywhere,
                     (STABILIZER_RIGHT,))

@@ -12,11 +12,13 @@ su-sp   SU(2n)              Sp(n)           x -> x J^t x^t J
 slc-su  SL(n, C)            SU(n)           x -> x x^*
 ====== =================== =============== ==================
 
-For slr-so and sus-sp the bases are the hand-written appendix families
-(D_k, X_kl and the five block sets).  For the compact duals the basis is
-completed numerically by orthonormalizing against the stabilizer algebra;
-tension and conformality sums are basis independent, so any orthonormal
-basis of the complement will do.
+Every basis is built exactly, as Gaussian-integer matrices with a rational
+scale^2 (:func:`p_basis_exact`); the float basis multiplies each matrix by
+its scale.  slr-so and sus-sp take the hand-written appendix families (D_k,
+X_kl and the five block sets), slc-su the Hermitian units X_kl, iY_kl and the
+traceless diagonals h_j.  A compact dual's tangent space is i times the
+traceless part of its partner's: su-so takes i X_kl and i h_j, su-sp i times
+the sus-sp block families with the trace direction replaced by diag(h_j, h_j).
 """
 
 from __future__ import annotations
@@ -273,18 +275,6 @@ def expected_basis_size(space: SpaceSpec) -> int:
     raise AssertionError(space.id)
 
 
-def _traceless_diag_units(n: int) -> list[np.ndarray]:
-    """Orthonormal traceless diagonal matrices under trace(XY)."""
-    out = []
-    for j in range(1, n):
-        h = np.zeros((n, n), dtype=complex)
-        for i in range(j):
-            h[i, i] = 1.0
-        h[j, j] = -float(j)
-        out.append(h / math.sqrt(j * (j + 1)))
-    return out
-
-
 def _quat_block(top_left, bottom_right, top_right=None, bottom_left=None) -> np.ndarray:
     n = top_left.shape[0] if top_left is not None else top_right.shape[0]
     z = np.zeros((n, n), dtype=complex)
@@ -295,45 +285,19 @@ def _quat_block(top_left, bottom_right, top_right=None, bottom_left=None) -> np.
     return np.block([[tl, tr], [bl, br]])
 
 
-def _sus_sp_basis(n: int) -> list[np.ndarray]:
-    """The five printed block families for su*(2n) = sp(n) + p."""
-    out = []
-    for k in range(1, n + 1):
-        d = elem_D(n, k)
-        out.append(_quat_block(d, d) / SQRT2)
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            x = elem_X(n, k, l)
-            out.append(_quat_block(x, x) / SQRT2)
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            y = elem_Y(n, k, l)
-            out.append(_quat_block(1j * y, -1j * y) / SQRT2)
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            y = elem_Y(n, k, l)
-            out.append(_quat_block(None, None, y, -y) / SQRT2)
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            y = elem_Y(n, k, l)
-            out.append(_quat_block(None, None, 1j * y, 1j * y) / SQRT2)
-    return out
-
-
 def stabilizer_algebra(space: SpaceSpec) -> list[np.ndarray]:
     """Generators (orthogonal, not normalized) of the stabilizer Lie algebra."""
     n = space.n
+    so = [elem_Y(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     if space.stabilizer == "so":
-        return [elem_Y(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+        return so
     if space.stabilizer == "su":
-        gens = [elem_Y(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-        gens += [1j * elem_X(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-        gens += [1j * h for h in _traceless_diag_units(n)]
-        return gens
+        # su(n) = so(n) + the tangent space of SU(n)/SO(n)
+        return so + list(p_basis(make_space("su-so", n)))
     # sp(n): alpha anti-Hermitian, beta symmetric
     gens = []
     alphas = [1j * elem_D(n, k) for k in range(1, n + 1)]
-    alphas += [elem_Y(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    alphas += so
     alphas += [1j * elem_X(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     for a in alphas:
         gens.append(_quat_block(a, a.conj()))
@@ -345,86 +309,68 @@ def stabilizer_algebra(space: SpaceSpec) -> list[np.ndarray]:
     return gens
 
 
-def _su_ambient_basis(d: int) -> list[np.ndarray]:
-    """A spanning basis of su(d) (anti-Hermitian traceless)."""
-    basis = [elem_Y(d, k, l) for k in range(1, d + 1) for l in range(k + 1, d + 1)]
-    basis += [1j * elem_X(d, k, l) for k in range(1, d + 1) for l in range(k + 1, d + 1)]
-    basis += [1j * h for h in _traceless_diag_units(d)]
-    return basis
-
-
-def _flatten_real(m: np.ndarray) -> np.ndarray:
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
-
-
-def _orthonormal_complement(ambient: list[np.ndarray], sub: list[np.ndarray],
-                            dim: int, shape: tuple[int, int]) -> list[np.ndarray]:
-    """Orthonormal basis of the complement of span(sub) inside span(ambient).
-
-    Works in the flattened real coordinates, where the Frobenius real inner
-    product coincides with -Re trace(XY) on anti-Hermitian matrices.
-    """
-    ka = np.array([_flatten_real(m) for m in sub]).T
-    q_sub, _ = np.linalg.qr(ka)
-    va = np.array([_flatten_real(m) for m in ambient]).T
-    proj = va - q_sub @ (q_sub.T @ va)
-    u, s, _ = np.linalg.svd(proj, full_matrices=False)
-    cols = [u[:, i] for i in range(len(s)) if s[i] > 1e-9]
-    if len(cols) != dim:
-        raise RuntimeError(f"complement dimension {len(cols)} != expected {dim}")
-    d = shape[0]
-    out = []
-    for v in cols:
-        out.append((v[: d * d] + 1j * v[d * d:]).reshape(shape))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _p_basis_cached(space_id: str, n: int) -> PBasis:
     space = make_space(space_id, n)
-    if space.id == "slr-so":
-        els = [elem_D(n, k) for k in range(1, n + 1)]
-        els += [elem_X(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-    elif space.id == "sus-sp":
-        els = _sus_sp_basis(n)
-    elif space.id == "su-so":
-        els = [1j * elem_X(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-        els += [1j * h for h in _traceless_diag_units(n)]
-    elif space.id == "su-sp":
-        d = 2 * n
-        els = _orthonormal_complement(_su_ambient_basis(d), stabilizer_algebra(space),
-                                      expected_basis_size(space), (d, d))
-    elif space.id == "slc-su":
-        els = [elem_X(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-        els += [1j * elem_Y(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-        els += _traceless_diag_units(n)
-    else:
-        raise AssertionError(space.id)
-    for m in els:
-        m.setflags(write=False)
+    els = []
+    for m, scale_sq in p_basis_exact(space):
+        z = m.astype(complex) / math.sqrt(1 / scale_sq)
+        z.setflags(write=False)
+        els.append(z)
     return PBasis(tuple(els), space.form)
 
 
 def p_basis(space: SpaceSpec) -> PBasis:
+    """The float basis, each element scale * matrix of p_basis_exact."""
     return _p_basis_cached(space.id, space.n)
 
 
 # ---------------------------------------------------------------------------
-# exact appendix bases (slr-so, sus-sp only)
+# exact bases: Gaussian-integer matrices with their scale^2, built by assignment
 # ---------------------------------------------------------------------------
 
+ONE, I = ComplexRational(1), ComplexRational(0, 1)
+QUARTER = Fraction(1, 4)
+
+
 def p_basis_exact(space: SpaceSpec) -> list[ExactBasisElement]:
-    """Appendix bases as (rational matrix, scale^2) pairs."""
+    """The basis of the horizontal complement as (matrix, scale^2) pairs.
+
+    The compact duals take i times their partner's elements: su-so those of
+    slr-so, su-sp those of sus-sp, with the trace directions replaced by the
+    traceless diagonals h_j.
+    """
     n = space.n
+    pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     if space.id == "slr-so":
         one = Fraction(1)
-        els = [(exact_unit(n, k, k, 1, one), one) for k in range(1, n + 1)]
-        els += [(exact_unit(n, k, l, 1, one), HALF)
-                for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-        return els
+        return ([(exact_unit(n, k, k, 1, one), one) for k in range(1, n + 1)]
+                + [(exact_unit(n, k, l, 1, one), HALF) for k, l in pairs])
+    if space.id == "su-so":
+        return [(exact_unit(n, k, l, 1, I), HALF) for k, l in pairs] + _traceless_diagonals(n, I)
+    if space.id == "slc-su":
+        return ([(exact_unit(n, k, l, 1, ONE), HALF) for k, l in pairs]
+                + [(exact_unit(n, k, l, -1, I), HALF) for k, l in pairs]
+                + _traceless_diagonals(n, ONE))
     if space.id == "sus-sp":
-        return _sus_sp_basis_exact(n)
-    raise ValueError(f"no hand-written exact basis for space {space.id}")
+        one, diagonals = ONE, [(exact_unit(n, k, k, 1, ONE), Fraction(1))
+                              for k in range(1, n + 1)]
+    elif space.id == "su-sp":
+        one, diagonals = I, _traceless_diagonals(n, I)
+    else:
+        raise AssertionError(space.id)
+    return ([(_exact_quat_block(n, tl=m, br=m), c / 2) for m, c in diagonals]
+            + _sus_sp_basis_exact(n, one))
+
+
+def _traceless_diagonals(n: int, one) -> list[ExactBasisElement]:
+    """one * h_j, h_j = diag(1, ..., 1, -j, 0, ..., 0) with j ones, scale^2 1/(j(j+1))."""
+    out = []
+    for j in range(1, n):
+        m = exact_unit(n, j + 1, j + 1, 1, one * -j)
+        m[range(j), range(j)] = one
+        out.append((m, Fraction(1, j * (j + 1))))
+    return out
 
 
 def _exact_quat_block(n, tl=None, br=None, tr=None, bl=None) -> np.ndarray:
@@ -436,27 +382,19 @@ def _exact_quat_block(n, tl=None, br=None, tr=None, bl=None) -> np.ndarray:
     return out
 
 
-def _sus_sp_basis_exact(n: int) -> list[ExactBasisElement]:
-    one, i = ComplexRational(1), ComplexRational(0, 1)
-    quarter = Fraction(1, 4)
-    els: list[ExactBasisElement] = []
-    for k in range(1, n + 1):
-        d = exact_unit(n, k, k, 1, one)
-        els.append((_exact_quat_block(n, tl=d, br=d), HALF))
+def _sus_sp_basis_exact(n: int, one) -> list[ExactBasisElement]:
+    """The four traceless block families of the sus-sp basis, times one (1 or i)."""
     pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-    for k, l in pairs:
-        x = exact_unit(n, k, l, 1, one)
-        els.append((_exact_quat_block(n, tl=x, br=x), quarter))
-    for k, l in pairs:
-        iy = exact_unit(n, k, l, -1, i)
-        els.append((_exact_quat_block(n, tl=iy, br=-iy), quarter))
-    for k, l in pairs:
-        y = exact_unit(n, k, l, -1, one)
-        els.append((_exact_quat_block(n, tr=y, bl=-y), quarter))
-    for k, l in pairs:
-        iy = exact_unit(n, k, l, -1, i)
-        els.append((_exact_quat_block(n, tr=iy, bl=iy), quarter))
-    return els
+
+    def units(sign, unit):
+        return [exact_unit(n, k, l, sign, unit) for k, l in pairs]
+
+    oi = one * I
+    blocks = [dict(tl=x, br=x) for x in units(1, one)]
+    blocks += [dict(tl=a, br=b) for a, b in zip(units(-1, oi), units(-1, -oi))]
+    blocks += [dict(tr=a, bl=b) for a, b in zip(units(-1, one), units(-1, -one))]
+    blocks += [dict(tr=a, bl=a) for a in units(-1, oi)]
+    return [(_exact_quat_block(n, **b), QUARTER) for b in blocks]
 
 
 def symplectic_J_exact(n: int) -> np.ndarray:
@@ -468,19 +406,10 @@ def symplectic_J_exact(n: int) -> np.ndarray:
 # Casimir-style p-sum
 # ---------------------------------------------------------------------------
 
-def casimir_p_sum(space: SpaceSpec):
-    """Sum of Z^2 over the p-basis.
-
-    Exact (object dtype) for slr-so and sus-sp, where it is a rational
-    multiple of the identity; float for the numerically completed bases.
-    """
-    if space.id in ("slr-so", "sus-sp"):
-        total = None
-        for m, scale_sq in p_basis_exact(space):
-            sq = scale_sq * (m @ m)
-            total = sq if total is None else total + sq
-        return total
-    total = np.zeros((space.ambient_dim, space.ambient_dim), dtype=complex)
-    for z in p_basis(space):
-        total += z @ z
+def casimir_p_sum(space: SpaceSpec) -> np.ndarray:
+    """Sum of Z^2 over the p-basis, exactly: a rational multiple of the identity."""
+    d = space.ambient_dim
+    total = np.full((d, d), Fraction(0), dtype=object)
+    for m, scale_sq in p_basis_exact(space):
+        total = total + scale_sq * (m @ m)
     return total

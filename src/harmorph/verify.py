@@ -27,7 +27,7 @@ from .sampling import (complex_rational_vector, rational_vector, rng_from_seed,
                        sample_group_point, sample_stabilizer_point)
 from .scalars import ComplexRational, _clear_denominators
 from .spaces import (HALF, SpaceSpec, exact_unit, make_space, p_basis, p_basis_exact,
-                     symplectic_J_exact)
+                     stabilizer_algebra, symplectic_J_exact)
 
 SCHEMA_VERSION = 1
 
@@ -511,8 +511,6 @@ def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,
     report = VerificationReport("invariance", space.id, [morphism.label], space.n,
                                 trials, seed, tol)
     timer = _Timer(report)
-    from .spaces import stabilizer_algebra
-
     k_gens = stabilizer_algebra(space)
     for t, x in enumerate(sample_in_domain(morphism, seed, np.arange(trials))):
         k = sample_stabilizer_point(space, seed, index=t)
@@ -551,9 +549,10 @@ def verify_bigcell(n: int, trials: int = 1000, seed: int = 0) -> VerificationRep
     return timer.done()
 
 
-def verify_basis_independence(space: SpaceSpec, morphism: Morphism, rotations: int = 10,
-                              seed: int = 0, tol: float = 1e-9) -> VerificationReport:
+def verify_basis_independence(morphism: Morphism, rotations: int = 10, seed: int = 0,
+                              tol: float = 1e-9) -> VerificationReport:
     """tau/kappa agree between the stock basis and randomly rotated ones."""
+    space = morphism.space
     report = VerificationReport("basis-independence", space.id, [morphism.label],
                                 space.n, rotations, seed, tol)
     timer = _Timer(report)

@@ -197,3 +197,15 @@ def test_bad_counts_are_usage_errors(runner, args):
     result = runner.invoke(main, args + ["--seed", "7"] if args[0] != "spaces" else args)
     assert result.exit_code == 2
     assert "is not in the range" in result.output + getattr(result, "stderr", "")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("verb", [
+    ["verify", "--space", "slr-so", "--n", "3", "--k", "1", "--l", "2"],
+    ["lemmas", "--space", "slr-so", "--n", "3"],
+])
+def test_tol_must_be_finite_and_positive(runner, verb, tol):
+    """residual > nan is always False, so a nan tolerance would pass every check."""
+    result = runner.invoke(main, verb + ["--tol", tol, "--trials", "5", "--seed", "1"])
+    assert result.exit_code == 2
+    assert "is not a finite number > 0" in result.output + getattr(result, "stderr", "")

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from harmorph.scalars import ComplexRational
-from harmorph.spaces import (SPACE_IDS, casimir_p_sum, elem_D, elem_X, elem_Y,
+from harmorph.spaces import (MINUS_RE_TRACE_XY, RE_TRACE_XY, SPACE_IDS, TRACE_XY, X_JT_XT_J,
+                             X_XSTAR, X_XT, casimir_p_sum, elem_D, elem_X, elem_Y,
                              expected_basis_size, form_inner, make_space,
                              p_basis, p_basis_exact, stabilizer_algebra,
                              symplectic_J, symplectic_J_exact)
+from harmorph.verify import _sparse
 
 ALL_CASES = [(sid, n) for sid in SPACE_IDS
              for n in ([1, 2, 3] if sid in ("sus-sp", "su-sp") else [2, 3, 4])]
@@ -89,6 +91,11 @@ def test_elementary_matrices_normalized():
     ("slr-so", 4, Fraction(5, 2)),
     ("sus-sp", 1, Fraction(1, 2)), ("sus-sp", 2, Fraction(3, 2)),
     ("sus-sp", 3, Fraction(5, 2)),
+    # the compact duals: -(n-1)(n+2)/(2n) on su-so, -(n-1)(2n+1)/(2n) on su-sp
+    ("su-so", 2, Fraction(-1)), ("su-so", 3, Fraction(-5, 3)), ("su-so", 4, Fraction(-9, 4)),
+    ("su-sp", 1, Fraction(0)), ("su-sp", 2, Fraction(-5, 4)), ("su-sp", 3, Fraction(-7, 3)),
+    # (n^2 - 1)/n on slc-su
+    ("slc-su", 2, Fraction(3, 2)), ("slc-su", 3, Fraction(8, 3)), ("slc-su", 4, Fraction(15, 4)),
 ])
 def test_casimir_sum_is_scalar(sid, n, expect):
     """Sum of Z^2 over the basis is the expected multiple of the identity, exactly."""
@@ -101,7 +108,9 @@ def test_casimir_sum_is_scalar(sid, n, expect):
             assert total[i, j] == want, (i, j, total[i, j])
 
 
-@pytest.mark.parametrize("sid,n", [("slr-so", 2), ("slr-so", 3), ("sus-sp", 1), ("sus-sp", 2)])
+@pytest.mark.parametrize("sid,n", [("slr-so", 2), ("slr-so", 3), ("sus-sp", 1), ("sus-sp", 2),
+                                   ("su-so", 2), ("su-so", 3), ("su-sp", 2), ("su-sp", 3),
+                                   ("slc-su", 2), ("slc-su", 3)])
 def test_exact_basis_matches_float_basis(sid, n):
     """Exact (matrix, scale^2) pairs reproduce the float basis Gram matrix."""
     space = make_space(sid, n)
@@ -113,6 +122,58 @@ def test_exact_basis_matches_float_basis(sid, n):
         gram_exact = float(c) * np.trace(mf @ mf).real
         gram_float = np.trace(np.asarray(z) @ np.asarray(z)).real
         assert abs(gram_exact - gram_float) < 1e-12
+
+
+def _gaussian_basis(space):
+    """The exact basis as (scale^2, {(i, j): (Re, Im)}); _sparse rejects non-Gaussian-integer entries."""
+    return [(c, {(i, j): (re, im) for i, j, re, im in _sparse(m)}) for m, c in p_basis_exact(space)]
+
+
+@pytest.mark.parametrize("sid,n", ALL_CASES)
+def test_exact_basis_entries_are_gaussian_integers(sid, n):
+    space = make_space(sid, n)
+    basis = _gaussian_basis(space)
+    assert len(basis) == expected_basis_size(space)
+    assert all(entries for _, entries in basis)
+
+
+@pytest.mark.parametrize("sid,n", ALL_CASES)
+def test_exact_gram_matrix_is_identity(sid, n):
+    """scale^2 form(m, m) is exactly 1, and form(m_a, m_b) exactly 0 for a != b."""
+    space = make_space(sid, n)
+    basis = _gaussian_basis(space)
+    for a, (ca, ea) in enumerate(basis):
+        for b, (_, eb) in enumerate(basis):
+            re = im = 0
+            for (i, j), (xr, xi) in ea.items():  # trace(m_a m_b)
+                yr, yi = eb.get((j, i), (0, 0))
+                re, im = re + xr * yr - xi * yi, im + xr * yi + xi * yr
+            value = {TRACE_XY: (re, im), RE_TRACE_XY: (re, 0),
+                     MINUS_RE_TRACE_XY: (-re, 0)}[space.form]
+            assert value == ((1 / ca, 0) if a == b else (0, 0)), (a, b)
+
+
+@pytest.mark.parametrize("sid,n", ALL_CASES)
+def test_exact_basis_is_horizontal(sid, n):
+    """T(Z) = Z, where Z + T(Z) is the base map's derivative at the identity along Z."""
+    space = make_space(sid, n)
+    J = symplectic_J_exact(n)
+    transform = {X_XT: lambda m: m.T, X_XSTAR: lambda m: np.conjugate(m).T,
+                 X_JT_XT_J: lambda m: J.T @ m.T @ J}[space.base_map_variant]
+    for m, _ in p_basis_exact(space):
+        assert (transform(m) == m).all()
+
+
+@pytest.mark.parametrize("sid,n", ALL_CASES)
+def test_exact_basis_lies_in_the_ambient_algebra(sid, n):
+    space = make_space(sid, n)
+    J = symplectic_J_exact(n)
+    traceless_skew = lambda m: (np.conjugate(m).T == -m).all() and np.trace(m) == 0  # noqa: E731
+    condition = {"slr-so": lambda m: (np.conjugate(m) == m).all(),
+                 "sus-sp": lambda m: (m @ J == J @ np.conjugate(m)).all(),
+                 "su-so": traceless_skew, "su-sp": traceless_skew,
+                 "slc-su": lambda m: np.trace(m) == 0}[sid]
+    assert all(condition(m) for m, _ in p_basis_exact(space))
 
 
 def test_symplectic_J_exact_matches_float():

@@ -81,7 +81,7 @@ def test_invariance_suite():
 
 def test_basis_independence_suite():
     m = typeIV_bigcell_morphism(2, 2, 1)
-    assert verify_basis_independence(m.space, m, 5, SEED).passed
+    assert verify_basis_independence(m, 5, SEED).passed
 
 
 def test_default_tolerances():
