@@ -23,7 +23,7 @@ from .jets import (Entry, Jet2, JetContext, Sqrt, _eval, direction_jets, entry_c
                    normalized_residual, raise_first_error, rotated_basis)
 from .matrices import leading_principal_minors
 from .morphisms import POSITIVE_SCALE, Morphism, _family_space
-from .sampling import (complex_rational_vector, rational_vector, rng_from_seed,
+from .sampling import (complex_rational_vector, generators, rational_vector, rng_from_seed,
                        sample_group_point, sample_stabilizer_point)
 from .scalars import ComplexRational, _clear_denominators
 from .spaces import (HALF, SpaceSpec, exact_unit, make_space, p_basis, p_basis_exact,
@@ -199,8 +199,7 @@ def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> Verif
                  _integer_family(p_basis_exact(make_space("slr-so", n)))),
                 ("antisymmetric-family identity", -1, _integer_family(skew)))
     eye = _eye(n)
-    for t in range(trials):
-        rng = rng_from_seed(seed, t)
+    for t, rng in enumerate(generators(seed, np.arange(trials))):
         vecs = [rational_vector(rng, n) for _ in range(4)]
         scale, (x, y, a, b) = _cleared(vecs)
         # sum_m c (x m y)(a m b) = 1/2 (<a, x><y, b> +- <y, a><x, b>), all parts real
@@ -221,8 +220,7 @@ def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationR
     denom, family = _integer_family(p_basis_exact(make_space("sus-sp", n)))
     J = _sparse(symplectic_J_exact(n))
     eye = _eye(2 * n)
-    for t in range(trials):
-        rng = rng_from_seed(seed, t)
+    for t, rng in enumerate(generators(seed, np.arange(trials))):
         vecs = [complex_rational_vector(rng, 2 * n) for _ in range(4)]
         scale, (x, y, a, b) = _cleared(vecs)
         # sum_m c (a m b*)(x m y*) = 1/2 ((x b*)(a y*) + (x J a) conj(y J b)); with J real,
@@ -331,21 +329,42 @@ def sample_in_domain(morphisms: Morphism | list[Morphism], seed: int,
     return out.reshape(trials.shape + (d, d))
 
 
-def _oracle_check(report: VerificationReport, morphism: Morphism, xs: np.ndarray,
-                  trial: int, jet: Jet2) -> None:
-    """Compare the suite's jet of the morphism at the trial's point of the stack xs
-    with central differences along one direction."""
-    basis = p_basis(morphism.space)
+def _central_differences(family: list[Morphism], xs: np.ndarray, trials) -> dict:
+    """(d1, d2, stencil error) of the central differences of member t % len(family)
+    at the trial's point of the stack xs, along basis direction t % len(basis), for
+    each of the trials: one fd_jet call per member, over that member's trials."""
+    basis = p_basis(family[0].space)
+    out = {}
     if not len(basis):
-        return
+        return out
+    for a, m in enumerate(family):
+        ts = [t for t in trials if t % len(family) == a]
+        if not ts:
+            continue
+        errors = np.full(len(ts), None, dtype=object)
+        fd = fd_jet(m.expr, m.space, xs[ts], basis.stack[[t % len(basis) for t in ts]],
+                    h=ORACLE_STEP, errors=errors)
+        for i, t in enumerate(ts):
+            out[t] = complex(fd.d1[i]), complex(fd.d2[i]), errors[i]
+    return out
+
+
+def _oracle_check(report: VerificationReport, morphism: Morphism, xs: np.ndarray,
+                  trial: int, jet: Jet2, fd: tuple) -> None:
+    """Compare the suite's jet of the morphism at the trial's point of the stack xs
+    with its central differences fd along one direction (see _central_differences);
+    a stencil error is raised."""
+    fd_d1, fd_d2, error = fd
+    if error is not None:
+        raise error
+    basis = p_basis(morphism.space)
     zi = trial % len(basis)
     x = xs[trial]
     v = complex(np.broadcast_to(jet.v, len(xs))[trial])
     d1, d2 = (complex(np.broadcast_to(a, (len(basis), len(xs)))[zi, trial])
               for a in (jet.d1, jet.d2))
-    fd = fd_jet(morphism.expr, morphism.space, x, basis.elements[zi], h=ORACLE_STEP)
     scale = max(1.0, abs(v) + abs(d1) + abs(d2))
-    err = (abs(d1 - fd.d1) + abs(d2 - fd.d2)) / scale
+    err = (abs(d1 - fd_d1) + abs(d2 - fd_d2)) / scale
     report.check(trial, "oracle", err, ORACLE_ABS_TOL,
                  inputs=lambda: {"morphism": morphism.label, "x": _ser_mat(x)})
 
@@ -458,8 +477,9 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
     are "tau" and "kappa" followed by tag(member) and tag(member_a, member_b).
 
     All trials go together: one stacked sample, one JetContext, one DAG walk per
-    member and residuals as arrays over the trials.  Failures are recorded trial
-    by trial, each trial's in the order of its quantities, then its oracle check.
+    member, residuals as arrays over the trials and one oracle stencil walk per
+    member.  Failures are recorded trial by trial, each trial's in the order of its
+    quantities, then its oracle check, which raises the error of a failed stencil.
     """
     space = _family_space(family)
     if tol is None:
@@ -490,6 +510,7 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
             # fmax, like check(): a NaN residual neither raises the maximum nor fails
             report.bump(name, float(np.fmax.reduce(r)))
     oracle = np.arange(trials) % ORACLE_SUBSAMPLE == 0
+    stencils = _central_differences(family, xs, np.flatnonzero(oracle & ok).tolist())
     for t in np.flatnonzero(~ok | (residuals > tol).any(axis=0) | oracle).tolist():
         inputs = _inputs(x=xs[t])
         if not ok[t]:
@@ -498,9 +519,9 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
         for name, r in zip(names, residuals[:, t].tolist()):
             if r > tol:
                 report.record_failure(t, name, r, inputs)
-        if oracle[t]:
+        if t in stencils:
             a = t % len(family)
-            _oracle_check(report, family[a], xs, t, jets[a])
+            _oracle_check(report, family[a], xs, t, jets[a], stencils[t])
     return timer.done()
 
 

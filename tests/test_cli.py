@@ -209,3 +209,29 @@ def test_tol_must_be_finite_and_positive(runner, verb, tol):
     result = runner.invoke(main, verb + ["--tol", tol, "--trials", "5", "--seed", "1"])
     assert result.exit_code == 2
     assert "is not a finite number > 0" in result.output + getattr(result, "stderr", "")
+
+
+SEED_VERBS = [
+    ["identities", "--lemma", "formula-real", "--n", "2", "--trials", "1"],
+    ["lemmas", "--space", "slr-so", "--n", "3", "--trials", "1"],
+    ["verify", "--space", "slr-so", "--n", "3", "--k", "1", "--l", "2", "--trials", "1"],
+    ["bigcell", "--n", "2", "--trials", "1"],
+    ["all", "--n-max", "2", "--trials", "1"],
+]
+
+
+@pytest.mark.parametrize("seed", [str(-1), str(2**64)])
+@pytest.mark.parametrize("verb", SEED_VERBS, ids=lambda v: v[0])
+def test_seed_outside_64_bits_is_usage_error(runner, verb, seed):
+    """Seeds are masked to 64 bits, so 2^64 + 3 and -(2^64 - 3) would replay seed 3."""
+    result = runner.invoke(main, verb + ["--seed", seed])
+    assert result.exit_code == 2
+    assert "is not in the range" in result.output + getattr(result, "stderr", "")
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("verb", SEED_VERBS, ids=lambda v: v[0])
+def test_seed_bounds_are_accepted(runner, verb, seed):
+    result = runner.invoke(main, verb + ["--seed", str(seed), "--format", "json"])
+    assert result.exit_code in (0, 1), result.output
+    assert json.loads(result.output.splitlines()[0])["seed"] == seed

@@ -1,6 +1,7 @@
 """2-jet propagation: chain rules, base-map jets, oracle agreement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,58 @@ def test_values_are_the_same_numbers_alone_and_stacked(sid, n):
         assert (fd.v, fd.d1, fd.d2) == (f0, (fp - fm) / 2e-4, (fp - 2.0 * f0 + fm) / 1e-8)
         ref = _all_nodes_in_python(p @ p.T if space.base_map_variant == "x_xt" else p @ p.conj().T)
         assert eval_value(ALL_NODES, space, p) == ref
+
+
+# The error maps of test_verify's certification cases: phi_12 / (sqrt(phi_12^2) - phi_12)
+# divides by exactly 0 where phi_12 > 0, sqrt(phi_11 - 1) is on the cut where phi_11 < 1.
+DIVIDES_BY_ZERO = Entry(1, 2) / (Sqrt(Entry(1, 2) * Entry(1, 2)) - Entry(1, 2))
+ON_THE_CUT = Sqrt(Entry(1, 1) - 1.0)
+
+
+@pytest.mark.parametrize("sid,n,expr", [
+    ("slr-so", 3, ALL_NODES), ("sus-sp", 2, ALL_NODES), ("su-so", 3, ALL_NODES),
+    ("su-sp", 2, ALL_NODES), ("slc-su", 3, ALL_NODES), ("slr-so", 2, ALL_NODES),
+    ("slr-so", 2, DIVIDES_BY_ZERO), ("slr-so", 2, ON_THE_CUT)],
+    ids=["slr-so-3", "sus-sp-2", "su-so-3", "su-sp-2", "slc-su-3", "slr-so-2",
+         "divides-by-zero", "on-the-cut"])
+def test_stacked_fd_jet_equals_per_point(sid, n, expr):
+    """One stacked exponential and one stencil walk give each point the central
+    differences and the stencil error it gets alone, bit for bit."""
+    space = make_space(sid, n)
+    basis = p_basis(space)
+    k = 12
+    x = sample_group_point(space, 71, index=np.arange(k))
+    z = basis.stack[np.arange(k) % len(basis)]
+    errors = np.full(k, None, dtype=object)
+    stacked = fd_jet(expr, space, x, z, h=1e-4, errors=errors)
+    assert stacked.v.shape == stacked.d1.shape == stacked.d2.shape == (k,)
+    failed = []
+    for i in range(k):
+        alone = np.full((), None, dtype=object)
+        ref = fd_jet(expr, space, x[i], z[i], h=1e-4, errors=alone)
+        assert type(errors[i]) is type(alone.item()) and str(errors[i]) == str(alone.item())
+        if alone.item() is None:
+            assert all(isinstance(v, complex) for v in (ref.v, ref.d1, ref.d2))
+            assert (stacked.v[i], stacked.d1[i], stacked.d2[i]) == (ref.v, ref.d1, ref.d2)
+            assert fd_jet(expr, space, x[i], z[i], h=1e-4) == ref
+        else:
+            failed.append(i)
+            with pytest.raises(type(alone.item()), match=re.escape(str(alone.item()))):
+                fd_jet(expr, space, x[i], z[i], h=1e-4)
+    if expr is ALL_NODES:
+        assert not failed
+    else:
+        # the stack mixes evaluated points and failed ones
+        assert 0 < len(failed) < k
+        with pytest.raises(type(errors[failed[0]]), match=re.escape(str(errors[failed[0]]))):
+            fd_jet(expr, space, x, z, h=1e-4)
+        # a point that already has an error keeps it, as in _guard
+        kept = np.full(k, None, dtype=object)
+        kept[failed[0]] = marker = ValueError("earlier")
+        fd_jet(expr, space, x, z, h=1e-4, errors=kept)
+        assert kept[failed[0]] is marker
+        assert ([str(e) for e in np.delete(kept, failed[0])]
+                == [str(e) for e in np.delete(errors, failed[0])])
 
 
 def test_each_point_keeps_its_first_error_in_dag_order():

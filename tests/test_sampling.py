@@ -5,13 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from harmorph.jets import Entry
 from harmorph.morphisms import (Morphism, control_morphism, dual_quat_family,
                                 dual_real_morphism, quat_family, real_morphism,
                                 typeIV_bigcell_morphism)
-from harmorph.sampling import (COND_CAP, complex_rational_vector, fresh_seed,
-                               rational_vector, rng_from_seed,
+from harmorph.sampling import (COND_CAP, complex_rational_vector, fresh_seed, generators,
+                               philox_keys, rational_vector, rng_from_seed,
                                sample_group_point, sample_stabilizer_point)
 from harmorph.spaces import SPACE_IDS, make_space
 from harmorph.verify import SamplingError, sample_in_domain
@@ -28,6 +29,73 @@ def test_rng_is_deterministic_and_spawn_separated():
 def test_fresh_seed_fits_64_bits():
     s = fresh_seed()
     assert 0 <= s < 2**64
+
+
+def _seed_sequence_key(seed, *spawn):
+    ss = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=tuple(int(s) for s in spawn))
+    return ss.generate_state(2, np.uint64)
+
+
+KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+KEY_INDICES = np.array([0, 1, 999, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63 - 1])
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_stacked_keys_equal_seed_sequence(seed):
+    """One vectorized pass of the hash gives every key SeedSequence gives it alone,
+    with one- and two-word spawn entries mixed in one stack."""
+    for attempt in (0, 1, 7, 999, 2**32, 2**40):
+        keys = philox_keys(seed, KEY_INDICES, attempt)
+        assert keys.shape == (len(KEY_INDICES), 2) and keys.dtype == np.uint64
+        for i, key in zip(KEY_INDICES, keys):
+            assert np.array_equal(key, _seed_sequence_key(seed, i, attempt)), (i, attempt)
+    # each attempt of each index, as a broadcast (index, attempt) grid
+    attempts = np.array([0, 3, 2**33])
+    grid = philox_keys(seed, KEY_INDICES[:, None], attempts)
+    assert grid.shape == (len(KEY_INDICES), len(attempts), 2)
+    for (i, a), key in zip(np.ndindex(grid.shape[:2]), grid.reshape(-1, 2)):
+        assert np.array_equal(key, _seed_sequence_key(seed, KEY_INDICES[i], attempts[a]))
+    # other key lengths: the seed alone, one entry, three entries
+    assert np.array_equal(philox_keys(seed), _seed_sequence_key(seed))
+    assert np.array_equal(philox_keys(seed, 2**64 - 1), _seed_sequence_key(seed, 2**64 - 1))
+    assert np.array_equal(philox_keys(seed, 5, 2**35, 1), _seed_sequence_key(seed, 5, 2**35, 1))
+
+
+def test_stacked_keys_reject_negative_entries():
+    with pytest.raises(ValueError):
+        philox_keys(7, np.array([3, -1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-2**70, 2**70),
+       st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5),
+       st.integers(0, 2**64 - 1))
+def test_stacked_keys_property(seed, indices, attempt):
+    keys = philox_keys(seed, np.array(indices), attempt)
+    for i, key in zip(indices, keys):
+        assert np.array_equal(key, _seed_sequence_key(seed, i, attempt))
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_stacked_generators_draw_as_rng_from_seed(seed):
+    """A generator reset to a key's state draws what rng_from_seed draws for the key."""
+    indices = KEY_INDICES[[0, 2, 3, 4, 6]]
+    for rng, i in zip(generators(seed, indices, 2), indices):
+        ref = rng_from_seed(seed, int(i), 2)
+        got, want = rng.bit_generator.state, ref.bit_generator.state
+        assert got.keys() == want.keys() and got["state"].keys() == want["state"].keys()
+        for field in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[field] == want[field], field
+        assert np.array_equal(got["buffer"], want["buffer"])
+        for field in ("counter", "key"):
+            assert np.array_equal(got["state"][field], want["state"][field]), field
+        assert np.array_equal(rng.uniform(-1.0, 1.0, (3, 3)), ref.uniform(-1.0, 1.0, (3, 3)))
+        assert np.array_equal(rng.integers(-9, 10, 5), ref.integers(-9, 10, 5))
+        assert rng.random() == ref.random()
+        assert rng.standard_normal() == ref.standard_normal()
+        # leave half of a 64-bit word buffered, which the next reset must drop
+        while not rng.bit_generator.state["has_uint32"]:
+            assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
 
 
 @pytest.mark.parametrize("sid", SPACE_IDS)

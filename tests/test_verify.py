@@ -393,8 +393,9 @@ def test_benchmark_traced_names_are_verify_globals():
 # ---------------------------------------------------------------------------
 
 def _reference_certify(suite, family, trials, seed, tag):
-    """The certification loop one trial at a time, on the one-point jet paths."""
-    from harmorph.jets import (BranchCutError, EvaluationError, direction_jets, fd_jet,
+    """The certification loop one trial at a time: the jets at each trial's point
+    alone, as a stack of one, and the one-point oracle."""
+    from harmorph.jets import (BranchCutError, EvaluationError, Jet2, direction_jets, fd_jet,
                                jet_sums, kappa_sum, normalized_residual)
     from harmorph.spaces import p_basis
     from harmorph.verify import ORACLE_ABS_TOL, ORACLE_STEP, _inputs, sample_in_domain
@@ -407,10 +408,14 @@ def _reference_certify(suite, family, trials, seed, tag):
     for t in range(trials):
         x = sample_in_domain(family, seed, t)
         try:
-            jets = [direction_jets(m.expr, space, x, basis) for m in family]
+            # the point as a stack of one, whose walk rounds as the suite's stack does;
+            # at a single point numpy multiplies scalars, which round differently
+            stacked = [direction_jets(m.expr, space, x[None], basis) for m in family]
         except (EvaluationError, BranchCutError) as exc:
             report.record_failure(t, "evaluation-error", str(exc), _inputs(x=x))
             continue
+        jets = [Jet2(*(a[..., 0] if np.ndim(a) else a for a in (j.v, j.d1, j.d2)))
+                for j in stacked]
         energies = []
         for m, jet in zip(family, jets):
             tau, _, energy = jet_sums(jet)
@@ -462,8 +467,9 @@ CERTIFY_CASES = [
 @pytest.mark.parametrize("suite,family", CERTIFY_CASES,
                          ids=lambda c: c if isinstance(c, str) else c[0].label)
 def test_certification_equals_reference_loop(suite, family, monkeypatch):
-    """Same verdict, quantities, failures and failing trials as trial by trial, and
-    residuals equal to round-off (they are already divided by max(1, energy))."""
+    """Same verdict, quantities, failures and failing trials as trial by trial, the
+    same oracle residuals, and the other residuals equal to round-off (they are
+    already divided by max(1, energy))."""
     monkeypatch.setattr(harmorph.verify, "MAX_CAPTURED_FAILURES", 10_000)  # compare them all
     for seed in (SEED, 11):
         if suite == "harmonic":
@@ -477,14 +483,40 @@ def test_certification_equals_reference_loop(suite, family, monkeypatch):
         assert got.failed_trials == ref.failed_trials
         assert set(got.max_residuals) == set(ref.max_residuals)
         for q, v in ref.max_residuals.items():
-            assert abs(got.max_residuals[q] - v) <= 1e-13, q
+            if q == "oracle":
+                assert got.max_residuals[q] == v
+            else:
+                assert abs(got.max_residuals[q] - v) <= 1e-13, q
         assert ([(f["trial"], f["quantity"], f.get("inputs")) for f in got.failures]
                 == [(f["trial"], f["quantity"], f.get("inputs")) for f in ref.failures])
         for f, g in zip(got.failures, ref.failures):
-            if isinstance(g["value"], str):
+            if isinstance(g["value"], str) or g["quantity"] == "oracle":
                 assert f["value"] == g["value"]
             else:
                 assert abs(complex(*f["value"]) - complex(*g["value"])) <= 1e-13
+
+
+@pytest.mark.parametrize("step", [0.5, 1.0])
+def test_failed_oracle_stencil_raises_as_reference_loop(step, monkeypatch):
+    """A step this long carries some oracle stencils across the cut while their
+    centers evaluate: the suite raises the error the trial-by-trial loop raises."""
+    from harmorph.jets import BranchCutError
+
+    monkeypatch.setattr(harmorph.verify, "ORACLE_STEP", step)
+    raised = []
+    for seed in (SEED, 11):
+        outcomes = []
+        for run in (lambda: verify_harmonic(ON_THE_CUT, 30, seed),
+                    lambda: _reference_certify("harmonic", [ON_THE_CUT], 30, seed,
+                                               lambda *members: "")):
+            try:
+                report = run()
+                outcomes.append((report.max_residuals.get("oracle"), report.failed_trials))
+            except BranchCutError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        raised.append(isinstance(outcomes[0], str))
+    assert any(raised)
 
 
 def test_error_stacks_mix_failing_and_evaluated_trials():
