@@ -8,9 +8,8 @@ numerically — with exact rational backends for the algebraic identities
 the constructions rest on.
 """
 
-from .jets import (Const, Entry, Expr, Jet2, ScaleByI, Sqrt, base_map_jet,
-                   base_map_value, direction_jets, eval_jet, eval_value, fd_jet,
-                   jet_sums, kappa_sum, normalized_residual)
+from .jets import (Const, Entry, Expr, Jet2, ScaleByI, Sqrt, base_map_value, eval_jet,
+                   eval_value, fd_jet, jet_sums, kappa_sum, normalized_residual)
 from .morphisms import (Morphism, dual_quat_family, dual_real_morphism,
                         holomorphic_compose, quat_family, real_morphism,
                         typeIV_bigcell_morphism)
@@ -28,9 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ComplexRational", "Const", "Entry", "Expr", "Jet2", "Morphism", "PBasis",
     "SPACE_IDS", "ScaleByI", "SpaceSpec", "Sqrt", "VerificationReport",
-    "base_map_jet", "base_map_value", "default_tolerance", "direction_jets",
-    "dual_quat_family", "dual_real_morphism", "eval_jet", "eval_value", "fd_jet",
-    "fresh_seed", "holomorphic_compose", "jet_sums", "kappa_sum", "make_space",
+    "base_map_value", "default_tolerance", "dual_quat_family",
+    "dual_real_morphism", "eval_jet", "eval_value", "fd_jet", "fresh_seed",
+    "holomorphic_compose", "jet_sums", "kappa_sum", "make_space",
     "normalized_residual", "p_basis", "p_basis_exact", "quat_family",
     "real_morphism", "render_report", "rng_from_seed", "sample_group_point",
     "sample_stabilizer_point", "typeIV_bigcell_morphism",

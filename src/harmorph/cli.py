@@ -304,14 +304,7 @@ def _poly_eval(node, nvars) -> dict[tuple[int, ...], complex]:
                 out[e] = out.get(e, 0.0) + sign * c
             return out
         if isinstance(node.op, ast.Mult):
-            left = _poly_eval(node.left, nvars)
-            right = _poly_eval(node.right, nvars)
-            out: dict[tuple[int, ...], complex] = {}
-            for e1, c1 in left.items():
-                for e2, c2 in right.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, 0.0) + c1 * c2
-            return out
+            return _poly_mul(_poly_eval(node.left, nvars), _poly_eval(node.right, nvars))
         if isinstance(node.op, ast.Pow):
             exp = node.right.value if isinstance(node.right, ast.Constant) else None
             if type(exp) is not int or exp < 0:  # not bool, an int subclass
@@ -319,14 +312,18 @@ def _poly_eval(node, nvars) -> dict[tuple[int, ...], complex]:
             base = _poly_eval(node.left, nvars)
             out = {zero: 1.0 + 0.0j}
             for _ in range(exp):
-                nxt: dict[tuple[int, ...], complex] = {}
-                for e1, c1 in out.items():
-                    for e2, c2 in base.items():
-                        e = tuple(a + b for a, b in zip(e1, e2))
-                        nxt[e] = nxt.get(e, 0.0) + c1 * c2
-                out = nxt
+                out = _poly_mul(out, base)
             return out
     raise ValueError(f"unsupported syntax element {ast.dump(node)[:60]}")
+
+
+def _poly_mul(p: dict, q: dict) -> dict[tuple[int, ...], complex]:
+    out: dict[tuple[int, ...], complex] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0.0) + c1 * c2
+    return out
 
 
 if __name__ == "__main__":

@@ -39,12 +39,11 @@ class EvaluationError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 # Values are multiplied and divided as Python multiplies and divides complex
-# numbers: with Python's operators at one point, and for arrays with the same
-# real products and sums, rounded one by one (never fused), and the same
-# quotient.  numpy's complex loops round differently, and the finite-difference
-# oracle divides value differences by h^2 = 1e-8, so a last-bit change in a value
-# would move an oracle residual by about 1e-8.  This keeps every value the same
-# number whether its point is evaluated alone or in a stack.
+# numbers: with the same real products and sums, rounded one by one (never
+# fused), and the same quotient.  numpy's complex loops round differently, and
+# the finite-difference oracle divides value differences by h^2 = 1e-8, so a
+# last-bit change in a value would move an oracle residual by about 1e-8.  This
+# keeps every value the same number at a point whatever stack it is walked in.
 
 def _complex(re, im) -> np.ndarray:
     out = np.empty(np.broadcast(re, im).shape, dtype=complex)
@@ -53,16 +52,12 @@ def _complex(re, im) -> np.ndarray:
 
 
 def _cmul(a, b):
-    if not (np.ndim(a) or np.ndim(b)):
-        return complex(a) * complex(b)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     return _complex(ar * br - ai * bi, ar * bi + ai * br)
 
 
 def _cdiv(a, b):
     """a / b for nonzero b: divide through by the larger of |Re b| and |Im b|."""
-    if not (np.ndim(a) or np.ndim(b)):
-        return complex(a) / complex(b)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     by_re = np.abs(br) >= np.abs(bi)
     big, small = np.where(by_re, br, bi), np.where(by_re, bi, br)
@@ -76,16 +71,13 @@ def _guard(value, bad, make_error, errors):
     """value with 1 where bad, so that no arithmetic fails there.
 
     Each bad point whose entry of the error record ``errors`` is still None gets
-    make_error(its value); without a record the first bad point's error is raised.
+    make_error(its value).
     """
     if not bad.any():
         return value
-    shape = np.shape(value) if errors is None else errors.shape
-    bad = np.broadcast_to(bad, shape)
-    at = np.broadcast_to(value, shape)
+    bad = np.broadcast_to(bad, errors.shape)
+    at = np.broadcast_to(value, errors.shape)
     for i in np.flatnonzero(bad):
-        if errors is None:
-            raise make_error(complex(at.flat[i]))
         if errors.flat[i] is None:
             errors.flat[i] = make_error(complex(at.flat[i]))
     return np.where(bad, 1.0, at)
@@ -101,11 +93,10 @@ def _sqrt_error(w: complex) -> BranchCutError:
 class Jet2:
     """Value and first two derivatives of a scalar function along fixed curves.
 
-    At one point ``v`` is a scalar; at a stack of points it has the stack's
-    shape.  ``d1`` and ``d2`` carry, ahead of the stack's axes, one axis over
-    tangent directions (none for a single direction), and are the scalar 0 for
-    a constant.  Division and square root check each point: an array operand
-    with a bad point raises for the first one, as a scalar does.
+    ``v`` has the shape of the stack of points (none for a constant).  ``d1``
+    and ``d2`` carry, ahead of the stack's axes, one axis over tangent
+    directions, and are the scalar 0 for a constant.  Division and square root
+    check each point and record a bad one in the walk's error record.
     """
 
     v: complex | np.ndarray
@@ -125,10 +116,7 @@ class Jet2:
             self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
         )
 
-    def __truediv__(self, o: "Jet2") -> "Jet2":
-        return self.divide(o, None)
-
-    def divide(self, o: "Jet2", errors: np.ndarray | None) -> "Jet2":
+    def divide(self, o: "Jet2", errors: np.ndarray) -> "Jet2":
         """self / o; points where o is 0 go to ``errors`` as in _guard."""
         ov = _guard(o.v, np.asarray(o.v == 0),
                     lambda _: EvaluationError("division by zero in expression evaluation"), errors)
@@ -138,7 +126,7 @@ class Jet2:
         d2 = (self.d2 - 2.0 * d1 * o.d1 - w * o.d2) * inv
         return Jet2(w, d1, d2)
 
-    def sqrt(self, errors: np.ndarray | None = None) -> "Jet2":
+    def sqrt(self, errors: np.ndarray) -> "Jet2":
         """Principal square root; 0 and points within eps of the branch cut go to
         ``errors`` as in _guard."""
         w = np.asarray(self.v, dtype=complex)
@@ -277,34 +265,21 @@ def base_map_value(space: SpaceSpec, x: np.ndarray, check: bool = True) -> np.nd
     return x @ _companion(space, x)
 
 
-def base_map_jet(space: SpaceSpec, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Phi, dPhi, d2Phi) along s -> x exp(sZ) at s = 0.
-
-    Valid for any direction z: with T the companion anti-homomorphism,
-    Phi(s) = x exp(sZ) exp(s T(Z)) T(x), so the derivatives are
-    x (Z + TZ) T(x) and x (Z^2 + 2 Z TZ + TZ^2) T(x).  For z in the
-    horizontal complement T(Z) = Z and these reduce to 2 x Z T(x) and
-    4 x Z^2 T(x).
-    """
-    if x.shape != z.shape:
-        raise ValueError(f"dimension mismatch: point {x.shape}, direction {z.shape}")
-    tx = _companion(space, x)
-    tz = _companion(space, z)
-    phi = x @ tx
-    d1 = x @ (z + tz) @ tx
-    d2 = x @ (z @ z + 2.0 * (z @ tz) + tz @ tz) @ tx
-    return phi, d1, d2
-
-
 _BLOCK = 10  # points per product x M in JetContext
 
 
 class JetContext:
-    """Base-map jets at a point, or at a stack of points, along every basis direction.
+    """Base-map jets at a stack of points along every basis direction.
 
-    For x of shape (..., d, d), ``phi`` is the base map, shape (..., d, c), and
-    ``d1`` and ``d2`` stack its first and second derivatives along each basis
-    direction, shape (directions, ..., d, c), computed as in ``base_map_jet``.
+    With T the companion anti-homomorphism, the base map along s -> x exp(sZ) is
+    Phi(s) = x exp(sZ) exp(s T(Z)) T(x), for any direction Z, so at s = 0
+
+        Phi = x T(x),  dPhi = x (Z + TZ) T(x),  d2Phi = x (Z^2 + 2 Z TZ + TZ^2) T(x).
+
+    For Z in the horizontal complement T(Z) = Z, and the derivatives reduce to
+    2 x Z T(x) and 4 x Z^2 T(x).  For x of shape (..., d, d), ``phi`` is the
+    base map, shape (..., d, c), and ``d1`` and ``d2`` stack its first and
+    second derivatives along each basis direction, shape (directions, ..., d, c).
     They hold the c base-map columns listed in ``columns`` (1-based), by default
     all of them: a suite over a stack asks only for the columns its maps read,
     which keeps the stack's jets small.
@@ -394,26 +369,25 @@ def raise_first_error(errors: np.ndarray) -> None:
 
 
 def eval_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray) -> Jet2:
-    """Value and first two derivatives of f along s -> x exp(sZ)."""
-    phi, d1, d2 = base_map_jet(space, x, z)
-    jet, errors = _eval(f, lambda k, l: Jet2(phi[k - 1, l - 1], d1[k - 1, l - 1],
-                                             d2[k - 1, l - 1]), ())
+    """Value and first two derivatives of f along s -> x exp(sZ): the jet of the
+    point x as a stack of one, along the one direction z."""
+    jet, errors = eval_jet_cached(f, JetContext(space, x[None], PBasis((z,), space.form)))
     raise_first_error(errors)
-    return Jet2(complex(jet.v), complex(jet.d1), complex(jet.d2))
+    return Jet2(*(complex(np.ravel(a)[0]) for a in (jet.v, jet.d1, jet.d2)))
 
 
 def _values(f: Expr, space: SpaceSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values of f at a point or a stack of points, and the walk's error record."""
+    """Values of f at a stack of points, and the walk's error record."""
     phi = base_map_value(space, x, check=False)
     jet, errors = _eval(f, lambda k, l: Jet2(phi[..., k - 1, l - 1], 0.0, 0.0), phi.shape[:-2])
     return np.broadcast_to(jet.v, errors.shape), errors
 
 
 def eval_value(f: Expr, space: SpaceSpec, x: np.ndarray) -> complex:
-    """Plain value of f at x (no derivatives)."""
-    value, errors = _values(f, space, x)
+    """Plain value of f at x (no derivatives), walked as a stack of one."""
+    value, errors = _values(f, space, x[None])
     raise_first_error(errors)
-    return complex(value)
+    return complex(value[0])
 
 
 def entry_columns(f: Expr) -> set[int]:
@@ -435,16 +409,8 @@ def eval_jet_cached(f: Expr, ctx: JetContext) -> tuple[Jet2, np.ndarray]:
     return _eval(f, ctx.entry_jet, ctx.phi.shape[:-2])
 
 
-def direction_jets(f: Expr, space: SpaceSpec, x: np.ndarray,
-                   basis: PBasis | None = None) -> Jet2:
-    """Jet of f at x along every direction of the basis (default: p_basis)."""
-    jet, errors = eval_jet_cached(f, JetContext(space, x, basis))
-    raise_first_error(errors)
-    return jet
-
-
 def _direction_sum(a):
-    # a 0-d derivative is one direction's, or a constant's 0
+    # a 0-d derivative is a constant's 0
     return np.sum(a, axis=0) if np.ndim(a) else a
 
 
@@ -471,40 +437,30 @@ def normalized_residual(value, energy):
     return np.abs(value) / np.maximum(1.0, energy)
 
 
-DEFAULT_FD_STEP = 1e-4
-
-
 def _divided(a: np.ndarray, b: float) -> np.ndarray:
     # Python's complex / float divides each part; numpy multiplies by a reciprocal
     return _complex(a.real / b, a.imag / b)
 
 
-def fd_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray,
-           h: float = DEFAULT_FD_STEP, errors: np.ndarray | None = None) -> Jet2:
-    """Independent central-difference oracle for eval_jet (O(h^2) accurate).
+def fd_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray, h: float,
+           errors: np.ndarray) -> Jet2:
+    """Independent central-difference oracle for the jets (O(h^2) accurate).
 
-    At a point x along z, or at each point of a stack x of shape (k, d, d) along
-    its own direction, the matching entry of z.  One stacked exponential of the
-    2k matrices +-hZ and one walk of the values over the (3, k) stencil points
-    give every point the numbers it gets alone.  A point whose stencil has an
-    error gets the first one (+h, then 0, then -h) in its entry of ``errors``,
-    as in _guard; without a record that error is raised.
+    At each point of a stack x of shape (k, d, d) along its own direction, the
+    matching entry of z.  One stacked exponential of the 2k matrices +-hZ and one
+    walk of the values over the (3, k) stencil points give every point the
+    numbers it gets in a stack of its own.  A point whose stencil has an error
+    gets the first one (+h, then 0, then -h) in its entry of ``errors``, as in
+    _guard.
     """
-    xs, zs = x.reshape((-1,) + x.shape[-2:]), z.reshape((-1,) + z.shape[-2:])
-    k = len(xs)
-    e = mat_exp(np.concatenate([h * zs, -h * zs]))
-    values, stencil_errors = _values(f, space, np.stack([xs @ e[:k], xs, xs @ e[k:]]))
+    k = len(x)
+    e = mat_exp(np.concatenate([h * z, -h * z]))
+    values, stencil_errors = _values(f, space, np.stack([x @ e[:k], x, x @ e[k:]]))
     for i, stencil in enumerate(stencil_errors.T):
-        first = next((err for err in stencil if err is not None), None)
-        if first is not None and errors is None:
-            raise first
-        if first is not None and errors.flat[i] is None:
-            errors.flat[i] = first
+        if errors[i] is None:
+            errors[i] = next((err for err in stencil if err is not None), None)
     fp, f0, fm = values
-    jet = Jet2(f0, _divided(fp - fm, 2.0 * h), _divided(fp - 2.0 * f0 + fm, h * h))
-    if x.ndim == 2:
-        return Jet2(complex(jet.v[0]), complex(jet.d1[0]), complex(jet.d2[0]))
-    return jet
+    return Jet2(f0, _divided(fp - fm, 2.0 * h), _divided(fp - 2.0 * f0 + fm, h * h))
 
 
 def rotated_basis(basis: PBasis, rng: np.random.Generator) -> PBasis:
@@ -513,10 +469,4 @@ def rotated_basis(basis: PBasis, rng: np.random.Generator) -> PBasis:
     m = rng.uniform(-1.0, 1.0, (d, d))
     q, r = np.linalg.qr(m)
     q = q * np.sign(np.diagonal(r))
-    els = []
-    for i in range(d):
-        acc = np.zeros_like(basis.elements[0])
-        for j in range(d):
-            acc = acc + q[i, j] * basis.elements[j]
-        els.append(acc)
-    return PBasis(tuple(els), basis.form)
+    return PBasis(tuple(np.tensordot(q, basis.stack, axes=1)), basis.form)

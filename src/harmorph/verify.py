@@ -18,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import (Entry, Jet2, JetContext, Sqrt, _eval, direction_jets, entry_columns, eval_jet,
-                   eval_jet_cached, eval_value, fd_jet, jet_sums, kappa_sum,
-                   normalized_residual, raise_first_error, rotated_basis)
+from .jets import (BranchCutError, Entry, EvaluationError, Jet2, JetContext, Sqrt, _eval,
+                   entry_columns, eval_jet, eval_jet_cached, eval_value, fd_jet, jet_sums,
+                   kappa_sum, normalized_residual, raise_first_error, rotated_basis)
 from .matrices import leading_principal_minors
 from .morphisms import POSITIVE_SCALE, Morphism, _family_space
 from .sampling import (complex_rational_vector, generators, rational_vector, rng_from_seed,
@@ -353,20 +353,21 @@ def _oracle_check(report: VerificationReport, morphism: Morphism, xs: np.ndarray
                   trial: int, jet: Jet2, fd: tuple) -> None:
     """Compare the suite's jet of the morphism at the trial's point of the stack xs
     with its central differences fd along one direction (see _central_differences);
-    a stencil error is raised."""
+    a stencil error is an "oracle-evaluation-error" failure of the trial."""
     fd_d1, fd_d2, error = fd
+    x = xs[trial]
+    inputs = lambda: {"morphism": morphism.label, "x": _ser_mat(x)}
     if error is not None:
-        raise error
+        report.record_failure(trial, "oracle-evaluation-error", str(error), inputs)
+        return
     basis = p_basis(morphism.space)
     zi = trial % len(basis)
-    x = xs[trial]
     v = complex(np.broadcast_to(jet.v, len(xs))[trial])
     d1, d2 = (complex(np.broadcast_to(a, (len(basis), len(xs)))[zi, trial])
               for a in (jet.d1, jet.d2))
     scale = max(1.0, abs(v) + abs(d1) + abs(d2))
     err = (abs(d1 - fd_d1) + abs(d2 - fd_d2)) / scale
-    report.check(trial, "oracle", err, ORACLE_ABS_TOL,
-                 inputs=lambda: {"morphism": morphism.label, "x": _ser_mat(x)})
+    report.check(trial, "oracle", err, ORACLE_ABS_TOL, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +480,7 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
     All trials go together: one stacked sample, one JetContext, one DAG walk per
     member, residuals as arrays over the trials and one oracle stencil walk per
     member.  Failures are recorded trial by trial, each trial's in the order of its
-    quantities, then its oracle check, which raises the error of a failed stencil.
+    quantities, then its oracle check or the error of its oracle stencil.
     """
     space = _family_space(family)
     if tol is None:
@@ -533,20 +534,23 @@ def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,
                                 trials, seed, tol)
     timer = _Timer(report)
     k_gens = stabilizer_algebra(space)
+    scaled = POSITIVE_SCALE in morphism.invariances
     for t, x in enumerate(sample_in_domain(morphism, seed, np.arange(trials))):
         k = sample_stabilizer_point(space, seed, index=t)
-        fx = eval_value(morphism.expr, space, x)
-        fxk = eval_value(morphism.expr, space, x @ k)
-        report.check(t, "stabilizer-right", abs(fxk - fx), tol,
-                     _inputs(x=x, k=k))
-        if POSITIVE_SCALE in morphism.invariances:
-            rng = rng_from_seed(seed, t, 7)
-            r = rng.uniform(0.5, 2.0)
-            frx = eval_value(morphism.expr, space, r * x)
+        r = rng_from_seed(seed, t, 7).uniform(0.5, 2.0) if scaled else None
+        try:
+            fx = eval_value(morphism.expr, space, x)
+            fxk = eval_value(morphism.expr, space, x @ k)
+            if scaled:
+                frx = eval_value(morphism.expr, space, r * x)
+            # first-jet form: Z(f) = 0 for Z in the stabilizer algebra
+            j = eval_jet(morphism.expr, space, x, k_gens[t % len(k_gens)])
+        except (EvaluationError, BranchCutError) as exc:
+            report.record_failure(t, "evaluation-error", str(exc), _inputs(x=x))
+            continue
+        report.check(t, "stabilizer-right", abs(fxk - fx), tol, _inputs(x=x, k=k))
+        if scaled:
             report.check(t, "positive-scale", abs(frx - fx), tol, _inputs(x=x))
-        # first-jet form: Z(f) = 0 for Z in the stabilizer algebra
-        z = k_gens[t % len(k_gens)]
-        j = eval_jet(morphism.expr, space, x, z)
         report.check(t, "stabilizer-jet", abs(j.d1), tol, _inputs(x=x))
     return timer.done()
 
@@ -578,11 +582,19 @@ def verify_basis_independence(morphism: Morphism, rotations: int = 10, seed: int
                                 space.n, rotations, seed, tol)
     timer = _Timer(report)
     stock = p_basis(space)
-    for t, x in enumerate(sample_in_domain(morphism, seed, np.arange(rotations))):
-        tau0, kap0, energy = jet_sums(direction_jets(morphism.expr, space, x, stock))
+    xs = sample_in_domain(morphism, seed, np.arange(rotations))
+    # the stock-basis jets as _certify computes them, all trials in one walk
+    jet, errors = eval_jet_cached(morphism.expr, JetContext(space, xs, stock))
+    tau0, kap0, energy = (np.broadcast_to(a, rotations) for a in jet_sums(jet))
+    for t, x in enumerate(xs):
         rot = rotated_basis(stock, rng_from_seed(seed, t, 11))
-        tau1, kap1, _ = jet_sums(direction_jets(morphism.expr, space, x, rot))
-        scale = max(1.0, energy)
-        report.check(t, "tau_rotation_diff", abs(tau1 - tau0) / scale, tol, _inputs(x=x))
-        report.check(t, "kappa_rotation_diff", abs(kap1 - kap0) / scale, tol, _inputs(x=x))
+        rotated, rot_errors = eval_jet_cached(morphism.expr, JetContext(space, xs[t:t + 1], rot))
+        error = errors[t] if errors[t] is not None else rot_errors[0]
+        if error is not None:
+            report.record_failure(t, "evaluation-error", str(error), _inputs(x=x))
+            continue
+        tau1, kap1, _ = (complex(np.ravel(a)[0]) for a in jet_sums(rotated))
+        scale = max(1.0, float(energy[t]))
+        report.check(t, "tau_rotation_diff", abs(tau1 - tau0[t]) / scale, tol, _inputs(x=x))
+        report.check(t, "kappa_rotation_diff", abs(kap1 - kap0[t]) / scale, tol, _inputs(x=x))
     return timer.done()

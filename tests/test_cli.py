@@ -108,6 +108,8 @@ def test_parse_polynomial():
     assert p == {(2, 0): (1 + 0j), (1, 1): (3 + 0j)}
     assert parse_polynomial("-z1 + 2", 1) == {(1,): (-1 + 0j), (0,): (2 + 0j)}
     assert parse_polynomial("z1^2", 1) == {(2,): (1 + 0j)}
+    assert (parse_polynomial("(z1 + 2*z2)**3", 2)
+            == parse_polynomial("z1*z1*z1 + 6*z1*z1*z2 + 12*z1*z2*z2 + 8*z2*z2*z2", 2))
     with pytest.raises(ValueError):
         parse_polynomial("z3", 2)
     with pytest.raises(ValueError):
@@ -178,6 +180,27 @@ def test_verify_records_jet_error_and_exits_1(runner, monkeypatch):
     assert not isinstance(result.exception, ArithmeticError)
     report = json.loads(result.stdout)
     assert {f["quantity"] for f in report["failures"]} == {"evaluation-error"}
+
+
+def test_verify_records_oracle_stencil_error_and_exits_1(runner, monkeypatch):
+    """An oracle stencil that crosses the branch cut is a failure, not a traceback."""
+    from harmorph import cli, verify
+    from harmorph.jets import Entry, Sqrt
+    from harmorph.morphisms import Morphism
+    from harmorph.spaces import make_space
+
+    space = make_space("slr-so", 2)
+    cut = Morphism(Sqrt(Entry(1, 1) - 1.0), space, "cut-where-phi11-below-1",
+                   lambda x: space.membership(x, 1e-8), ())
+    monkeypatch.setattr(cli, "real_morphism", lambda n, k, l: cut)
+    monkeypatch.setattr(verify, "ORACLE_STEP", 0.5)
+    result = runner.invoke(main, ["verify", "--space", "slr-so", "--n", "2", "--k", "1",
+                                  "--l", "2", "--trials", "2", "--seed", "3",
+                                  "--format", "json"])
+    assert result.exit_code == 1
+    assert not isinstance(result.exception, ArithmeticError)
+    report = json.loads(result.stdout)
+    assert "oracle-evaluation-error" in {f["quantity"] for f in report["failures"]}
 
 
 @pytest.mark.parametrize("args", [

@@ -373,6 +373,15 @@ def test_exact_line_counts_every_failing_trial(monkeypatch):
     assert "exact:" not in render_report(bad)
 
 
+def test_public_names_resolve_once():
+    """Every name in harmorph.__all__ is exported, and none is listed twice."""
+    import harmorph
+
+    assert len(harmorph.__all__) == len(set(harmorph.__all__))
+    for name in harmorph.__all__:
+        assert hasattr(harmorph, name), name
+
+
 def test_benchmark_traced_names_are_verify_globals():
     """perfbench/tracing.py wraps these module globals of harmorph.verify by name."""
     import ast
@@ -395,10 +404,11 @@ def test_benchmark_traced_names_are_verify_globals():
 def _reference_certify(suite, family, trials, seed, tag):
     """The certification loop one trial at a time: the jets at each trial's point
     alone, as a stack of one, and the one-point oracle."""
-    from harmorph.jets import (BranchCutError, EvaluationError, Jet2, direction_jets, fd_jet,
-                               jet_sums, kappa_sum, normalized_residual)
+    from harmorph.jets import (Jet2, JetContext, eval_jet_cached, fd_jet, jet_sums, kappa_sum,
+                               normalized_residual)
     from harmorph.spaces import p_basis
-    from harmorph.verify import ORACLE_ABS_TOL, ORACLE_STEP, _inputs, sample_in_domain
+    from harmorph.verify import (ORACLE_ABS_TOL, ORACLE_STEP, _inputs, _ser_mat,
+                                 sample_in_domain)
 
     space = family[0].space
     tol = default_tolerance(space)
@@ -407,15 +417,14 @@ def _reference_certify(suite, family, trials, seed, tag):
     basis = p_basis(space)
     for t in range(trials):
         x = sample_in_domain(family, seed, t)
-        try:
-            # the point as a stack of one, whose walk rounds as the suite's stack does;
-            # at a single point numpy multiplies scalars, which round differently
-            stacked = [direction_jets(m.expr, space, x[None], basis) for m in family]
-        except (EvaluationError, BranchCutError) as exc:
-            report.record_failure(t, "evaluation-error", str(exc), _inputs(x=x))
+        # the point as a stack of one, whose walk rounds as the suite's stack does
+        walks = [eval_jet_cached(m.expr, JetContext(space, x[None], basis)) for m in family]
+        error = next((e for _, errors in walks for e in errors if e is not None), None)
+        if error is not None:
+            report.record_failure(t, "evaluation-error", str(error), _inputs(x=x))
             continue
         jets = [Jet2(*(a[..., 0] if np.ndim(a) else a for a in (j.v, j.d1, j.d2)))
-                for j in stacked]
+                for j, _ in walks]
         energies = []
         for m, jet in zip(family, jets):
             tau, _, energy = jet_sums(jet)
@@ -431,10 +440,16 @@ def _reference_certify(suite, family, trials, seed, tag):
             a = t % len(family)
             zi = t % len(basis)
             d1, d2 = (complex(np.broadcast_to(v, len(basis))[zi]) for v in (jets[a].d1, jets[a].d2))
-            fd = fd_jet(family[a].expr, space, x, basis.elements[zi], h=ORACLE_STEP)
+            errors = np.full(1, None, dtype=object)
+            fd = fd_jet(family[a].expr, space, x[None], basis.stack[zi:zi + 1], ORACLE_STEP,
+                        errors)
+            inputs = {"morphism": family[a].label, "x": _ser_mat(x)}
+            if errors[0] is not None:
+                report.record_failure(t, "oracle-evaluation-error", str(errors[0]), inputs)
+                continue
             scale = max(1.0, abs(complex(jets[a].v)) + abs(d1) + abs(d2))
-            report.check(t, "oracle", (abs(d1 - fd.d1) + abs(d2 - fd.d2)) / scale,
-                         ORACLE_ABS_TOL, _inputs(x=x))
+            err = (abs(d1 - complex(fd.d1[0])) + abs(d2 - complex(fd.d2[0]))) / scale
+            report.check(t, "oracle", err, ORACLE_ABS_TOL, inputs)
     return report
 
 
@@ -497,40 +512,73 @@ def test_certification_equals_reference_loop(suite, family, monkeypatch):
 
 
 @pytest.mark.parametrize("step", [0.5, 1.0])
-def test_failed_oracle_stencil_raises_as_reference_loop(step, monkeypatch):
+def test_failed_oracle_stencil_is_recorded_as_reference_loop(step, monkeypatch):
     """A step this long carries some oracle stencils across the cut while their
-    centers evaluate: the suite raises the error the trial-by-trial loop raises."""
-    from harmorph.jets import BranchCutError
-
+    centers evaluate: the suite records each such stencil's error as a failure of
+    its trial, as the trial-by-trial loop does, and raises nothing."""
     monkeypatch.setattr(harmorph.verify, "ORACLE_STEP", step)
-    raised = []
+    monkeypatch.setattr(harmorph.verify, "MAX_CAPTURED_FAILURES", 10_000)
+    stencil_errors = 0
     for seed in (SEED, 11):
-        outcomes = []
-        for run in (lambda: verify_harmonic(ON_THE_CUT, 30, seed),
-                    lambda: _reference_certify("harmonic", [ON_THE_CUT], 30, seed,
-                                               lambda *members: "")):
-            try:
-                report = run()
-                outcomes.append((report.max_residuals.get("oracle"), report.failed_trials))
-            except BranchCutError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        raised.append(isinstance(outcomes[0], str))
-    assert any(raised)
+        got = verify_harmonic(ON_THE_CUT, 30, seed)
+        ref = _reference_certify("harmonic", [ON_THE_CUT], 30, seed, lambda *members: "")
+        assert got.failed_trials == ref.failed_trials
+        assert got.max_residuals.get("oracle") == ref.max_residuals.get("oracle")
+        assert ([(f["trial"], f["quantity"], f.get("inputs")) for f in got.failures]
+                == [(f["trial"], f["quantity"], f.get("inputs")) for f in ref.failures])
+        oracle = [f for f in got.failures if f["quantity"].startswith("oracle")]
+        assert oracle == [f for f in ref.failures if f["quantity"].startswith("oracle")]
+        stencil_errors += sum(f["quantity"] == "oracle-evaluation-error" for f in oracle)
+    assert stencil_errors
 
 
 def test_error_stacks_mix_failing_and_evaluated_trials():
-    """At the points of the cases above some trials raise each error and the rest evaluate."""
-    from harmorph.jets import BranchCutError, EvaluationError, direction_jets
+    """At the points of the cases above some trials fail each way and the rest evaluate."""
+    from harmorph.jets import JetContext, eval_jet_cached
     from harmorph.verify import sample_in_domain
 
     kinds = set()
     for t in range(30):
         x = sample_in_domain([DIVIDES_BY_ZERO, ON_THE_CUT], SEED, t)
-        try:
-            for m in (DIVIDES_BY_ZERO, ON_THE_CUT):
-                direction_jets(m.expr, m.space, x)
-            kinds.add("evaluated")
-        except (EvaluationError, BranchCutError) as exc:
-            kinds.add(type(exc).__name__)
+        errors = [eval_jet_cached(m.expr, JetContext(m.space, x[None]))[1][0]
+                  for m in (DIVIDES_BY_ZERO, ON_THE_CUT)]
+        first = next((e for e in errors if e is not None), None)
+        kinds.add("evaluated" if first is None else type(first).__name__)
     assert kinds == {"evaluated", "EvaluationError", "BranchCutError"}
+
+
+@pytest.mark.parametrize("seed", [1, 11, SEED])
+def test_basis_independence_compares_the_certified_jets(seed, monkeypatch):
+    """The stock-basis tau, kappa and energy that the basis-independence suite
+    compares are, bit for bit, those the certification computes at the same points."""
+    from harmorph.jets import jet_sums
+
+    calls = []
+    walk = harmorph.verify.eval_jet_cached
+
+    def recording(f, ctx):
+        out = walk(f, ctx)
+        calls.append((ctx, out[0]))
+        return out
+
+    monkeypatch.setattr(harmorph.verify, "eval_jet_cached", recording)
+    m = dual_real_morphism(3, 1, 2)
+    verify_harmonic(m, 10, seed)
+    (certified_ctx, certified), = calls
+    calls.clear()
+    verify_basis_independence(m, 10, seed)
+    stock_ctx, stock = calls[0]
+    assert stock_ctx.basis is certified_ctx.basis
+    assert np.array_equal(stock_ctx.x, certified_ctx.x)
+    for a, b in zip(jet_sums(stock), jet_sums(certified)):
+        assert a.shape == (10,) and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("m", [DIVIDES_BY_ZERO, ON_THE_CUT], ids=lambda m: m.label)
+def test_basis_independence_and_invariance_record_jet_errors(m):
+    """A point whose jet or value cannot be evaluated is a failure of its trial."""
+    for suite in (verify_basis_independence, verify_invariance):
+        r = suite(m, 20, SEED)
+        assert not r.passed
+        assert {f["quantity"] for f in r.failures} == {"evaluation-error"}
+        assert 0 < len(r.failed_trials) < 20
