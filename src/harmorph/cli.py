@@ -8,14 +8,15 @@ echoed on standard error so any run can be replayed.
 from __future__ import annotations
 
 import ast
+import cmath
 import math
 import sys
 
 import click
 
 from . import verify as vf
-from .morphisms import (control_morphism, dual_quat_family, dual_real_morphism,
-                        holomorphic_compose, quat_family, real_morphism,
+from .morphisms import (MAX_COMPOSE_DEGREE, control_morphism, dual_quat_family,
+                        dual_real_morphism, holomorphic_compose, quat_family, real_morphism,
                         typeIV_bigcell_morphism)
 from .sampling import fresh_seed
 from .spaces import SPACE_IDS, expected_basis_size, make_space
@@ -266,12 +267,19 @@ def run_sweep(n_max: int, trials: int, seed: int) -> list[vf.VerificationReport]
 # ---------------------------------------------------------------------------
 
 def parse_polynomial(text: str, nvars: int) -> dict[tuple[int, ...], complex]:
-    """Parse e.g. ``z1**2 + 3*z1*z2`` (``^`` also accepted for powers)."""
+    """Parse e.g. ``z1**2 + 3*z1*z2`` (``^`` also accepted for powers).
+
+    A power or product above MAX_COMPOSE_DEGREE is rejected before it is expanded,
+    and so is a constant or coefficient that is not finite.
+    """
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse polynomial: {exc}")
-    return _poly_eval(tree.body, nvars)
+    poly = _poly_eval(tree.body, nvars)
+    if not all(cmath.isfinite(c) for c in poly.values()):  # a product overflowed
+        raise ValueError("a coefficient of the polynomial is not finite")
+    return poly
 
 
 def _poly_eval(node, nvars) -> dict[tuple[int, ...], complex]:
@@ -279,6 +287,8 @@ def _poly_eval(node, nvars) -> dict[tuple[int, ...], complex]:
     if isinstance(node, ast.Constant):
         if type(node.value) not in (int, float):  # rejects bool, an int subclass
             raise ValueError(f"unsupported constant {node.value!r}")
+        if not abs(node.value) <= sys.float_info.max:  # inf, nan or an int beyond floats
+            raise ValueError("constants must be finite")
         return {zero: complex(node.value)}
     if isinstance(node, ast.Name):
         name = node.id
@@ -307,8 +317,9 @@ def _poly_eval(node, nvars) -> dict[tuple[int, ...], complex]:
             return _poly_mul(_poly_eval(node.left, nvars), _poly_eval(node.right, nvars))
         if isinstance(node.op, ast.Pow):
             exp = node.right.value if isinstance(node.right, ast.Constant) else None
-            if type(exp) is not int or exp < 0:  # not bool, an int subclass
-                raise ValueError("powers must be non-negative integer constants")
+            # not bool, an int subclass; a constant base, of degree 0, is bounded too
+            if type(exp) is not int or not 0 <= exp <= MAX_COMPOSE_DEGREE:
+                raise ValueError(f"powers must be integer constants 0..{MAX_COMPOSE_DEGREE}")
             base = _poly_eval(node.left, nvars)
             out = {zero: 1.0 + 0.0j}
             for _ in range(exp):
@@ -318,6 +329,9 @@ def _poly_eval(node, nvars) -> dict[tuple[int, ...], complex]:
 
 
 def _poly_mul(p: dict, q: dict) -> dict[tuple[int, ...], complex]:
+    degree = max(map(sum, p)) + max(map(sum, q))
+    if degree > MAX_COMPOSE_DEGREE:  # checked before the product is expanded
+        raise ValueError(f"total degree {degree} exceeds {MAX_COMPOSE_DEGREE}")
     out: dict[tuple[int, ...], complex] = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():

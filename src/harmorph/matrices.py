@@ -13,8 +13,6 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .scalars import ComplexRational
-
 
 class BackendError(TypeError):
     """Operation requested on an unsupported scalar backend."""
@@ -40,17 +38,6 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     if is_exact(a):
         raise BackendError("mat_exp is not defined on the exact backend")
     return scipy.linalg.expm(a)
-
-
-def exact_matrix(rows, complex_backend: bool = False) -> np.ndarray:
-    """Build an exact object-dtype matrix from nested scalars."""
-    conv = ComplexRational if complex_backend else Fraction
-    data = [[x if isinstance(x, (Fraction, ComplexRational)) else conv(x) for x in row] for row in rows]
-    out = np.empty((len(data), len(data[0])), dtype=object)
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            out[i, j] = x
-    return out
 
 
 def exact_eye(n: int) -> np.ndarray:

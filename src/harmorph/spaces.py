@@ -12,11 +12,12 @@ su-sp   SU(2n)              Sp(n)           x -> x J^t x^t J
 slc-su  SL(n, C)            SU(n)           x -> x x^*
 ====== =================== =============== ==================
 
-Every basis is built exactly, as Gaussian-integer matrices with a rational
-scale^2 (:func:`p_basis_exact`); the float basis multiplies each matrix by
-its scale.  slr-so and sus-sp take the hand-written appendix families (D_k,
-X_kl and the five block sets), slc-su the Hermitian units X_kl, iY_kl and the
-traceless diagonals h_j.  A compact dual's tangent space is i times the
+Every basis is built exactly, as the sparse Gaussian-integer entries of each
+element with a rational scale^2 (:func:`p_basis_exact`), all from one unit
+builder (:func:`unit`); the float basis is :func:`dense` of each element.
+slr-so and sus-sp take the hand-written appendix families (D_k, X_kl and the
+five block sets), slc-su the Hermitian units X_kl, iY_kl and the traceless
+diagonals h_j.  A compact dual's tangent space is i times the
 traceless part of its partner's: su-so takes i X_kl and i h_j, su-sp i times
 the sus-sp block families with the trace direction replaced by diag(h_j, h_j).
 """
@@ -30,71 +31,43 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .matrices import exact_matrix
 from .scalars import ComplexRational
 
-SQRT2 = math.sqrt(2.0)
-
-# Exact basis elements are stored as (matrix, scale_sq) with the true
-# element scale * matrix, scale = sqrt(scale_sq).  Every identity checked
-# on the exact backend consumes only products of two basis elements, so
-# the irrational scale never needs to be materialized.
-ExactBasisElement = tuple[np.ndarray, Fraction]
+# An exact matrix is the tuple of its nonzero entries (i, j, Re, Im): 0-based
+# indices and Gaussian-integer values as Python ints.  An exact basis element
+# is (entries, scale_sq) with the true element scale * M, scale = sqrt(scale_sq).
+# Every identity checked exactly consumes only products of two basis elements,
+# so the irrational scale never needs to be materialized.
+Entries = tuple[tuple[int, int, int, int], ...]
+ExactBasisElement = tuple[Entries, Fraction]
 
 HALF = Fraction(1, 2)
+ONE, I = (1, 0), (0, 1)
 
 
 # ---------------------------------------------------------------------------
-# elementary matrices
+# exact unit matrices: sparse Gaussian-integer entries
 # ---------------------------------------------------------------------------
 
-def elem_E(n: int, k: int, l: int, dtype=complex) -> np.ndarray:
-    """Matrix unit E_kl (1-based indices)."""
-    _check_index(n, k, l)
-    m = np.zeros((n, n), dtype=dtype)
-    m[k - 1, l - 1] = 1
-    return m
+def unit(n: int, k: int, l: int, sign: int, one=(1, 0), at=(0, 0)) -> Entries:
+    """one * (E_kl + sign E_lk), or one * E_kk when k == l, of an n x n block at offset at.
 
-
-def elem_D(n: int, k: int, dtype=complex) -> np.ndarray:
-    """Diagonal unit D_k = E_kk."""
-    return elem_E(n, k, k, dtype)
-
-
-def elem_X(n: int, k: int, l: int, dtype=complex) -> np.ndarray:
-    """Symmetric unit (E_kl + E_lk) / sqrt(2), requires k < l."""
-    _check_ordered(k, l)
-    return (elem_E(n, k, l, dtype) + elem_E(n, l, k, dtype)) / SQRT2
-
-
-def elem_Y(n: int, k: int, l: int, dtype=complex) -> np.ndarray:
-    """Antisymmetric unit (E_kl - E_lk) / sqrt(2), requires k < l."""
-    _check_ordered(k, l)
-    return (elem_E(n, k, l, dtype) - elem_E(n, l, k, dtype)) / SQRT2
-
-
-def _check_index(n: int, k: int, l: int) -> None:
+    k and l are 1-based; one is a Gaussian integer (Re, Im).
+    """
     if not (1 <= k <= n and 1 <= l <= n):
         raise IndexError(f"index ({k},{l}) out of range for n={n}")
+    (r, c), (re, im) = at, one
+    if k == l:
+        return ((r + k - 1, c + k - 1, re, im),)
+    return ((r + k - 1, c + l - 1, re, im), (r + l - 1, c + k - 1, sign * re, sign * im))
 
 
-def _check_ordered(k: int, l: int) -> None:
-    if not k < l:
-        raise IndexError(f"X/Y units require k < l, got ({k},{l})")
-
-
-def exact_unit(n: int, k: int, l: int, sign: int, one) -> np.ndarray:
-    """one * (E_kl + sign E_lk), or one * E_kk when k == l, with entries of one's type.
-
-    Built by assignment only, so making a unit costs no exact arithmetic.
-    """
-    _check_index(n, k, l)
-    m = np.empty((n, n), dtype=object)
-    m[:] = type(one)(0)
-    m[k - 1, l - 1] = one
-    if k != l:
-        m[l - 1, k - 1] = one if sign > 0 else -one
-    return m
+def dense(entries: Entries, scale_sq: Fraction, d: int) -> np.ndarray:
+    """The d x d complex matrix scale * M of entries M, scale = sqrt(scale_sq)."""
+    m = np.zeros((d, d), dtype=complex)
+    for i, j, re, im in entries:
+        m[i, j] = complex(re, im)
+    return m / math.sqrt(1 / scale_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -275,66 +248,42 @@ def expected_basis_size(space: SpaceSpec) -> int:
     raise AssertionError(space.id)
 
 
-def _quat_block(top_left, bottom_right, top_right=None, bottom_left=None) -> np.ndarray:
-    n = top_left.shape[0] if top_left is not None else top_right.shape[0]
-    z = np.zeros((n, n), dtype=complex)
-    tl = top_left if top_left is not None else z
-    br = bottom_right if bottom_right is not None else z
-    tr = top_right if top_right is not None else z
-    bl = bottom_left if bottom_left is not None else z
-    return np.block([[tl, tr], [bl, br]])
-
-
 def stabilizer_algebra(space: SpaceSpec) -> list[np.ndarray]:
     """Generators (orthogonal, not normalized) of the stabilizer Lie algebra."""
     n = space.n
-    so = [elem_Y(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    so = [dense(unit(n, k, l, -1), HALF, n) for k, l in pairs]
     if space.stabilizer == "so":
         return so
     if space.stabilizer == "su":
         # su(n) = so(n) + the tangent space of SU(n)/SO(n)
         return so + list(p_basis(make_space("su-so", n)))
-    # sp(n): alpha anti-Hermitian, beta symmetric
-    gens = []
-    alphas = [1j * elem_D(n, k) for k in range(1, n + 1)]
-    alphas += so
-    alphas += [1j * elem_X(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-    for a in alphas:
-        gens.append(_quat_block(a, a.conj()))
-    betas = [elem_D(n, k) for k in range(1, n + 1)]
-    betas += [elem_X(n, k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-    betas += [1j * b for b in betas[: n + n * (n - 1) // 2]]
-    for b in betas:
-        gens.append(_quat_block(None, None, b, -b.conj()))
-    return gens
+    # sp(n): Q(a, b) with a anti-Hermitian, b symmetric; a unit is (k, l, sign, scale_sq)
+    diag = [(k, k, 1, Fraction(1)) for k in range(1, n + 1)]
+    sym = [(k, l, 1, HALF) for k, l in pairs]
+    gens = [(u, I, False) for u in diag] + [((k, l, -1, HALF), ONE, False) for k, l in pairs]
+    gens += [(u, I, False) for u in sym] + [(u, a, True) for a in (ONE, I) for u in diag + sym]
+    return [dense(_quaternion(n, k, l, s, a, off), c, 2 * n) for (k, l, s, c), a, off in gens]
 
 
 @lru_cache(maxsize=None)
-def _p_basis_cached(space_id: str, n: int) -> PBasis:
-    space = make_space(space_id, n)
-    els = []
-    for m, scale_sq in p_basis_exact(space):
-        z = m.astype(complex) / math.sqrt(1 / scale_sq)
-        z.setflags(write=False)
-        els.append(z)
-    return PBasis(tuple(els), space.form)
-
-
 def p_basis(space: SpaceSpec) -> PBasis:
-    """The float basis, each element scale * matrix of p_basis_exact."""
-    return _p_basis_cached(space.id, space.n)
+    """The float basis, dense() of each element of p_basis_exact, built once per space."""
+    els = tuple(dense(m, scale_sq, space.ambient_dim) for m, scale_sq in p_basis_exact(space))
+    for z in els:
+        z.setflags(write=False)
+    return PBasis(els, space.form)
 
 
 # ---------------------------------------------------------------------------
-# exact bases: Gaussian-integer matrices with their scale^2, built by assignment
+# exact bases: sparse Gaussian-integer entries with their scale^2
 # ---------------------------------------------------------------------------
 
-ONE, I = ComplexRational(1), ComplexRational(0, 1)
 QUARTER = Fraction(1, 4)
 
 
 def p_basis_exact(space: SpaceSpec) -> list[ExactBasisElement]:
-    """The basis of the horizontal complement as (matrix, scale^2) pairs.
+    """The basis of the horizontal complement as (entries, scale^2) pairs.
 
     The compact duals take i times their partner's elements: su-so those of
     slr-so, su-sp those of sus-sp, with the trace directions replaced by the
@@ -343,63 +292,48 @@ def p_basis_exact(space: SpaceSpec) -> list[ExactBasisElement]:
     n = space.n
     pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     if space.id == "slr-so":
-        one = Fraction(1)
-        return ([(exact_unit(n, k, k, 1, one), one) for k in range(1, n + 1)]
-                + [(exact_unit(n, k, l, 1, one), HALF) for k, l in pairs])
+        return ([(unit(n, k, k, 1), Fraction(1)) for k in range(1, n + 1)]
+                + [(unit(n, k, l, 1), HALF) for k, l in pairs])
     if space.id == "su-so":
-        return [(exact_unit(n, k, l, 1, I), HALF) for k, l in pairs] + _traceless_diagonals(n, I)
+        return [(unit(n, k, l, 1, I), HALF) for k, l in pairs] + _traceless_diagonals(n, I)
     if space.id == "slc-su":
-        return ([(exact_unit(n, k, l, 1, ONE), HALF) for k, l in pairs]
-                + [(exact_unit(n, k, l, -1, I), HALF) for k, l in pairs]
+        return ([(unit(n, k, l, 1), HALF) for k, l in pairs]
+                + [(unit(n, k, l, -1, I), HALF) for k, l in pairs]
                 + _traceless_diagonals(n, ONE))
     if space.id == "sus-sp":
-        one, diagonals = ONE, [(exact_unit(n, k, k, 1, ONE), Fraction(1))
-                              for k in range(1, n + 1)]
+        one, diagonals = ONE, [(_quaternion(n, k, k, 1, ONE), HALF) for k in range(1, n + 1)]
     elif space.id == "su-sp":
-        one, diagonals = I, _traceless_diagonals(n, I)
+        one, diagonals = I, _traceless_diagonals(n, I, ((0, 0), (n, n)))
     else:
         raise AssertionError(space.id)
-    return ([(_exact_quat_block(n, tl=m, br=m), c / 2) for m, c in diagonals]
-            + _sus_sp_basis_exact(n, one))
+    # one * Q(X_kl, 0), Q(iY_kl, 0), Q(0, Y_kl) and Q(0, iY_kl), Y_kl = E_kl - E_lk
+    families = ((1, ONE, False), (-1, I, False), (-1, ONE, True), (-1, I, True))
+    return diagonals + [(_quaternion(n, k, l, sign, a, off, one), QUARTER)
+                        for sign, a, off in families for k, l in pairs]
 
 
-def _traceless_diagonals(n: int, one) -> list[ExactBasisElement]:
-    """one * h_j, h_j = diag(1, ..., 1, -j, 0, ..., 0) with j ones, scale^2 1/(j(j+1))."""
-    out = []
-    for j in range(1, n):
-        m = exact_unit(n, j + 1, j + 1, 1, one * -j)
-        m[range(j), range(j)] = one
-        out.append((m, Fraction(1, j * (j + 1))))
-    return out
+def _quaternion(n: int, k: int, l: int, sign: int, a, off=False, one=ONE) -> Entries:
+    """one * Q(A, B), Q(A, B) = [[A, B], [-conj B, conj A]], where A (or B if off) is
+    a (E_kl + sign E_lk) and the other block 0."""
+    (re, im), (ore, oim) = a, one
+    a, twin = [(x * ore - y * oim, x * oim + y * ore)
+               for x, y in (a, (-re, im) if off else (re, -im))]
+    return (unit(n, k, l, sign, a, (0, n) if off else (0, 0))
+            + unit(n, k, l, sign, twin, (n, 0) if off else (n, n)))
 
 
-def _exact_quat_block(n, tl=None, br=None, tr=None, bl=None) -> np.ndarray:
-    out = np.empty((2 * n, 2 * n), dtype=object)
-    out[:] = ComplexRational(0)
-    for block, (r0, c0) in ((tl, (0, 0)), (tr, (0, n)), (bl, (n, 0)), (br, (n, n))):
-        if block is not None:
-            out[r0:r0 + n, c0:c0 + n] = block
-    return out
+def _traceless_diagonals(n: int, one, ats=((0, 0),)) -> list[ExactBasisElement]:
+    """one * h_j in each block at ats, h_j = diag(1, ..., 1, -j, 0, ..., 0) with j ones,
+    scale^2 1/(j(j+1) len(ats))."""
+    re, im = one
+    return [(sum((unit(n, i, i, 1, (w * re, w * im), at) for at in ats
+                  for i, w in enumerate([1] * j + [-j], start=1)), ()),
+             Fraction(1, j * (j + 1) * len(ats))) for j in range(1, n)]
 
 
-def _sus_sp_basis_exact(n: int, one) -> list[ExactBasisElement]:
-    """The four traceless block families of the sus-sp basis, times one (1 or i)."""
-    pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-
-    def units(sign, unit):
-        return [exact_unit(n, k, l, sign, unit) for k, l in pairs]
-
-    oi = one * I
-    blocks = [dict(tl=x, br=x) for x in units(1, one)]
-    blocks += [dict(tl=a, br=b) for a, b in zip(units(-1, oi), units(-1, -oi))]
-    blocks += [dict(tr=a, bl=b) for a, b in zip(units(-1, one), units(-1, -one))]
-    blocks += [dict(tr=a, bl=a) for a in units(-1, oi)]
-    return [(_exact_quat_block(n, **b), QUARTER) for b in blocks]
-
-
-def symplectic_J_exact(n: int) -> np.ndarray:
-    """symplectic_J(n) with ComplexRational entries."""
-    return exact_matrix(symplectic_J(n).real.astype(int).tolist(), complex_backend=True)
+def symplectic_J_entries(n: int) -> Entries:
+    """symplectic_J(n) = Q(0, I) as exact entries."""
+    return sum((_quaternion(n, k, k, 1, ONE, True) for k in range(1, n + 1)), ())
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +343,11 @@ def symplectic_J_exact(n: int) -> np.ndarray:
 def casimir_p_sum(space: SpaceSpec) -> np.ndarray:
     """Sum of Z^2 over the p-basis, exactly: a rational multiple of the identity."""
     d = space.ambient_dim
-    total = np.full((d, d), Fraction(0), dtype=object)
+    total = np.full((d, d), ComplexRational(0), dtype=object)
     for m, scale_sq in p_basis_exact(space):
-        total = total + scale_sq * (m @ m)
+        for i, j, ar, ai in m:
+            for j2, l, br, bi in m:
+                if j2 == j:
+                    total[i, l] = total[i, l] + scale_sq * ComplexRational(ar * br - ai * bi,
+                                                                           ar * bi + ai * br)
     return total

@@ -1,16 +1,28 @@
 """Command-line surface: verbs, exit codes, output formats, seed echo."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import harmorph
 from harmorph.cli import main, parse_polynomial
 
 
 @pytest.fixture
 def runner():
     return CliRunner(mix_stderr=False) if "mix_stderr" in CliRunner.__init__.__code__.co_varnames else CliRunner()
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(harmorph.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "harmorph", "spaces"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0 and "slr-so" in result.stdout
 
 
 def test_spaces_lists_all_ids(runner):
@@ -116,6 +128,35 @@ def test_parse_polynomial():
         parse_polynomial("z1**z1", 1)
     with pytest.raises(ValueError):
         parse_polynomial("import os", 1)
+    assert parse_polynomial("z1*(z2**3)*z1**2", 2) == {(3, 3): (1 + 0j)}
+    # a degree above MAX_COMPOSE_DEGREE is rejected before the product is expanded
+    for text in ("z1**99999999", "z1**7", "(z1**2)**4", "z1*z1*z1*z1*z1*z1*z1", "2**7",
+                 "(z1 + z2)**3 * z2**4"):
+        with pytest.raises(ValueError):
+            parse_polynomial(text, 2)
+    for text in ("1e400*z1", "1" + "0" * 400 + "*z1", "1e300*1e300*z1"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_polynomial(text, 1)
+
+
+@pytest.mark.parametrize("poly", ["z1**99999999", "1e400*z1"])
+def test_compose_out_of_bounds_is_usage_error(runner, poly):
+    result = runner.invoke(main, ["verify", "--space", "sus-sp", "--n", "2", "--family", "1",
+                                  "--compose", poly, "--trials", "2", "--seed", "7"])
+    assert result.exit_code == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_residual_fails_with_strict_json(runner):
+    """1e300 * z1**2 overflows: its energy is inf and kappa nan, which must FAIL."""
+    result = runner.invoke(main, ["verify", "--space", "sus-sp", "--n", "2", "--family", "1",
+                                  "--compose", "1e300*z1**2", "--trials", "5", "--seed", "7",
+                                  "--format", "json"])
+    assert result.exit_code == 1
+    report = json.loads(result.stdout, parse_constant=pytest.fail)
+    assert not report["passed"]
+    assert "nan" in {f["value"] for f in report["failures"]}
 
 
 @pytest.mark.parametrize("text", ["z1 + True", "z1*False + z2", "z1**True", "z2**False"])

@@ -14,7 +14,7 @@ from harmorph.morphisms import (dual_quat_family, dual_real_morphism, quat_famil
                                 real_morphism, typeIV_bigcell_morphism)
 from harmorph.matrices import mat_exp
 from harmorph.sampling import rng_from_seed, sample_group_point
-from harmorph.spaces import SPACE_IDS, elem_D, elem_X, make_space, p_basis
+from harmorph.spaces import HALF, SPACE_IDS, dense, make_space, p_basis, unit
 from harmorph.verify import sample_in_domain
 
 
@@ -76,9 +76,9 @@ def test_base_map_jet_worked_examples():
     """At the identity of GL+(2,R): entries of Phi = x x^t along known directions."""
     space = make_space("slr-so", 2)
     x = np.eye(2, dtype=complex)
-    j = eval_jet(Entry(1, 1), space, x, elem_D(2, 1))
+    j = eval_jet(Entry(1, 1), space, x, dense(unit(2, 1, 1, 1), 1, 2))
     assert abs(j.v - 1) < 1e-15 and abs(j.d1 - 2) < 1e-15 and abs(j.d2 - 4) < 1e-15
-    j = eval_jet(Entry(1, 2), space, x, elem_X(2, 1, 2))
+    j = eval_jet(Entry(1, 2), space, x, dense(unit(2, 1, 2, 1), HALF, 2))
     assert abs(j.v) < 1e-15
     assert abs(j.d1 - math.sqrt(2)) < 1e-14
     assert abs(j.d2) < 1e-14

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmorph.matrices import (BackendError, BigCellError, det, exact_eye,
-                               exact_matrix, gauss_ldu, is_exact,
-                               leading_principal_minors, mat_exp)
+from harmorph.matrices import (BackendError, BigCellError, det, exact_eye, gauss_ldu,
+                               is_exact, leading_principal_minors, mat_exp)
+
+
+def exact_matrix(rows):
+    """An exact matrix: an object array of Fractions."""
+    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
+
 
 small_fraction = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from harmorph.scalars import ComplexRational
-from harmorph.spaces import (MINUS_RE_TRACE_XY, RE_TRACE_XY, SPACE_IDS, TRACE_XY, X_JT_XT_J,
-                             X_XSTAR, X_XT, casimir_p_sum, elem_D, elem_X, elem_Y,
-                             expected_basis_size, form_inner, make_space,
-                             p_basis, p_basis_exact, stabilizer_algebra,
-                             symplectic_J, symplectic_J_exact)
-from harmorph.verify import _sparse
+from harmorph.spaces import (HALF, MINUS_RE_TRACE_XY, RE_TRACE_XY, SPACE_IDS, TRACE_XY,
+                             X_JT_XT_J, X_XSTAR, X_XT, casimir_p_sum, dense,
+                             expected_basis_size, form_inner, make_space, p_basis,
+                             p_basis_exact, stabilizer_algebra, symplectic_J,
+                             symplectic_J_entries, unit)
 
 ALL_CASES = [(sid, n) for sid in SPACE_IDS
              for n in ([1, 2, 3] if sid in ("sus-sp", "su-sp") else [2, 3, 4])]
@@ -79,11 +78,20 @@ def test_quaternionic_membership_condition():
 
 
 def test_elementary_matrices_normalized():
-    x = elem_X(3, 1, 2)
-    y = elem_Y(3, 1, 2)
+    x = dense(unit(3, 1, 2, 1), HALF, 3)
+    y = dense(unit(3, 1, 2, -1), HALF, 3)
+    d = dense(unit(3, 1, 1, 1), Fraction(1), 3)
     assert abs(np.trace(x @ x) - 1) < 1e-15
     assert abs(np.trace(y @ y) + 1) < 1e-15  # antisymmetric squares to -1 under trace
-    assert np.trace(elem_D(3, 1) @ elem_D(3, 1)) == 1
+    assert np.trace(d @ d) == 1
+
+
+def test_unit_entries_and_range():
+    assert unit(3, 1, 2, -1, (0, 1), (3, 0)) == ((3, 1, 0, 1), (4, 0, 0, -1))
+    assert unit(3, 2, 2, -1, (2, -1)) == ((1, 1, 2, -1),)
+    for k, l in ((0, 1), (1, 0), (4, 1), (1, 4)):
+        with pytest.raises(IndexError):
+            unit(3, k, l, 1)
 
 
 @pytest.mark.parametrize("sid,n,expect", [
@@ -112,29 +120,44 @@ def test_casimir_sum_is_scalar(sid, n, expect):
                                    ("su-so", 2), ("su-so", 3), ("su-sp", 2), ("su-sp", 3),
                                    ("slc-su", 2), ("slc-su", 3)])
 def test_exact_basis_matches_float_basis(sid, n):
-    """Exact (matrix, scale^2) pairs reproduce the float basis Gram matrix."""
+    """Exact (entries, scale^2) pairs reproduce the float basis Gram matrix."""
     space = make_space(sid, n)
     exact = p_basis_exact(space)
     basis = p_basis(space)
     assert len(exact) == len(basis)
     for (m, c), z in zip(exact, basis):
-        mf = np.array([[complex(v) for v in row] for row in m])
+        mf = dense(m, Fraction(1), space.ambient_dim)
         gram_exact = float(c) * np.trace(mf @ mf).real
         gram_float = np.trace(np.asarray(z) @ np.asarray(z)).real
         assert abs(gram_exact - gram_float) < 1e-12
 
 
 def _gaussian_basis(space):
-    """The exact basis as (scale^2, {(i, j): (Re, Im)}); _sparse rejects non-Gaussian-integer entries."""
-    return [(c, {(i, j): (re, im) for i, j, re, im in _sparse(m)}) for m, c in p_basis_exact(space)]
+    """The exact basis as (scale^2, {(i, j): (Re, Im)})."""
+    return [(c, {(i, j): (re, im) for i, j, re, im in m}) for m, c in p_basis_exact(space)]
+
+
+def _exact(entries, d):
+    """Exact entries as a dense d x d object array of ComplexRationals."""
+    m = np.full((d, d), ComplexRational(0), dtype=object)
+    for i, j, re, im in entries:
+        m[i, j] = ComplexRational(re, im)
+    return m
 
 
 @pytest.mark.parametrize("sid,n", ALL_CASES)
 def test_exact_basis_entries_are_gaussian_integers(sid, n):
     space = make_space(sid, n)
-    basis = _gaussian_basis(space)
+    d = space.ambient_dim
+    basis = p_basis_exact(space)
     assert len(basis) == expected_basis_size(space)
-    assert all(entries for _, entries in basis)
+    for m, _ in basis:
+        assert m
+        assert all(type(v) is int for entry in m for v in entry)
+        # dense() assigns, so a repeated (i, j) would silently drop an entry
+        assert len({(i, j) for i, j, _, _ in m}) == len(m)
+        assert all((re, im) != (0, 0) for _, _, re, im in m)
+        assert all(0 <= i < d and 0 <= j < d for i, j, _, _ in m)
 
 
 @pytest.mark.parametrize("sid,n", ALL_CASES)
@@ -157,32 +180,30 @@ def test_exact_gram_matrix_is_identity(sid, n):
 def test_exact_basis_is_horizontal(sid, n):
     """T(Z) = Z, where Z + T(Z) is the base map's derivative at the identity along Z."""
     space = make_space(sid, n)
-    J = symplectic_J_exact(n)
+    J = _exact(symplectic_J_entries(n), 2 * n)
     transform = {X_XT: lambda m: m.T, X_XSTAR: lambda m: np.conjugate(m).T,
                  X_JT_XT_J: lambda m: J.T @ m.T @ J}[space.base_map_variant]
     for m, _ in p_basis_exact(space):
+        m = _exact(m, space.ambient_dim)
         assert (transform(m) == m).all()
 
 
 @pytest.mark.parametrize("sid,n", ALL_CASES)
 def test_exact_basis_lies_in_the_ambient_algebra(sid, n):
     space = make_space(sid, n)
-    J = symplectic_J_exact(n)
+    J = _exact(symplectic_J_entries(n), 2 * n)
     traceless_skew = lambda m: (np.conjugate(m).T == -m).all() and np.trace(m) == 0  # noqa: E731
     condition = {"slr-so": lambda m: (np.conjugate(m) == m).all(),
                  "sus-sp": lambda m: (m @ J == J @ np.conjugate(m)).all(),
                  "su-so": traceless_skew, "su-sp": traceless_skew,
                  "slc-su": lambda m: np.trace(m) == 0}[sid]
-    assert all(condition(m) for m, _ in p_basis_exact(space))
+    assert all(condition(_exact(m, space.ambient_dim)) for m, _ in p_basis_exact(space))
 
 
 def test_symplectic_J_exact_matches_float():
-    j_exact = symplectic_J_exact(2)
-    j_float = symplectic_J(2)
-    for i in range(4):
-        for k in range(4):
-            assert complex(j_exact[i, k]) == complex(j_float[i, k])
-    assert isinstance(j_exact[0, 2], (ComplexRational, int, Fraction)) or j_exact[0, 2] == 0
+    for n in (1, 2, 3):
+        assert np.array_equal(dense(symplectic_J_entries(n), Fraction(1), 2 * n),
+                              symplectic_J(n))
 
 
 def test_stabilizer_algebra_dimensions():

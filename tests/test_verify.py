@@ -108,6 +108,17 @@ def test_report_json_contract():
     assert d["seed"] == SEED and d["trials"] == 3
 
 
+def test_non_finite_residuals_fail_and_serialize_as_strings():
+    r = VerificationReport("harmonic", "slr-so", [], 2, 3, SEED, 1e-8)
+    r.check(0, "tau", float("nan"), 1e-8)
+    r.check_all(1, "kappa", np.array([0.0, np.nan]), 1e-8)
+    r.check(2, "oracle", float("inf"), 1e-8)
+    assert not r.passed and r.failed_trials == {0, 1, 2}
+    d = json.loads(json.dumps(r.to_dict(), allow_nan=False))
+    assert [f["value"] for f in d["failures"]] == ["nan", "nan", "inf"]
+    assert d["max_residuals"] == {"kappa": 0.0, "oracle": "inf", "tau": 0.0}
+
+
 def test_render_text_report():
     r = verify_harmonic(real_morphism(2, 1, 2), 3, SEED)
     text = render_report(r, "text")
@@ -153,15 +164,29 @@ def test_exact_suite_failure_detection(monkeypatch):
         assert all(isinstance(v, str) for vec in f["inputs"].values() for v in vec)
 
 
+def _dense_exact(entries, d, scalar):
+    """Exact entries as a d x d object array of scalar(Re, Im)."""
+    m = np.full((d, d), scalar(0, 0), dtype=object)
+    for i, j, re, im in entries:
+        m[i, j] = scalar(re, im)
+    return m
+
+
+def _real(re, im):
+    assert im == 0
+    return Fraction(re)
+
+
 def _reference_lemma_formula_real(n, trials, seed):
     """Both real identities on object arrays of Fractions, one dense product per element."""
     from harmorph.sampling import rational_vector, rng_from_seed
-    from harmorph.spaces import HALF, exact_unit
+    from harmorph.spaces import HALF, unit
     from harmorph.verify import _ser_vec
 
     report = VerificationReport("lemma-formula-real", None, [], n, trials, seed, None)
-    sym = harmorph.verify.p_basis_exact(make_space("slr-so", n))
-    skew = [(exact_unit(n, k, l, -1, Fraction(1)), HALF)
+    sym = [(_dense_exact(m, n, _real), c)
+           for m, c in harmorph.verify.p_basis_exact(make_space("slr-so", n))]
+    skew = [(_dense_exact(unit(n, k, l, -1), n, _real), HALF)
             for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     for t in range(trials):
         rng = rng_from_seed(seed, t)
@@ -183,13 +208,14 @@ def _reference_lemma_long(n, trials, seed):
     """The quaternionic identity on object arrays of ComplexRationals."""
     from harmorph.sampling import complex_rational_vector, rng_from_seed
     from harmorph.scalars import ComplexRational
-    from harmorph.spaces import symplectic_J_exact
+    from harmorph.spaces import symplectic_J_entries
     from harmorph.verify import _ser_vec
 
     report = VerificationReport("lemma-long", None, [], n, trials, seed, None)
-    basis = harmorph.verify.p_basis_exact(make_space("sus-sp", n))
-    J = symplectic_J_exact(n)
     d = 2 * n
+    basis = [(_dense_exact(m, d, ComplexRational), c)
+             for m, c in harmorph.verify.p_basis_exact(make_space("sus-sp", n))]
+    J = _dense_exact(symplectic_J_entries(n), d, ComplexRational)
     herm = lambda u, w: sum(u[i] * w[i].conjugate() for i in range(d))
     omega = lambda u, w: (u @ J) @ w
     for t in range(trials):
