@@ -15,7 +15,7 @@ from .morphisms import (Morphism, dual_quat_family, dual_real_morphism,
                         typeIV_bigcell_morphism)
 from .sampling import fresh_seed, rng_from_seed, sample_group_point, sample_stabilizer_point
 from .scalars import ComplexRational
-from .spaces import SPACE_IDS, PBasis, SpaceSpec, make_space, p_basis, p_basis_exact
+from .spaces import SPACE_IDS, SpaceSpec, make_space, p_basis, p_basis_exact
 from .verify import (VerificationReport, default_tolerance, render_report,
                      verify_basis_independence, verify_bigcell,
                      verify_derivative_lemmas, verify_family, verify_harmonic,
@@ -25,7 +25,7 @@ from .verify import (VerificationReport, default_tolerance, render_report,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexRational", "Const", "Entry", "Expr", "Jet2", "Morphism", "PBasis",
+    "ComplexRational", "Const", "Entry", "Expr", "Jet2", "Morphism",
     "SPACE_IDS", "ScaleByI", "SpaceSpec", "Sqrt", "VerificationReport",
     "base_map_value", "default_tolerance", "dual_quat_family",
     "dual_real_morphism", "eval_jet", "eval_value", "fd_jet", "fresh_seed",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import mat_exp
-from .spaces import PBasis, SpaceSpec, X_JT_XT_J, X_XSTAR, X_XT, p_basis
+from .spaces import SpaceSpec, X_JT_XT_J, X_XSTAR, X_XT, p_basis
 
 BRANCH_CUT_EPS = 1e-9
 
@@ -242,6 +242,12 @@ class ScaleByI(Expr):
     a: Expr
 
 
+# the jet of an operation node from its children's jets and the walk's error record
+_CHAIN_RULES = {Add: lambda a, b, errors: a + b, Sub: lambda a, b, errors: a - b,
+                Mul: lambda a, b, errors: a * b, Div: Jet2.divide, Sqrt: Jet2.sqrt,
+                ScaleByI: lambda a, errors: a.times_i()}
+
+
 # ---------------------------------------------------------------------------
 # base map and its jets
 # ---------------------------------------------------------------------------
@@ -285,7 +291,7 @@ class JetContext:
     which keeps the stack's jets small.
     """
 
-    def __init__(self, space: SpaceSpec, x: np.ndarray, basis: PBasis | None = None,
+    def __init__(self, space: SpaceSpec, x: np.ndarray, basis: np.ndarray | None = None,
                  columns=None):
         self.space = space
         self.x = x
@@ -293,7 +299,7 @@ class JetContext:
         d, dirs = x.shape[-1], len(self.basis)
         cols = range(1, d + 1) if columns is None else sorted(columns)
         self._column = {l: i for i, l in enumerate(cols)}
-        z = self.basis.stack.reshape(dirs, d, d)
+        z = np.asarray(self.basis).reshape(dirs, d, d)
         tz = _companion(space, z)
         # x M T(x) for M = Z + TZ and Z^2 + 2 Z TZ + TZ^2 of every direction: x times
         # all the M as one matrix product, then T(x), a block of points at a time so
@@ -318,8 +324,9 @@ class JetContext:
         return Jet2(self.phi[..., k - 1, c], self.d1[..., k - 1, c], self.d2[..., k - 1, c])
 
     def base_map_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """tau(phi_kl) as a matrix, and kappa(phi_kl, phi_ij) indexed [k, l, i, j]."""
-        return self.d2.sum(axis=0), np.einsum("zkl,zij->klij", self.d1, self.d1)
+        """tau(phi_kl) as a matrix, and kappa(phi_kl, phi_ij) indexed [k, l, i, j], at
+        each point of the stack."""
+        return self.d2.sum(axis=0), np.einsum("z...kl,z...ij->...klij", self.d1, self.d1)
 
 
 def _eval(f: Expr, entry_fn, shape: tuple[int, ...]) -> tuple[Jet2, np.ndarray]:
@@ -331,34 +338,29 @@ def _eval(f: Expr, entry_fn, shape: tuple[int, ...]) -> tuple[Jet2, np.ndarray]:
     The jet is meaningless at a point with an error.
     """
     errors = np.full(shape, None, dtype=object)
-    return _walk(f, entry_fn, {}, errors), errors
+    return _walk(f, entry_fn, errors), errors
 
 
-def _walk(e: Expr, entry_fn, memo: dict, errors: np.ndarray) -> Jet2:
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit
-    if isinstance(e, Const):
-        out = Jet2(complex(e.value), 0.0, 0.0)
-    elif isinstance(e, Entry):
-        out = entry_fn(e.k, e.l)
-    elif isinstance(e, Add):
-        out = _walk(e.a, entry_fn, memo, errors) + _walk(e.b, entry_fn, memo, errors)
-    elif isinstance(e, Sub):
-        out = _walk(e.a, entry_fn, memo, errors) - _walk(e.b, entry_fn, memo, errors)
-    elif isinstance(e, Mul):
-        out = _walk(e.a, entry_fn, memo, errors) * _walk(e.b, entry_fn, memo, errors)
-    elif isinstance(e, Div):
-        out = _walk(e.a, entry_fn, memo, errors).divide(_walk(e.b, entry_fn, memo, errors),
-                                                         errors)
-    elif isinstance(e, Sqrt):
-        out = _walk(e.a, entry_fn, memo, errors).sqrt(errors)
-    elif isinstance(e, ScaleByI):
-        out = _walk(e.a, entry_fn, memo, errors).times_i()
-    else:
-        raise TypeError(f"unknown expression node {type(e).__name__}")
-    memo[id(e)] = out
-    return out
+def _walk(f: Expr, entry_fn, errors: np.ndarray) -> Jet2:
+    """Each node's jet once, after its children's, first child first: the order of a
+    recursive walk, kept on an explicit stack so that no depth limit applies."""
+    memo: dict[int, Jet2] = {}
+    todo = [(f, False)]
+    while todo:
+        e, ready = todo.pop()
+        if id(e) in memo:
+            continue
+        kids = [v for v in vars(e).values() if isinstance(v, Expr)]
+        if kids and not ready:
+            todo += [(e, True)] + [(k, False) for k in reversed(kids)]
+            continue
+        if isinstance(e, Const):
+            memo[id(e)] = Jet2(complex(e.value), 0.0, 0.0)
+        elif isinstance(e, Entry):
+            memo[id(e)] = entry_fn(e.k, e.l)
+        else:
+            memo[id(e)] = _CHAIN_RULES[type(e)](*(memo[id(k)] for k in kids), errors)
+    return memo[id(f)]
 
 
 def raise_first_error(errors: np.ndarray) -> None:
@@ -371,7 +373,7 @@ def raise_first_error(errors: np.ndarray) -> None:
 def eval_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray) -> Jet2:
     """Value and first two derivatives of f along s -> x exp(sZ): the jet of the
     point x as a stack of one, along the one direction z."""
-    jet, errors = eval_jet_cached(f, JetContext(space, x[None], PBasis((z,), space.form)))
+    jet, errors = eval_jet_cached(f, JetContext(space, x[None], z[None]))
     raise_first_error(errors)
     return Jet2(*(complex(np.ravel(a)[0]) for a in (jet.v, jet.d1, jet.d2)))
 
@@ -463,10 +465,10 @@ def fd_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray, h: float,
     return Jet2(f0, _divided(fp - fm, 2.0 * h), _divided(fp - 2.0 * f0 + fm, h * h))
 
 
-def rotated_basis(basis: PBasis, rng: np.random.Generator) -> PBasis:
+def rotated_basis(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Apply a random orthogonal mixing matrix to the basis elements."""
     d = len(basis)
     m = rng.uniform(-1.0, 1.0, (d, d))
     q, r = np.linalg.qr(m)
     q = q * np.sign(np.diagonal(r))
-    return PBasis(tuple(np.tensordot(q, basis.stack, axes=1)), basis.form)
+    return np.tensordot(q, basis, axes=1)

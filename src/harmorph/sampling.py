@@ -202,6 +202,26 @@ def _candidates(space: SpaceSpec, count: int,
     raise AssertionError(space.id)
 
 
+def first_accepted(index, d: int, draw, attempts: int, failure: Exception) -> np.ndarray:
+    """The first accepted candidate of each index of the array, stacked to shape
+    index.shape + (d, d).  Round a calls draw(left, a) with the indices left without
+    one, which returns a stack of their candidates and which of these are accepted;
+    failure is raised for an index with none after the given number of rounds."""
+    index = np.asarray(index)
+    flat = index.ravel()
+    out = np.empty((flat.size, d, d), dtype=complex)
+    todo = np.arange(flat.size)
+    for attempt in range(attempts):
+        if not todo.size:
+            break
+        x, ok = draw(flat[todo], attempt)
+        out[todo[ok]] = x[ok]
+        todo = todo[~ok]
+    if todo.size:
+        raise failure
+    return out.reshape(index.shape + (d, d))
+
+
 def sample_group_point(space: SpaceSpec, rng_seed: int, index: int | np.ndarray = 0) -> np.ndarray:
     """A random ambient-group point passing membership within 1e-10; for an array of
     indices, a stack of points of shape index.shape + (d, d).
@@ -211,22 +231,12 @@ def sample_group_point(space: SpaceSpec, rng_seed: int, index: int | np.ndarray 
     indices still without a point together, with their generators derived
     together, and tests them together.
     """
-    indices = np.asarray(index)
-    flat = indices.ravel()
-    d = space.ambient_dim
-    out = np.empty((flat.size, d, d), dtype=complex)
-    todo = np.arange(flat.size)
-    for attempt in range(_MAX_ATTEMPTS):
-        if not todo.size:
-            break
-        x, ok = _candidates(space, todo.size, generators(rng_seed, flat[todo], attempt))
-        ok &= ~(np.linalg.cond(x) > COND_CAP) & space.membership(x, MEMBERSHIP_TOL)
-        out[todo[ok]] = x[ok]
-        todo = todo[~ok]
-    if todo.size:
-        raise RuntimeError(
-            f"sampler failed to produce a {space.id} point after {_MAX_ATTEMPTS} attempts")
-    return out.reshape(indices.shape + (d, d))
+    def draw(indices, attempt):
+        x, ok = _candidates(space, indices.size, generators(rng_seed, indices, attempt))
+        return x, ok & ~(np.linalg.cond(x) > COND_CAP) & space.membership(x, MEMBERSHIP_TOL)
+
+    return first_accepted(index, space.ambient_dim, draw, _MAX_ATTEMPTS, RuntimeError(
+        f"sampler failed to produce a {space.id} point after {_MAX_ATTEMPTS} attempts"))
 
 
 def sample_stabilizer_point(space: SpaceSpec, rng_seed: int, index: int = 0) -> np.ndarray:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -201,27 +201,6 @@ def _stabilizer_membership(space: SpaceSpec, k: np.ndarray, tol: float) -> bool:
 # p-bases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PBasis:
-    """Ordered orthonormal basis of the horizontal complement."""
-
-    elements: tuple[np.ndarray, ...]
-    form: str
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """The elements as one array over the directions, built once per basis."""
-        out = np.array(self.elements, dtype=complex)
-        out.setflags(write=False)
-        return out
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
 def form_inner(form: str, a: np.ndarray, b: np.ndarray) -> float:
     t = np.trace(a @ b)
     if form == TRACE_XY:
@@ -267,12 +246,14 @@ def stabilizer_algebra(space: SpaceSpec) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def p_basis(space: SpaceSpec) -> PBasis:
-    """The float basis, dense() of each element of p_basis_exact, built once per space."""
-    els = tuple(dense(m, scale_sq, space.ambient_dim) for m, scale_sq in p_basis_exact(space))
-    for z in els:
-        z.setflags(write=False)
-    return PBasis(els, space.form)
+def p_basis(space: SpaceSpec) -> np.ndarray:
+    """The float basis, shape (directions, d, d) and read-only: dense() of each element
+    of p_basis_exact, built once per space."""
+    d = space.ambient_dim
+    out = np.array([dense(m, scale_sq, d) for m, scale_sq in p_basis_exact(space)],
+                   dtype=complex).reshape(-1, d, d)
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,24 +10,27 @@ quantity and also push a 10% subsample through the finite-difference oracle.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .jets import (BranchCutError, Entry, EvaluationError, Jet2, JetContext, Sqrt, _eval,
-                   entry_columns, eval_jet, eval_jet_cached, eval_value, fd_jet, jet_sums,
-                   kappa_sum, normalized_residual, raise_first_error, rotated_basis)
+# eval_jet is not called here, but stays a module global: perfbench/tracing.py wraps it by name
+from .jets import (Entry, Jet2, JetContext, Sqrt, _eval, _values, entry_columns,  # noqa: F401
+                   eval_jet, eval_jet_cached, fd_jet, jet_sums, kappa_sum, normalized_residual,
+                   raise_first_error, rotated_basis)
 from .matrices import leading_principal_minors
 from .morphisms import POSITIVE_SCALE, Morphism, _family_space
-from .sampling import (complex_rational_vector, generators, rational_vector, rng_from_seed,
+from .sampling import (complex_rational_vector, first_accepted, generators, rational_vector,
                        sample_group_point, sample_stabilizer_point)
 from .scalars import ComplexRational, _clear_denominators
-from .spaces import (HALF, SpaceSpec, make_space, p_basis, p_basis_exact, stabilizer_algebra,
-                     symplectic_J_entries, unit)
+from .spaces import (HALF, SpaceSpec, _modulus, make_space, p_basis, p_basis_exact,
+                     stabilizer_algebra, symplectic_J_entries, unit)
 
 SCHEMA_VERSION = 1
 
@@ -56,11 +59,7 @@ def default_tolerance(space: SpaceSpec) -> float:
 
 
 def _ser_scalar(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, ComplexRational):
-        return str(v)
-    if isinstance(v, Fraction):
+    if isinstance(v, (str, Exception, ComplexRational, Fraction)):
         return str(v)
     c = complex(v)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
@@ -76,8 +75,9 @@ def _ser_vec(v):
     return [_ser_scalar(x) for x in v]
 
 
-def _inputs(**mats):
-    return lambda: {k: _ser_mat(v) for k, v in mats.items()}
+def _inputs(**stacks):
+    """inputs(t) of a check: the matrices of trial t in the stacks, by name."""
+    return lambda t: {k: _ser_mat(v[t]) for k, v in stacks.items()}
 
 
 @dataclass
@@ -97,33 +97,53 @@ class VerificationReport:
     wall_time: float = 0.0
     # every failing trial, also past the captured failures; not part of to_dict()
     failed_trials: set[int] = field(default_factory=set)
+    # the keys (trial, check, entry) of the captured failures, and the checks so far
+    _keys: list = field(default_factory=list, init=False, repr=False)
+    _checks: int = field(default=0, init=False, repr=False)
 
-    def record_failure(self, trial: int, quantity: str, value, inputs=None) -> None:
+    def check(self, quantity: str, values, tol: float | None, inputs, checked=True) -> None:
+        """One check of every trial: values has a leading axis over the trials, and only
+        the entries where the mask checked is true count.
+
+        With a tol, a value is a residual: it fails unless <= tol, and the quantity's
+        maximum takes it in, a NaN included.  With tol None, a value is an error
+        message, or None for no error, and fails unless None.  inputs(t) gives a
+        failing trial's inputs.
+        """
+        values = np.asarray(values)
+        checked = np.broadcast_to(checked, values.shape)
+        if tol is None:
+            failing = checked & np.not_equal(values, None)
+        else:
+            if checked.any():
+                self.max_residuals[quantity] = float(np.max(
+                    values, where=checked, initial=self.max_residuals.get(quantity, 0.0)))
+            failing = checked & ~(values <= tol)
+        self._checks += 1
+        if not failing.any():
+            return
+        per_trial = math.prod(values.shape[1:])
+        at = np.flatnonzero(failing)
+        self.failed_trials.update(np.unique(at // per_trial).tolist())
+        for p in at[:MAX_CAPTURED_FAILURES].tolist():
+            trial, entry = divmod(p, per_trial)
+            self.record_failure(trial, quantity, values.flat[p], partial(inputs, trial), entry)
+
+    def record_failure(self, trial: int, quantity: str, value, inputs=None, entry: int = 0) -> None:
+        """A failure of a trial at an entry of the latest check.  The report captures the
+        first MAX_CAPTURED_FAILURES by (trial, check, entry), with their inputs: a dict,
+        a function returning one, or None."""
         self.passed = False
         self.failed_trials.add(trial)
-        if len(self.failures) < MAX_CAPTURED_FAILURES:
-            entry = {"trial": trial, "quantity": quantity, "value": _ser_scalar(value)}
+        key = (trial, self._checks, entry)
+        at = bisect.bisect(self._keys, key)
+        if at < MAX_CAPTURED_FAILURES:
+            failure = {"trial": trial, "quantity": quantity, "value": _ser_scalar(value)}
             if inputs is not None:
-                entry["inputs"] = inputs() if callable(inputs) else inputs
-            self.failures.append(entry)
-
-    def bump(self, quantity: str, residual: float) -> None:
-        cur = self.max_residuals.get(quantity, 0.0)
-        self.max_residuals[quantity] = max(cur, residual)
-
-    def check(self, trial: int, quantity: str, residual: float, tol: float, inputs=None) -> None:
-        self.bump(quantity, residual)
-        if not residual <= tol:  # a NaN residual fails
-            self.record_failure(trial, quantity, residual, inputs)
-
-    def check_all(self, trial: int, quantity: str, residuals: np.ndarray, tol: float,
-                  inputs=None) -> None:
-        """check() of each residual in order; an empty array checks nothing."""
-        if not residuals.size:
-            return
-        self.bump(quantity, float(residuals.max()))
-        for r in residuals[~(residuals <= tol)]:
-            self.record_failure(trial, quantity, float(r), inputs)
+                failure["inputs"] = inputs() if callable(inputs) else inputs
+            self._keys.insert(at, key)
+            self.failures.insert(at, failure)
+            del self._keys[MAX_CAPTURED_FAILURES:], self.failures[MAX_CAPTURED_FAILURES:]
 
     def to_dict(self) -> dict:
         return {
@@ -162,7 +182,7 @@ def render_report(report: VerificationReport, fmt: str = "text") -> str:
     if report.tolerance is not None:
         lines.append(f"  tolerance  : {report.tolerance:g}")
     if report.max_residuals:
-        worst = max(report.max_residuals.values())
+        worst = float(np.max(list(report.max_residuals.values())))  # nan if any is nan
         lines.append(f"  worst residual : {worst:.3e}")
         for name, v in sorted(report.max_residuals.items()):
             lines.append(f"    {name:<28s} {v:.3e}")
@@ -304,73 +324,57 @@ def sample_in_domain(morphisms: Morphism | list[Morphism], seed: int,
     without a point, drawn as one stack, and tests the domain point by point.
     """
     family = morphisms if isinstance(morphisms, list) else [morphisms]
-    trials = np.asarray(trial)
-    flat = trials.ravel()
-    d = family[0].space.ambient_dim
-    out = np.empty((flat.size, d, d), dtype=complex)
-    todo = np.arange(flat.size)
-    for r in range(_DOMAIN_ATTEMPTS):
-        if not todo.size:
-            break
-        x = sample_group_point(family[0].space, seed, index=flat[todo] * _DOMAIN_ATTEMPTS + r)
-        ok = np.array([all(m.domain(p) for m in family) for p in x], dtype=bool)
-        out[todo[ok]] = x[ok]
-        todo = todo[~ok]
-    if todo.size:
-        labels = ", ".join(m.label for m in family)
-        raise SamplingError(f"no in-domain point for {labels} after {_DOMAIN_ATTEMPTS} attempts")
-    return out.reshape(trials.shape + (d, d))
+    space = family[0].space
+
+    def draw(trials, r):
+        x = sample_group_point(space, seed, index=trials * _DOMAIN_ATTEMPTS + r)
+        return x, np.array([all(m.domain(p) for m in family) for p in x], dtype=bool)
+
+    labels = ", ".join(m.label for m in family)
+    return first_accepted(trial, space.ambient_dim, draw, _DOMAIN_ATTEMPTS, SamplingError(
+        f"no in-domain point for {labels} after {_DOMAIN_ATTEMPTS} attempts"))
 
 
-def _central_differences(family: list[Morphism], xs: np.ndarray, trials) -> dict:
-    """(d1, d2, stencil error) of the central differences of member t % len(family)
-    at the trial's point of the stack xs, along basis direction t % len(basis), for
-    each of the trials: one fd_jet call per member, over that member's trials."""
+def _oracle(family: list[Morphism], xs: np.ndarray, jets: list[Jet2], ok: np.ndarray):
+    """The oracle cross-check over the trials: (checked, residual, stencil error).
+
+    Every ORACLE_SUBSAMPLE-th trial whose jets evaluated is checked, if the space
+    has tangent directions.  Trial t compares the suite's jet of member t % len(family)
+    with its central differences at the trial's point along basis direction
+    t % len(basis): one fd_jet call per member, over that member's trials.
+    """
     basis = p_basis(family[0].space)
-    out = {}
-    if not len(basis):
-        return out
-    for a, m in enumerate(family):
-        ts = [t for t in trials if t % len(family) == a]
-        if not ts:
+    trials = np.arange(len(xs))
+    checked = ok & (trials % ORACLE_SUBSAMPLE == 0) & (len(basis) > 0)
+    residual = np.zeros(len(xs))
+    errors = np.full(len(xs), None, dtype=object)
+    for a, (m, jet) in enumerate(zip(family, jets)):
+        ts = np.flatnonzero(checked & (trials % len(family) == a))
+        if not ts.size:
             continue
-        errors = np.full(len(ts), None, dtype=object)
-        fd = fd_jet(m.expr, m.space, xs[ts], basis.stack[[t % len(basis) for t in ts]],
-                    h=ORACLE_STEP, errors=errors)
-        for i, t in enumerate(ts):
-            out[t] = complex(fd.d1[i]), complex(fd.d2[i]), errors[i]
-    return out
-
-
-def _oracle_check(report: VerificationReport, morphism: Morphism, xs: np.ndarray,
-                  trial: int, jet: Jet2, fd: tuple) -> None:
-    """Compare the suite's jet of the morphism at the trial's point of the stack xs
-    with its central differences fd along one direction (see _central_differences);
-    a stencil error is an "oracle-evaluation-error" failure of the trial."""
-    fd_d1, fd_d2, error = fd
-    x = xs[trial]
-    inputs = lambda: {"morphism": morphism.label, "x": _ser_mat(x)}
-    if error is not None:
-        report.record_failure(trial, "oracle-evaluation-error", str(error), inputs)
-        return
-    basis = p_basis(morphism.space)
-    zi = trial % len(basis)
-    v = complex(np.broadcast_to(jet.v, len(xs))[trial])
-    d1, d2 = (complex(np.broadcast_to(a, (len(basis), len(xs)))[zi, trial])
-              for a in (jet.d1, jet.d2))
-    scale = max(1.0, abs(v) + abs(d1) + abs(d2))
-    err = (abs(d1 - fd_d1) + abs(d2 - fd_d2)) / scale
-    report.check(trial, "oracle", err, ORACLE_ABS_TOL, inputs)
+        zi = ts % len(basis)
+        stencil_errors = np.full(ts.size, None, dtype=object)
+        fd = fd_jet(m.expr, m.space, xs[ts], basis[zi], h=ORACLE_STEP, errors=stencil_errors)
+        errors[ts] = stencil_errors
+        v = np.broadcast_to(jet.v, len(xs))[ts]
+        d1, d2 = (np.broadcast_to(j, (len(basis), len(xs)))[zi, ts] for j in (jet.d1, jet.d2))
+        scale = np.maximum(1.0, _modulus(v) + _modulus(d1) + _modulus(d2))
+        residual[ts] = (_modulus(d1 - fd.d1) + _modulus(d2 - fd.d2)) / scale
+    return checked, residual, errors
 
 
 # ---------------------------------------------------------------------------
 # derivative-constant lemmas
 # ---------------------------------------------------------------------------
 
-def _rel_errs_guarded(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Relative error of each entry, in C order, leaving out those with |rhs| < RATIO_GUARD."""
+# trials per JetContext: the kappa(phi, phi) of a whole stack at once grow the peak memory
+_LEMMA_BLOCK = 10
+
+
+def _rel_errs_guarded(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The relative error of each entry, and the mask leaving out those with |rhs| < RATIO_GUARD."""
     keep = ~(np.abs(rhs) < RATIO_GUARD)
-    return np.abs(lhs - rhs)[keep] / np.abs(rhs)[keep]
+    return np.abs(lhs - rhs) / np.where(keep, np.abs(rhs), 1.0), keep
 
 
 def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
@@ -381,29 +385,13 @@ def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
     report = VerificationReport(f"derivative-lemmas:{space.id}", space.id, [], space.n,
                                 trials, seed, tol)
     timer = _Timer(report)
-    n = space.n
-    c_tau = 2 * (n + 1) if space.id == "slr-so" else 4 * n - 2
-    basis = p_basis(space)
-    for t, x in enumerate(sample_group_point(space, seed, index=np.arange(trials))):
-        ctx = JetContext(space, x, basis)
-        phi = ctx.phi
-        tau_phi, kap = ctx.base_map_sums()
-        # (i) tau(phi_kl) = c * phi_kl, as a ratio where phi_kl is nonzero
-        report.check_all(t, "tau_phi_ratio", _rel_errs_guarded(tau_phi, c_tau * phi),
-                         ratio_tol, _inputs(x=x))
-        # (ii) the kappa(phi, phi) product formula
-        if space.id == "slr-so":
-            expected = 2.0 * (np.einsum("ki,lj->klij", phi, phi) + np.einsum("kj,li->klij", phi, phi))
-            report.check_all(t, "kappa_phi_phi", _rel_errs_guarded(kap, expected), tol,
-                             _inputs(x=x))
-            _check_psi_relations(report, space, ctx, t, x, tol)
-        else:
-            # shared second index: kappa(phi_kl, phi_rl) = 2 phi_kl phi_rl, indexed [l, k, r]
-            pt = phi.T
-            report.check_all(t, "kappa_phi_phi_shared_col",
-                             _rel_errs_guarded(np.einsum("klrl->lkr", kap),
-                                               2.0 * pt[:, :, None] * pt[:, None, :]),
-                             tol, _inputs(x=x))
+    x = sample_group_point(space, seed, index=np.arange(trials))
+    blocks = [{name: _rel_errs_guarded(lhs, rhs) for name, lhs, rhs in
+               _lemma_relations(space, JetContext(space, x[s:s + _LEMMA_BLOCK], p_basis(space)))}
+              for s in range(0, trials, _LEMMA_BLOCK)]
+    for name in blocks[0]:
+        rel, keep = (np.concatenate([b[name][i] for b in blocks]) for i in (0, 1))
+        report.check(name, rel, ratio_tol if name == "tau_phi_ratio" else tol, _inputs(x=x), keep)
     return timer.done()
 
 
@@ -411,41 +399,49 @@ def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
 _PSI = Sqrt(Entry(1, 1) * Entry(2, 2) - Entry(1, 2) ** 2)
 
 
-def _check_psi_relations(report, space, ctx, t, x, tol) -> None:
-    """Relations (iii)-(v): the sqrt components psi_kl on the real space."""
+def _lemma_relations(space: SpaceSpec, ctx: JetContext):
+    """(quantity, lhs, rhs) of each relation at the context's stack of points.
+
+    Each sum over directions runs over a contiguous last axis, in the order of
+    kappa_sum's sum over the directions of one point.
+    """
     n = space.ambient_dim
-    pairs = [(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-    if not pairs:
+    phi = ctx.phi
+    tau_phi, kap = ctx.base_map_sums()
+    # (i) tau(phi_kl) = c * phi_kl, as a ratio where phi_kl is nonzero
+    c_tau = 2 * (space.n + 1) if space.id == "slr-so" else 4 * space.n - 2
+    yield "tau_phi_ratio", tau_phi, c_tau * phi
+    if space.id == "sus-sp":
+        # shared second index: kappa(phi_kl, phi_rl) = 2 phi_kl phi_rl, indexed [l, k, r]
+        pt = np.swapaxes(phi, -1, -2)
+        yield ("kappa_phi_phi_shared_col", np.einsum("...klrl->...lkr", kap),
+               2.0 * pt[..., :, None] * pt[..., None, :])
         return
-    rows = np.array([k for k, _ in pairs]) - 1
-    cols = np.array([l for _, l in pairs]) - 1
-    kl = (rows, cols)
+    # (ii) the kappa(phi, phi) product formula
+    yield "kappa_phi_phi", kap, 2.0 * (np.einsum("...ki,...lj->...klij", phi, phi)
+                                       + np.einsum("...kj,...li->...klij", phi, phi))
+    rows, cols = kl = np.triu_indices(n, 1)  # the pairs k < l, in C order
+    if not rows.size:
+        return
 
     def minor_entry(i, j):
         """Entry (i, j) of the 2x2 minor on rows and columns (k, l), over the pairs."""
         r, c = kl[i - 1], kl[j - 1]
-        return Jet2(ctx.phi[r, c], ctx.d1[:, r, c], ctx.d2[:, r, c])
+        return Jet2(phi[..., r, c], ctx.d1[..., r, c], ctx.d2[..., r, c])
 
-    # one walk over the stack of pairs
-    jet, errors = _eval(_PSI, minor_entry, (len(pairs),))
+    # (iii)-(v): the sqrt components psi_kl, one walk over the stack of (points, pairs)
+    jet, errors = _eval(_PSI, minor_entry, phi.shape[:-2] + rows.shape)
     raise_first_error(errors)
     psi = jet.v
-    d1 = np.ascontiguousarray(jet.d1.T)   # (pairs, directions)
-    d2 = np.ascontiguousarray(jet.d2.T)
-    inputs = _inputs(x=x)
+    d1, d2 = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (jet.d1, jet.d2))
     # (iv) kappa(psi, psi) = 2 psi^2
-    report.check_all(t, "kappa_psi_psi",
-                     _rel_errs_guarded((d1 * d1).sum(axis=1), 2.0 * psi ** 2), tol, inputs)
+    yield "kappa_psi_psi", (d1 * d1).sum(axis=-1), 2.0 * psi ** 2
     # (v) tau(psi) = 2(n-1) psi
-    report.check_all(t, "tau_psi", _rel_errs_guarded(d2.sum(axis=1), 2.0 * (n - 1) * psi),
-                     tol, inputs)
-    # (iii) kappa(phi_km, psi_kl) = 2 phi_km psi_kl, indexed [pair, m].  Each sum runs
-    # over the contiguous last axis, in the order of kappa_sum's sum over directions.
-    phi_d1 = np.ascontiguousarray(ctx.d1[:, rows, :].transpose(1, 2, 0))
-    report.check_all(t, "kappa_phi_psi",
-                     _rel_errs_guarded((phi_d1 * d1[:, None, :]).sum(axis=2),
-                                       2.0 * ctx.phi[rows] * psi[:, None]),
-                     tol, inputs)
+    yield "tau_psi", d2.sum(axis=-1), 2.0 * (n - 1) * psi
+    # (iii) kappa(phi_km, psi_kl) = 2 phi_km psi_kl, indexed [pair, m]
+    phi_d1 = np.ascontiguousarray(np.moveaxis(ctx.d1[..., rows, :], 0, -1))
+    yield ("kappa_phi_psi", (phi_d1 * d1[..., None, :]).sum(axis=-1),
+           2.0 * phi[..., rows, :] * psi[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +461,12 @@ def verify_family(family: list[Morphism], trials: int = 100, seed: int = 0,
                     lambda *members: f"[{'|'.join(m.label for m in members)}]")
 
 
+def _first_errors(*records) -> np.ndarray:
+    """Each point's first error over the error records, taken in order, or None."""
+    return np.array([next((e for e in es if e is not None), None) for es in zip(*records)],
+                    dtype=object)
+
+
 def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
              tol: float | None, tag) -> VerificationReport:
     """tau of each member and kappa of each pair at in-domain points; quantity names
@@ -472,8 +474,7 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
 
     All trials go together: one stacked sample, one JetContext, one DAG walk per
     member, residuals as arrays over the trials and one oracle stencil walk per
-    member.  Failures are recorded trial by trial, each trial's in the order of its
-    quantities, then its oracle check or the error of its oracle stencil.
+    member.  A trial whose jets fail to evaluate records its first member's error.
     """
     space = _family_space(family)
     if tol is None:
@@ -484,67 +485,62 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
     xs = sample_in_domain(family, seed, np.arange(trials))
     ctx = JetContext(space, xs, p_basis(space),
                      set().union(*(entry_columns(m.expr) for m in family)))
-    walks = [eval_jet_cached(m.expr, ctx) for m in family]
-    jets = [jet for jet, _ in walks]
-    # a trial's error is its first failing member's, as evaluating member by member raises it
-    errors = [next((e for e in es if e is not None), None) for es in zip(*(e for _, e in walks))]
+    jets, records = zip(*(eval_jet_cached(m.expr, ctx) for m in family))
+    errors = _first_errors(*records)
+    inputs = _inputs(x=xs)
+    report.check("evaluation-error", errors, None, inputs)
+    ok = np.equal(errors, None)
     sums = [jet_sums(jet) for jet in jets]
-    names = [f"tau{tag(m)}" for m in family]
-    residuals = [normalized_residual(tau, energy) for tau, _, energy in sums]
+    for m, (tau, _, energy) in zip(family, sums):
+        report.check(f"tau{tag(m)}", np.broadcast_to(normalized_residual(tau, energy), trials),
+                     tol, inputs, ok)
     for a in range(len(family)):
         for b in range(a, len(family)):
-            names.append(f"kappa{tag(family[a], family[b])}")
             # for a == b the scale is max(1, energy), since sqrt(E * E) == E
             scale = np.maximum(1.0, np.sqrt(sums[a][2] * sums[b][2]))
-            residuals.append(np.abs(kappa_sum(jets[a], jets[b])) / scale)
-    residuals = np.array([np.broadcast_to(r, trials) for r in residuals])
-    ok = np.array([e is None for e in errors])
-    if ok.any():
-        for name, r in zip(names, residuals[:, ok]):
-            # fmax, like check(): a NaN residual does not raise the maximum, but it fails
-            report.bump(name, float(np.fmax.reduce(r)))
-    oracle = np.arange(trials) % ORACLE_SUBSAMPLE == 0
-    stencils = _central_differences(family, xs, np.flatnonzero(oracle & ok).tolist())
-    for t in np.flatnonzero(~ok | (~(residuals <= tol)).any(axis=0) | oracle).tolist():
-        inputs = _inputs(x=xs[t])
-        if not ok[t]:
-            report.record_failure(t, "evaluation-error", str(errors[t]), inputs)
-            continue
-        for name, r in zip(names, residuals[:, t].tolist()):
-            if not r <= tol:
-                report.record_failure(t, name, r, inputs)
-        if t in stencils:
-            a = t % len(family)
-            _oracle_check(report, family[a], xs, t, jets[a], stencils[t])
+            report.check(f"kappa{tag(family[a], family[b])}",
+                         np.broadcast_to(np.abs(kappa_sum(jets[a], jets[b])) / scale, trials),
+                         tol, inputs, ok)
+    checked, residual, stencil_errors = _oracle(family, xs, jets, ok)
+    oracle_inputs = lambda t: {"morphism": family[t % len(family)].label, "x": _ser_mat(xs[t])}
+    report.check("oracle-evaluation-error", stencil_errors, None, oracle_inputs, checked)
+    report.check("oracle", residual, ORACLE_ABS_TOL, oracle_inputs,
+                 checked & np.equal(stencil_errors, None))
     return timer.done()
 
 
 def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,
                       tol: float = 1e-9) -> VerificationReport:
-    """Right-stabilizer invariance, scale invariance, and vanishing stabilizer jets."""
+    """Right-stabilizer invariance, scale invariance, and vanishing stabilizer jets.
+
+    One walk of the values at every x, x k and r x, and one of the jets at every x
+    along every generator of the stabilizer algebra; trial t takes generator
+    t % len(generators).
+    """
     space = morphism.space
     report = VerificationReport("invariance", space.id, [morphism.label], space.n,
                                 trials, seed, tol)
     timer = _Timer(report)
-    k_gens = stabilizer_algebra(space)
     scaled = POSITIVE_SCALE in morphism.invariances
-    for t, x in enumerate(sample_in_domain(morphism, seed, np.arange(trials))):
-        k = sample_stabilizer_point(space, seed, index=t)
-        r = rng_from_seed(seed, t, 7).uniform(0.5, 2.0) if scaled else None
-        try:
-            fx = eval_value(morphism.expr, space, x)
-            fxk = eval_value(morphism.expr, space, x @ k)
-            if scaled:
-                frx = eval_value(morphism.expr, space, r * x)
-            # first-jet form: Z(f) = 0 for Z in the stabilizer algebra
-            j = eval_jet(morphism.expr, space, x, k_gens[t % len(k_gens)])
-        except (EvaluationError, BranchCutError) as exc:
-            report.record_failure(t, "evaluation-error", str(exc), _inputs(x=x))
-            continue
-        report.check(t, "stabilizer-right", abs(fxk - fx), tol, _inputs(x=x, k=k))
-        if scaled:
-            report.check(t, "positive-scale", abs(frx - fx), tol, _inputs(x=x))
-        report.check(t, "stabilizer-jet", abs(j.d1), tol, _inputs(x=x))
+    xs = sample_in_domain(morphism, seed, np.arange(trials))
+    ks = np.array([sample_stabilizer_point(space, seed, index=t) for t in range(trials)])
+    points = [xs, xs @ ks]
+    if scaled:
+        r = np.array([rng.uniform(0.5, 2.0) for rng in generators(seed, np.arange(trials), 7)])
+        points.append(r[:, None, None] * xs)
+    values, value_errors = _values(morphism.expr, space, np.stack(points))
+    k_gens = stabilizer_algebra(space)
+    jet, jet_errors = eval_jet_cached(morphism.expr, JetContext(space, xs, np.array(k_gens)))
+    t = np.arange(trials)
+    # first-jet form: Z(f) = 0 for Z in the stabilizer algebra
+    d1 = np.broadcast_to(jet.d1, (len(k_gens), trials))[t % len(k_gens), t]
+    errors = _first_errors(*value_errors, jet_errors)
+    report.check("evaluation-error", errors, None, _inputs(x=xs))
+    ok = np.equal(errors, None)
+    report.check("stabilizer-right", _modulus(values[1] - values[0]), tol, _inputs(x=xs, k=ks), ok)
+    if scaled:
+        report.check("positive-scale", _modulus(values[2] - values[0]), tol, _inputs(x=xs), ok)
+    report.check("stabilizer-jet", _modulus(d1), tol, _inputs(x=xs), ok)
     return timer.done()
 
 
@@ -555,15 +551,14 @@ def verify_bigcell(n: int, trials: int = 1000, seed: int = 0) -> VerificationRep
     space = make_space("slc-su", n)
     report = VerificationReport("bigcell", space.id, [], n, trials, seed, 1e-10)
     timer = _Timer(report)
-    for t, g in enumerate(sample_group_point(space, seed, index=np.arange(trials))):
-        a = g @ g.conj().T
-        minors = leading_principal_minors(a)
-        for idx, m in enumerate(minors, start=1):
-            m = complex(m)
-            imag_rel = abs(m.imag) / max(abs(m), 1e-300)
-            report.bump("minor_imag_rel", imag_rel)
-            if imag_rel > 1e-10 or m.real <= 0:
-                report.record_failure(t, f"minor_{idx}", m, _inputs(g=g))
+    g = sample_group_point(space, seed, index=np.arange(trials))
+    minors = np.array([leading_principal_minors(a @ a.conj().T) for a in g], dtype=complex)
+    imag_rel = np.abs(minors.imag) / np.maximum(_modulus(minors), 1e-300)
+    # the maximum only: a failing minor is recorded by its index, with its value
+    report.check("minor_imag_rel", imag_rel, math.inf, _inputs(g=g))
+    bad = (imag_rel > 1e-10) | (minors.real <= 0)
+    for i in range(n):
+        report.check(f"minor_{i + 1}", np.where(bad[:, i], minors[:, i], None), None, _inputs(g=g))
     return timer.done()
 
 
@@ -579,15 +574,17 @@ def verify_basis_independence(morphism: Morphism, rotations: int = 10, seed: int
     # the stock-basis jets as _certify computes them, all trials in one walk
     jet, errors = eval_jet_cached(morphism.expr, JetContext(space, xs, stock))
     tau0, kap0, energy = (np.broadcast_to(a, rotations) for a in jet_sums(jet))
-    for t, x in enumerate(xs):
-        rot = rotated_basis(stock, rng_from_seed(seed, t, 11))
-        rotated, rot_errors = eval_jet_cached(morphism.expr, JetContext(space, xs[t:t + 1], rot))
-        error = errors[t] if errors[t] is not None else rot_errors[0]
-        if error is not None:
-            report.record_failure(t, "evaluation-error", str(error), _inputs(x=x))
-            continue
-        tau1, kap1, _ = (complex(np.ravel(a)[0]) for a in jet_sums(rotated))
-        scale = max(1.0, float(energy[t]))
-        report.check(t, "tau_rotation_diff", abs(tau1 - tau0[t]) / scale, tol, _inputs(x=x))
-        report.check(t, "kappa_rotation_diff", abs(kap1 - kap0[t]) / scale, tol, _inputs(x=x))
+    # each trial's point alone along its own rotation of the basis
+    tau1, kap1 = np.empty((2, rotations), dtype=complex)
+    for t, rng in enumerate(generators(seed, np.arange(rotations), 11)):
+        rotated, rot_errors = eval_jet_cached(
+            morphism.expr, JetContext(space, xs[t:t + 1], rotated_basis(stock, rng)))
+        errors[t] = errors[t] if errors[t] is not None else rot_errors[0]
+        tau1[t], kap1[t], _ = (np.ravel(a)[0] for a in jet_sums(rotated))
+    inputs = _inputs(x=xs)
+    report.check("evaluation-error", errors, None, inputs)
+    ok = np.equal(errors, None)
+    scale = np.maximum(1.0, energy)
+    report.check("tau_rotation_diff", _modulus(tau1 - tau0) / scale, tol, inputs, ok)
+    report.check("kappa_rotation_diff", _modulus(kap1 - kap0) / scale, tol, inputs, ok)
     return timer.done()

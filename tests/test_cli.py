@@ -159,6 +159,33 @@ def test_non_finite_residual_fails_with_strict_json(runner):
     assert "nan" in {f["value"] for f in report["failures"]}
 
 
+NAN_KAPPA = ["verify", "--space", "sus-sp", "--n", "2", "--family", "1",
+             "--compose", "1e300*z1**2", "--seed", "3", "--trials", "20"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_nan_residual_is_the_reported_maximum(runner):
+    """Every kappa residual of this run is nan: the report's maximum and its worst
+    residual say nan, not the largest finite residual."""
+    result = runner.invoke(main, NAN_KAPPA)
+    assert result.exit_code == 1
+    lines = [line.split() for line in result.stdout.splitlines()]
+    assert ["worst", "residual", ":", "nan"] in lines and ["kappa", "nan"] in lines
+    result = runner.invoke(main, NAN_KAPPA + ["--format", "json"])
+    assert result.exit_code == 1
+    assert json.loads(result.stdout, parse_constant=pytest.fail)["max_residuals"]["kappa"] == "nan"
+
+
+def test_long_composition_is_walked_without_recursion(runner):
+    """(z1 + ... + z9)**6 has 3,003 terms, summed as one chain deeper than Python's
+    recursion limit."""
+    result = runner.invoke(main, ["verify", "--space", "sus-sp", "--n", "5", "--family", "1",
+                                  "--compose", "(z1+z2+z3+z4+z5+z6+z7+z8+z9)**6",
+                                  "--trials", "1", "--seed", "1"])
+    assert result.exit_code == 0 and result.stdout.startswith("PASS")
+
+
 @pytest.mark.parametrize("text", ["z1 + True", "z1*False + z2", "z1**True", "z2**False"])
 def test_parse_polynomial_rejects_booleans(text):
     with pytest.raises(ValueError):

@@ -114,7 +114,7 @@ def test_analytic_jet_matches_finite_differences(sid):
     expr = Entry(1, 1) * Entry(2, 2) + Entry(1, 2) ** 2
     for i in range(3):
         x = sample_group_point(space, 21, index=i)
-        z = basis.elements[i % len(basis)]
+        z = basis[i % len(basis)]
         a = eval_jet(expr, space, x, z)
         f = _fd(expr, space, x, z, 1e-5)
         scale = max(1.0, abs(a.v) + abs(a.d1) + abs(a.d2))
@@ -277,7 +277,7 @@ def test_values_are_the_same_numbers_alone_and_stacked(sid, n):
     basis = p_basis(space)
     x = sample_group_point(space, 61, index=np.arange(4))
     for p in x:
-        z = basis.elements[-1]
+        z = basis[-1]
         fd = _fd(ALL_NODES, space, p, z, 1e-4)
         fp, f0, fm = (eval_value(ALL_NODES, space, q)
                       for q in (p @ mat_exp(1e-4 * z), p, p @ mat_exp(-1e-4 * z)))
@@ -305,7 +305,7 @@ def test_stacked_fd_jet_equals_per_point(sid, n, expr):
     basis = p_basis(space)
     k = 12
     x = sample_group_point(space, 71, index=np.arange(k))
-    z = basis.stack[np.arange(k) % len(basis)]
+    z = basis[np.arange(k) % len(basis)]
     errors = np.full(k, None, dtype=object)
     stacked = fd_jet(expr, space, x, z, 1e-4, errors)
     assert stacked.v.shape == stacked.d1.shape == stacked.d2.shape == (k,)
@@ -347,4 +347,4 @@ def test_each_point_keeps_its_first_error_in_dag_order():
             with pytest.raises(kind):
                 eval_value(expr, space, x)
             with pytest.raises(kind):
-                eval_jet(expr, space, x, p_basis(space).elements[0])
+                eval_jet(expr, space, x, p_basis(space)[0])

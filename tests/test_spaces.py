@@ -35,9 +35,11 @@ def test_basis_size_and_orthonormality(sid, n):
     basis = p_basis(space)
     m = len(basis)
     assert m == expected_basis_size(space)
+    d = space.ambient_dim
+    assert basis.shape == (m, d, d) and not basis.flags.writeable
     for i in range(m):
         for j in range(m):
-            g = complex(form_inner(basis.form, basis.elements[i], basis.elements[j]))
+            g = complex(form_inner(space.form, basis[i], basis[j]))
             want = 1.0 if i == j else 0.0
             assert abs(g - want) < 1e-10
 
@@ -49,7 +51,7 @@ def test_basis_lies_in_horizontal_complement(sid, n):
     basis = p_basis(space)
     for z in basis:
         for k in stabilizer_algebra(space):
-            assert abs(complex(form_inner(basis.form, z, k))) < 1e-10
+            assert abs(complex(form_inner(space.form, z, k))) < 1e-10
 
 
 def test_membership_accepts_identity_like_points():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import harmorph.verify
-from harmorph.jets import Const, Entry, Sqrt
+from harmorph.jets import Const, Entry, Jet2, Sqrt
 from harmorph.morphisms import (STABILIZER_RIGHT, Morphism, control_morphism,
                                 dual_quat_family, dual_real_morphism, quat_family,
                                 real_morphism, typeIV_bigcell_morphism)
@@ -110,13 +110,17 @@ def test_report_json_contract():
 
 def test_non_finite_residuals_fail_and_serialize_as_strings():
     r = VerificationReport("harmonic", "slr-so", [], 2, 3, SEED, 1e-8)
-    r.check(0, "tau", float("nan"), 1e-8)
-    r.check_all(1, "kappa", np.array([0.0, np.nan]), 1e-8)
-    r.check(2, "oracle", float("inf"), 1e-8)
+    inputs = lambda t: {"t": t}
+    r.check("tau", [np.nan, 0.0, 2e-9], 1e-8, inputs)
+    r.check("kappa", [[0.0, 0.0], [0.0, np.nan], [0.0, 0.0]], 1e-8, inputs)
+    r.check("oracle", [0.0, 0.0, np.inf], 1e-8, inputs)
+    r.check("tau", [1e-9, 0.0, 0.0], 1e-8, inputs)  # a finite residual keeps the nan maximum
     assert not r.passed and r.failed_trials == {0, 1, 2}
     d = json.loads(json.dumps(r.to_dict(), allow_nan=False))
     assert [f["value"] for f in d["failures"]] == ["nan", "nan", "inf"]
-    assert d["max_residuals"] == {"kappa": 0.0, "oracle": "inf", "tau": 0.0}
+    assert [f["inputs"] for f in d["failures"]] == [{"t": 0}, {"t": 1}, {"t": 2}]
+    assert d["max_residuals"] == {"kappa": "nan", "oracle": "inf", "tau": "nan"}
+    assert "  worst residual : nan" in render_report(r).splitlines()
 
 
 def test_render_text_report():
@@ -313,15 +317,35 @@ def test_jet_errors_at_in_domain_points_are_recorded_failures():
         assert render_report(r).startswith("FAIL")
 
 
-def test_check_all_equals_check_in_order():
-    residuals = np.array([0.5, 3.0, 0.0, 2.0])
-    one, many = (VerificationReport("s", None, [], 2, 1, 0, 1.0) for _ in range(2))
-    for r in residuals:
-        one.check(4, "q", float(r), 1.0, {"x": 1})
-    many.check_all(4, "q", residuals, 1.0, {"x": 1})
-    many.check_all(4, "empty", residuals[:0], 1.0)
-    assert one.to_dict() == many.to_dict()
-    assert [f["value"] for f in many.failures] == [[3.0, 0.0], [2.0, 0.0]]
+def test_check_captures_failures_in_trial_check_entry_order(monkeypatch):
+    """Failures of several checks come out by trial, then check, then entry; the
+    mask leaves entries out of both the verdict and the maximum; every failing trial
+    is counted, also past the captured failures."""
+    def run():
+        r = VerificationReport("s", None, [], 2, 3, 0, 1.0)
+        inputs = lambda t: {"t": t}
+        r.check("a", [[0.5, 3.0], [2.0, 9.0], [4.0, 0.0]], 1.0, inputs,
+                [[True, True], [True, False], [True, True]])
+        r.check("errors", np.array([None, "bad", "masked"], dtype=object), None, inputs,
+                [True, True, False])
+        r.check("b", [5.0, np.nan, 0.5], 1.0, inputs)
+        r.check("empty", [0.5, 2.0, 0.5], 1.0, inputs, False)
+        return r
+
+    r = run()
+    assert [(f["trial"], f["quantity"], f["value"]) for f in r.failures] == [
+        (0, "a", [3.0, 0.0]), (0, "b", [5.0, 0.0]), (1, "a", [2.0, 0.0]), (1, "errors", "bad"),
+        (1, "b", "nan"), (2, "a", [4.0, 0.0])]
+    assert all(f["inputs"] == {"t": f["trial"]} for f in r.failures)
+    assert r.max_residuals["a"] == 4.0 and np.isnan(r.max_residuals["b"])
+    assert set(r.max_residuals) == {"a", "b"}
+    assert r.failed_trials == {0, 1, 2} and not r.passed
+    monkeypatch.setattr(harmorph.verify, "MAX_CAPTURED_FAILURES", 4)
+    few = run()
+    assert few.failures == r.failures[:4] and few.failed_trials == r.failed_trials
+    clean = VerificationReport("s", None, [], 2, 3, 0, 1.0)
+    clean.check("a", [0.5, 1.0, 0.0], 1.0, None)
+    assert clean.passed and clean.failures == [] and clean.max_residuals == {"a": 1.0}
 
 
 def _as_family_names(report, label):
@@ -346,44 +370,112 @@ def test_harmonic_suite_is_the_one_member_family(morphism):
         verify_family([morphism], 20, SEED))
 
 
-class _RecordingReport(VerificationReport):
-    """Keeps every residual array passed to check_all, per quantity."""
+def _recorded_checks(monkeypatch) -> dict:
+    """From now on, the values each check counts, by quantity: a list per trial."""
+    recorded = {}
+    check = VerificationReport.check
 
-    def __init__(self):
-        super().__init__("s", None, [], 0, 1, 0, 1.0)
-        self.residuals = {}
+    def recording(report, quantity, values, tol, inputs, checked=True):
+        v = np.asarray(values)
+        mask = np.broadcast_to(checked, v.shape)
+        recorded[quantity] = [row[keep].tolist() for row, keep in
+                              zip(v.reshape(len(v), -1), mask.reshape(len(v), -1))]
+        check(report, quantity, values, tol, inputs, checked)
 
-    def check_all(self, trial, quantity, residuals, tol, inputs=None):
-        self.residuals.setdefault(quantity, []).extend(residuals.tolist())
+    monkeypatch.setattr(VerificationReport, "check", recording)
+    return recorded
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_psi_residuals_equal_reference_loop(n):
-    """The stacked psi relations give the guarded ratios of a plain per-pair loop, bit for bit."""
-    from harmorph.jets import JetContext, Sqrt, eval_jet_cached, jet_sums, kappa_sum
+def _check_one(report, trial, quantity, value, tol, inputs):
+    """One residual of one trial, checked as report.check checks each entry."""
+    report.max_residuals[quantity] = max(report.max_residuals.get(quantity, 0.0), value)
+    if not value <= tol:
+        report.record_failure(trial, quantity, value, inputs)
+
+
+def _point(jet):
+    """The jet at the one point of a stack of one."""
+    return Jet2(jet.v[..., 0], jet.d1[..., 0], jet.d2[..., 0])
+
+
+def _reference_lemmas(space, trials, seed, tol, ratio_tol):
+    """The derivative lemmas one trial at a time, at the jets of each point as a stack
+    of one, with psi and its sums pair by pair: the report, and each quantity's
+    guarded ratios per trial."""
+    from harmorph.jets import JetContext, eval_jet_cached, jet_sums, kappa_sum
     from harmorph.sampling import sample_group_point
-    from harmorph.verify import RATIO_GUARD, _check_psi_relations
+    from harmorph.verify import RATIO_GUARD, _ser_mat
 
-    def guarded(lhs, rhs):
-        return [] if abs(rhs) < RATIO_GUARD else [abs(lhs - rhs) / abs(rhs)]
+    d = space.ambient_dim
+    c_tau = 2 * (space.n + 1) if space.id == "slr-so" else 4 * space.n - 2
+    report = VerificationReport(f"derivative-lemmas:{space.id}", space.id, [], space.n,
+                                trials, seed, tol)
+    residuals = {}
+    for t in range(trials):
+        x = sample_group_point(space, seed, index=t)
+        ctx = JetContext(space, x[None])
+        phi = ctx.phi[0]
+        tau_phi, kap = (a[0] for a in ctx.base_map_sums())
+        sides = {"tau_phi_ratio": zip(tau_phi.ravel(), (c_tau * phi).ravel())}
+        if space.id == "sus-sp":
+            pt = phi.T
+            expected = 2.0 * pt[:, :, None] * pt[:, None, :]
+            sides["kappa_phi_phi_shared_col"] = zip(np.einsum("klrl->lkr", kap).ravel(),
+                                                    expected.ravel())
+        else:
+            expected = 2.0 * (np.einsum("ki,lj->klij", phi, phi)
+                              + np.einsum("kj,li->klij", phi, phi))
+            sides["kappa_phi_phi"] = zip(kap.ravel(), expected.ravel())
+            sides.update(kappa_psi_psi=[], tau_psi=[], kappa_phi_psi=[])
+            for k in range(1, d + 1):
+                for l in range(k + 1, d + 1):
+                    stack, _ = eval_jet_cached(Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2),
+                                               ctx)
+                    psi = _point(stack)
+                    tau, kap_psi, _ = jet_sums(psi)
+                    sides["kappa_psi_psi"].append((kap_psi, 2.0 * psi.v ** 2))
+                    sides["tau_psi"].append((tau, 2.0 * (d - 1) * psi.v))
+                    sides["kappa_phi_psi"] += [(kappa_sum(_point(ctx.entry_jet(k, m)), psi),
+                                                2.0 * phi[k - 1, m - 1] * psi.v)
+                                               for m in range(1, d + 1)]
+        for q, pairs in sides.items():
+            guarded = [float(np.abs(lhs - rhs) / np.abs(rhs)) for lhs, rhs in pairs
+                       if not np.abs(rhs) < RATIO_GUARD]
+            residuals.setdefault(q, []).append(guarded)
+            for r in guarded:
+                _check_one(report, t, q, r, ratio_tol if q == "tau_phi_ratio" else tol,
+                           {"x": _ser_mat(x)})
+    return report, residuals
 
-    space = make_space("slr-so", n)
-    for t in range(5):
-        x = sample_group_point(space, SEED, index=t)
-        ctx = JetContext(space, x)
-        ref = {"kappa_psi_psi": [], "tau_psi": [], "kappa_phi_psi": []}
-        for k in range(1, n + 1):
-            for l in range(k + 1, n + 1):
-                jet, _ = eval_jet_cached(Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2), ctx)
-                tau, kap, _ = jet_sums(jet)
-                ref["kappa_psi_psi"] += guarded(kap, 2.0 * jet.v ** 2)
-                ref["tau_psi"] += guarded(tau, 2.0 * (n - 1) * jet.v)
-                for m in range(1, n + 1):
-                    ref["kappa_phi_psi"] += guarded(kappa_sum(ctx.entry_jet(k, m), jet),
-                                                    2.0 * ctx.phi[k - 1, m - 1] * jet.v)
-        report = _RecordingReport()
-        _check_psi_relations(report, space, ctx, t, x, 1e-8)
-        assert report.residuals == ref
+
+LEMMA_CASES = [("slr-so", n) for n in (2, 3, 4, 5)] + [("sus-sp", n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("sid,n", LEMMA_CASES)
+def test_stacked_lemmas_equal_per_trial_loop(sid, n, monkeypatch):
+    """The blocks of stacked trials give each relation the guarded ratios of the
+    trial-by-trial loop, bit for bit, and the same report."""
+    space = make_space(sid, n)
+    recorded = _recorded_checks(monkeypatch)
+    got = verify_derivative_lemmas(space, 25, SEED)
+    ref, residuals = _reference_lemmas(space, 25, SEED, 1e-8, 1e-9)
+    assert recorded == residuals
+    assert _strip_time(got) == _strip_time(ref)
+
+
+@pytest.mark.parametrize("captured", [10, 10_000])
+def test_lemma_failures_keep_trial_check_entry_order_across_blocks(captured, monkeypatch):
+    """At a tolerance nothing meets, every trial of every block fails several
+    relations; the captured failures are the loop's, in its order."""
+    monkeypatch.setattr(harmorph.verify, "MAX_CAPTURED_FAILURES", captured)
+    space = make_space("slr-so", 3)
+    got = verify_derivative_lemmas(space, 25, SEED, 1e-17, 1e-17)
+    ref, _ = _reference_lemmas(space, 25, SEED, 1e-17, 1e-17)
+    assert got.failed_trials == ref.failed_trials == set(range(25))
+    assert _strip_time(got) == _strip_time(ref)
+    assert len(got.failures) == min(captured, len(ref.failures))
+    if captured > 10:
+        assert len({f["quantity"] for f in got.failures if f["trial"] == 24}) > 1
 
 
 def test_exact_line_counts_every_failing_trial(monkeypatch):
@@ -433,8 +525,7 @@ def _reference_certify(suite, family, trials, seed, tag):
     from harmorph.jets import (Jet2, JetContext, eval_jet_cached, fd_jet, jet_sums, kappa_sum,
                                normalized_residual)
     from harmorph.spaces import p_basis
-    from harmorph.verify import (ORACLE_ABS_TOL, ORACLE_STEP, _inputs, _ser_mat,
-                                 sample_in_domain)
+    from harmorph.verify import ORACLE_ABS_TOL, ORACLE_STEP, _ser_mat, sample_in_domain
 
     space = family[0].space
     tol = default_tolerance(space)
@@ -447,7 +538,7 @@ def _reference_certify(suite, family, trials, seed, tag):
         walks = [eval_jet_cached(m.expr, JetContext(space, x[None], basis)) for m in family]
         error = next((e for _, errors in walks for e in errors if e is not None), None)
         if error is not None:
-            report.record_failure(t, "evaluation-error", str(error), _inputs(x=x))
+            report.record_failure(t, "evaluation-error", str(error), {"x": _ser_mat(x)})
             continue
         jets = [Jet2(*(a[..., 0] if np.ndim(a) else a for a in (j.v, j.d1, j.d2)))
                 for j, _ in walks]
@@ -455,19 +546,20 @@ def _reference_certify(suite, family, trials, seed, tag):
         for m, jet in zip(family, jets):
             tau, _, energy = jet_sums(jet)
             energies.append(float(energy))
-            report.check(t, f"tau{tag(m)}", float(normalized_residual(tau, energy)), tol,
-                         _inputs(x=x))
+            _check_one(report, t, f"tau{tag(m)}", float(normalized_residual(tau, energy)), tol,
+                       {"x": _ser_mat(x)})
         for a in range(len(family)):
             for b in range(a, len(family)):
                 scale = max(1.0, (energies[a] * energies[b]) ** 0.5)
-                report.check(t, f"kappa{tag(family[a], family[b])}",
-                             abs(complex(kappa_sum(jets[a], jets[b]))) / scale, tol, _inputs(x=x))
+                _check_one(report, t, f"kappa{tag(family[a], family[b])}",
+                           abs(complex(kappa_sum(jets[a], jets[b]))) / scale, tol,
+                           {"x": _ser_mat(x)})
         if t % 10 == 0 and len(basis):
             a = t % len(family)
             zi = t % len(basis)
             d1, d2 = (complex(np.broadcast_to(v, len(basis))[zi]) for v in (jets[a].d1, jets[a].d2))
             errors = np.full(1, None, dtype=object)
-            fd = fd_jet(family[a].expr, space, x[None], basis.stack[zi:zi + 1], ORACLE_STEP,
+            fd = fd_jet(family[a].expr, space, x[None], basis[zi:zi + 1], ORACLE_STEP,
                         errors)
             inputs = {"morphism": family[a].label, "x": _ser_mat(x)}
             if errors[0] is not None:
@@ -475,7 +567,7 @@ def _reference_certify(suite, family, trials, seed, tag):
                 continue
             scale = max(1.0, abs(complex(jets[a].v)) + abs(d1) + abs(d2))
             err = (abs(d1 - complex(fd.d1[0])) + abs(d2 - complex(fd.d2[0]))) / scale
-            report.check(t, "oracle", err, ORACLE_ABS_TOL, inputs)
+            _check_one(report, t, "oracle", err, ORACLE_ABS_TOL, inputs)
     return report
 
 
@@ -608,3 +700,56 @@ def test_basis_independence_and_invariance_record_jet_errors(m):
         assert not r.passed
         assert {f["quantity"] for f in r.failures} == {"evaluation-error"}
         assert 0 < len(r.failed_trials) < 20
+
+
+def _reference_invariance(morphism, trials, seed, tol):
+    """The invariance suite one trial at a time, by eval_value and eval_jet."""
+    from harmorph.jets import BranchCutError, EvaluationError, eval_jet, eval_value
+    from harmorph.morphisms import POSITIVE_SCALE
+    from harmorph.sampling import rng_from_seed, sample_stabilizer_point
+    from harmorph.spaces import stabilizer_algebra
+    from harmorph.verify import _ser_mat, sample_in_domain
+
+    space = morphism.space
+    report = VerificationReport("invariance", space.id, [morphism.label], space.n,
+                                trials, seed, tol)
+    k_gens = stabilizer_algebra(space)
+    scaled = POSITIVE_SCALE in morphism.invariances
+    for t in range(trials):
+        x = sample_in_domain(morphism, seed, t)
+        k = sample_stabilizer_point(space, seed, index=t)
+        inputs = {"x": _ser_mat(x)}
+        try:
+            fx = eval_value(morphism.expr, space, x)
+            fxk = eval_value(morphism.expr, space, x @ k)
+            if scaled:
+                frx = eval_value(morphism.expr, space,
+                                 rng_from_seed(seed, t, 7).uniform(0.5, 2.0) * x)
+            j = eval_jet(morphism.expr, space, x, k_gens[t % len(k_gens)])
+        except (EvaluationError, BranchCutError) as exc:
+            report.record_failure(t, "evaluation-error", str(exc), inputs)
+            continue
+        _check_one(report, t, "stabilizer-right", abs(fxk - fx), tol,
+                   {"x": _ser_mat(x), "k": _ser_mat(k)})
+        if scaled:
+            _check_one(report, t, "positive-scale", abs(frx - fx), tol, inputs)
+        _check_one(report, t, "stabilizer-jet", abs(j.d1), tol, inputs)
+    return report
+
+
+INVARIANCE_CASES = [real_morphism(3, 1, 2), quat_family(2, 1)[0], typeIV_bigcell_morphism(3, 2, 1),
+                    dual_real_morphism(3, 1, 2), dual_quat_family(2, 1)[0], DIVIDES_BY_ZERO,
+                    ON_THE_CUT]
+
+
+@pytest.mark.parametrize("m", INVARIANCE_CASES, ids=lambda m: m.label)
+@pytest.mark.parametrize("tol", [1e-9, 1e-16])
+def test_stacked_invariance_equals_per_trial_loop(m, tol, monkeypatch):
+    """One value walk over x, x k and r x and one jet walk along the stabilizer algebra
+    give the report of eval_value and eval_jet trial by trial: the same residuals,
+    errors and failures, bit for bit."""
+    monkeypatch.setattr(harmorph.verify, "MAX_CAPTURED_FAILURES", 10_000)
+    got = verify_invariance(m, 20, SEED, tol)
+    ref = _reference_invariance(m, 20, SEED, tol)
+    assert got.failed_trials == ref.failed_trials
+    assert _strip_time(got) == _strip_time(ref)
