@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .matrices import mat_exp
+from .sampling import sign_fixed_q
 from .spaces import SpaceSpec, X_JT_XT_J, X_XSTAR, X_XT, p_basis
 
 BRANCH_CUT_EPS = 1e-9
@@ -456,7 +457,7 @@ def fd_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray, h: float,
     _guard.
     """
     k = len(x)
-    e = mat_exp(np.concatenate([h * z, -h * z]))
+    e = scipy.linalg.expm(np.concatenate([h * z, -h * z]))
     values, stencil_errors = _values(f, space, np.stack([x @ e[:k], x, x @ e[k:]]))
     for i, stencil in enumerate(stencil_errors.T):
         if errors[i] is None:
@@ -468,7 +469,4 @@ def fd_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray, h: float,
 def rotated_basis(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Apply a random orthogonal mixing matrix to the basis elements."""
     d = len(basis)
-    m = rng.uniform(-1.0, 1.0, (d, d))
-    q, r = np.linalg.qr(m)
-    q = q * np.sign(np.diagonal(r))
-    return np.tensordot(q, basis, axes=1)
+    return np.tensordot(sign_fixed_q(rng.uniform(-1.0, 1.0, (d, d))), basis, axes=1)

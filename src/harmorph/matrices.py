@@ -1,29 +1,16 @@
-"""Dense matrix kernel shared by the float and exact rational backends.
+"""Float determinants, leading principal minors and Gauss LDU of small matrices.
 
-Matrices are numpy arrays: float64/complex128 for the numerical backend,
-``dtype=object`` holding Fraction or ComplexRational entries for the exact
-backend.  Everything here stays small (n <= 16), so clarity wins over
-performance throughout.
+Everything here stays small (n <= 16), so clarity wins over performance
+throughout.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
-import scipy.linalg
-
-
-class BackendError(TypeError):
-    """Operation requested on an unsupported scalar backend."""
 
 
 class BigCellError(ValueError):
     """A leading principal minor vanishes: the matrix is not in the big cell."""
-
-
-def is_exact(a: np.ndarray) -> bool:
-    return a.dtype == object
 
 
 def _check_square(a: np.ndarray) -> None:
@@ -31,41 +18,13 @@ def _check_square(a: np.ndarray) -> None:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
 
 
-def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a matrix or of each matrix of a stack; float backends only."""
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if is_exact(a):
-        raise BackendError("mat_exp is not defined on the exact backend")
-    return scipy.linalg.expm(a)
-
-
-def exact_eye(n: int) -> np.ndarray:
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = Fraction(1) if i == j else Fraction(0)
-    return out
-
-
-def _zero(a: np.ndarray):
-    return Fraction(0) if is_exact(a) else a.dtype.type(0)
-
-
-def _one(a: np.ndarray):
-    return Fraction(1) if is_exact(a) else a.dtype.type(1)
-
-
 def det(a: np.ndarray):
-    """Determinant via Gaussian elimination with pivot search.
-
-    Exact on the rational backends (Fraction / ComplexRational entries).
-    """
+    """Determinant via Gaussian elimination, pivoting on the first nonzero entry."""
     _check_square(a)
     n = a.shape[0]
     m = a.copy()
     sign = 1
-    result = _one(a)
+    result = a.dtype.type(1)
     for k in range(n):
         pivot_row = None
         for i in range(k, n):
@@ -73,7 +32,7 @@ def det(a: np.ndarray):
                 pivot_row = i
                 break
         if pivot_row is None:
-            return _zero(a)
+            return a.dtype.type(0)
         if pivot_row != k:
             m[[k, pivot_row]] = m[[pivot_row, k]]
             sign = -sign
@@ -99,18 +58,11 @@ def gauss_ldu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     _check_square(a)
     n = a.shape[0]
-    m = a.copy()
-    if is_exact(a):
-        L = exact_eye(n)
-        U = exact_eye(n)
-        D = np.empty((n, n), dtype=object)
-        D[:] = Fraction(0)
-    else:
-        dt = np.result_type(a.dtype, np.float64)
-        L = np.eye(n, dtype=dt)
-        U = np.eye(n, dtype=dt)
-        D = np.zeros((n, n), dtype=dt)
-        m = m.astype(dt)
+    dt = np.result_type(a.dtype, np.float64)
+    m = a.astype(dt)
+    L = np.eye(n, dtype=dt)
+    U = np.eye(n, dtype=dt)
+    D = np.zeros((n, n), dtype=dt)
     for k in range(n):
         p = m[k, k]
         if p == 0:

@@ -53,14 +53,26 @@ def _check_kl(n: int, k: int, l: int) -> None:
         raise ValueError("the construction requires k != l")
 
 
+def _real_quotient(space: SpaceSpec, k: int, l: int, domain: Callable[[np.ndarray], bool],
+                   invariances: tuple[str, ...]) -> Morphism:
+    """(phi_kl + i psi_kl) / phi_ll on the space, psi_kl = sqrt(phi_kk phi_ll - phi_kl^2)."""
+    psi = Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2)
+    expr = (Entry(k, l) + ScaleByI(psi)) / Entry(l, l)
+    return Morphism(expr, space, f"{space.label()}:kl={k}{l}", domain, invariances)
+
+
+def _quotient_family(space: SpaceSpec, l: int, domain: Callable[[np.ndarray], bool],
+                     invariances: tuple[str, ...]) -> list[Morphism]:
+    """The family {phi_kl / phi_ll | k != l} on the space."""
+    return [Morphism(Entry(k, l) / Entry(l, l), space, f"{space.label()}:l={l}:k={k}", domain,
+                     invariances) for k in range(1, 2 * space.n + 1) if k != l]
+
+
 def real_morphism(n: int, k: int, l: int) -> Morphism:
     """(phi_kl + i psi_kl) / phi_ll on GL+(n, R), globally defined."""
     _check_kl(n, k, l)
-    space = make_space("slr-so", n)
-    psi = Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2)
-    expr = (Entry(k, l) + ScaleByI(psi)) / Entry(l, l)
-    return Morphism(expr, space, f"slr-so:n={n}:kl={k}{l}", _everywhere,
-                    (STABILIZER_RIGHT, POSITIVE_SCALE))
+    return _real_quotient(make_space("slr-so", n), k, l, _everywhere,
+                          (STABILIZER_RIGHT, POSITIVE_SCALE))
 
 
 def control_morphism(n: int) -> Morphism:
@@ -80,15 +92,8 @@ def quat_family(n: int, l: int) -> list[Morphism]:
     """The family {phi_kl / phi_ll | k != l} on U*(2n), globally defined."""
     if not 1 <= l <= n:
         raise IndexError(f"l={l} out of range for n={n}")
-    space = make_space("sus-sp", n)
-    out = []
-    for k in range(1, 2 * n + 1):
-        if k == l:
-            continue
-        expr = Entry(k, l) / Entry(l, l)
-        out.append(Morphism(expr, space, f"sus-sp:n={n}:l={l}:k={k}",
-                            _everywhere, (STABILIZER_RIGHT, POSITIVE_SCALE)))
-    return out
+    return _quotient_family(make_space("sus-sp", n), l, _everywhere,
+                            (STABILIZER_RIGHT, POSITIVE_SCALE))
 
 
 def dual_real_domain_detail(space: SpaceSpec, k: int, l: int, x: np.ndarray,
@@ -112,14 +117,12 @@ def dual_real_morphism(n: int, k: int, l: int, margin: float = DEFAULT_MARGIN) -
     """(phi*_kl + i psi*_kl) / phi*_ll on SU(n), defined off the stated bad set."""
     _check_kl(n, k, l)
     space = make_space("su-so", n)
-    psi = Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2)
-    expr = (Entry(k, l) + ScaleByI(psi)) / Entry(l, l)
 
     def domain(x: np.ndarray) -> bool:
         stated, cut_ok = dual_real_domain_detail(space, k, l, x, margin)
         return stated and cut_ok
 
-    return Morphism(expr, space, f"su-so:n={n}:kl={k}{l}", domain, (STABILIZER_RIGHT,))
+    return _real_quotient(space, k, l, domain, (STABILIZER_RIGHT,))
 
 
 def dual_quat_family(n: int, l: int, margin: float = DEFAULT_MARGIN) -> list[Morphism]:
@@ -132,14 +135,7 @@ def dual_quat_family(n: int, l: int, margin: float = DEFAULT_MARGIN) -> list[Mor
         phi = base_map_value(space, x, check=False)
         return abs(complex(phi[l - 1, l - 1])) > margin
 
-    out = []
-    for k in range(1, 2 * n + 1):
-        if k == l:
-            continue
-        expr = Entry(k, l) / Entry(l, l)
-        out.append(Morphism(expr, space, f"su-sp:n={n}:l={l}:k={k}", domain,
-                            (STABILIZER_RIGHT,)))
-    return out
+    return _quotient_family(space, l, domain, (STABILIZER_RIGHT,))
 
 
 # ---------------------------------------------------------------------------

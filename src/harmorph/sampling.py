@@ -3,9 +3,23 @@
 All float randomness flows through Philox (counter-based) keyed by a 64-bit
 seed plus a spawn index, so every run is bit-reproducible from the seed
 recorded in its report.  Samplers resample until the membership residual
-and a conditioning cap (cond <= 1e6) are met; the loop is bounded and
-exceeding the bound is an internal error.  The group sampler draws a whole
-stack of indices at once, with the same points as one index at a time.
+(and, for group points, a conditioning cap cond <= 1e6) is met; the loop is
+bounded and exceeding the bound is an internal error.  The group and the
+stabilizer samplers draw a whole stack of indices at once through one retry
+loop (``first_accepted``), with the same points as one index at a time.
+
+Every draw has its own key:
+
+========================= ==================================================
+draw                      key (seed, spawn...)
+========================= ==================================================
+group point, attempt a    (seed, index, a); the domain point of trial t
+                          tries the group point of index 1000 t + r in round r
+stabilizer point, a       (seed, index, a, 1)
+invariance scale factor   (seed, trial, 7)
+basis rotation            (seed, rotation, 11)
+exact rational trial      (seed, trial)
+========================= ==================================================
 
 ``rng_from_seed`` defines the generator of one key (seed, spawn...).  A stack
 of keys gets the same generators without a SeedSequence or a Philox per key:
@@ -22,8 +36,8 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
-from .matrices import mat_exp
 from .scalars import ComplexRational
 from .spaces import SpaceSpec
 
@@ -149,13 +163,23 @@ def _unitary(z: np.ndarray) -> np.ndarray:
     return q
 
 
-def _orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
-    m = rng.uniform(-1.0, 1.0, (d, d))
+def sign_fixed_q(m: np.ndarray) -> np.ndarray:
+    """The orthogonal QR factor of m (one matrix or a stack), with the signs of the
+    factorization fixed so that R has a positive diagonal."""
     q, r = np.linalg.qr(m)
-    q = q * np.sign(np.diagonal(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def _quaternion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[[A, B], [-conj B, conj A]] of each pair of blocks of two stacks."""
+    return np.block([[a, b], [-b.conj(), a.conj()]])
+
+
+def _block_pairs(rngs: Iterator[np.random.Generator], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two n x n draws from each generator in turn, 0.35 * uniform complex, as two stacks."""
+    a, b = zip(*[(_uniform_complex(rng, (n, n)) * 0.35, _uniform_complex(rng, (n, n)) * 0.35)
+                 for rng in rngs])
+    return np.array(a), np.array(b)
 
 
 def _roots(values: np.ndarray, keep: np.ndarray, d: int) -> np.ndarray:
@@ -184,14 +208,7 @@ def _candidates(space: SpaceSpec, count: int,
         x[np.linalg.det(x) < 0, :, 0] *= -1
         return x.astype(complex), drawn
     if space.id == "sus-sp":
-        n = space.n
-        a = np.empty((count, d, d), dtype=complex)
-        for ai, rng in zip(a, rngs):
-            alpha = _uniform_complex(rng, (n, n)) * 0.35
-            beta = _uniform_complex(rng, (n, n)) * 0.35
-            ai[:n, :n], ai[:n, n:] = alpha, beta
-            ai[n:, :n], ai[n:, n:] = -beta.conj(), alpha.conj()
-        return mat_exp(a), drawn
+        return scipy.linalg.expm(_quaternion(*_block_pairs(rngs, space.n))), drawn
     if space.id in ("su-so", "su-sp"):
         return _unitary(np.array([_uniform_complex(rng, (d, d)) for rng in rngs])), drawn
     if space.id == "slc-su":
@@ -239,26 +256,37 @@ def sample_group_point(space: SpaceSpec, rng_seed: int, index: int | np.ndarray 
         f"sampler failed to produce a {space.id} point after {_MAX_ATTEMPTS} attempts"))
 
 
-def sample_stabilizer_point(space: SpaceSpec, rng_seed: int, index: int = 0) -> np.ndarray:
-    """A random point of the stabilizer K within 1e-10."""
+def _stabilizer_candidates(space: SpaceSpec, rngs: Iterator[np.random.Generator]) -> np.ndarray:
+    """One candidate point of K from each generator, stacked."""
     d = space.ambient_dim
-    for attempt in range(_MAX_ATTEMPTS):
-        rng = rng_from_seed(rng_seed, index, attempt, 1)
-        if space.stabilizer == "so":
-            k = _orthogonal(rng, d).astype(complex)
-        elif space.stabilizer == "su":
-            k = _unitary(_uniform_complex(rng, (d, d)))
-        else:  # sp(n): exponential of a symplectic algebra element
-            n = space.n
-            g = _uniform_complex(rng, (n, n)) * 0.35
-            alpha = (g - g.conj().T) / 2.0
-            h = _uniform_complex(rng, (n, n)) * 0.35
-            beta = (h + h.T) / 2.0
-            a = np.block([[alpha, beta], [-beta.conj(), alpha.conj()]])
-            k = mat_exp(a)
-        if space.stabilizer_membership(k, MEMBERSHIP_TOL):
-            return k
-    raise RuntimeError(f"stabilizer sampler failed for {space.id}")
+    if space.stabilizer == "so":
+        q = sign_fixed_q(np.array([rng.uniform(-1.0, 1.0, (d, d)) for rng in rngs]))
+        q[np.linalg.det(q) < 0, :, 0] *= -1
+        return q.astype(complex)
+    if space.stabilizer == "su":
+        return _unitary(np.array([_uniform_complex(rng, (d, d)) for rng in rngs]))
+    # sp(n): exponential of Q(alpha, beta), alpha anti-Hermitian and beta symmetric
+    g, h = _block_pairs(rngs, space.n)
+    alpha = (g - np.swapaxes(g, -1, -2).conj()) / 2.0
+    beta = (h + np.swapaxes(h, -1, -2)) / 2.0
+    return scipy.linalg.expm(_quaternion(alpha, beta))
+
+
+def sample_stabilizer_point(space: SpaceSpec, rng_seed: int,
+                            index: int | np.ndarray = 0) -> np.ndarray:
+    """A random point of the stabilizer K within 1e-10; for an array of indices, a
+    stack of points of shape index.shape + (d, d).
+
+    Attempt a at an index draws from the generator of (seed, index, a, 1), and the
+    indices still without a point are drawn and tested together, as in
+    sample_group_point.
+    """
+    def draw(indices, attempt):
+        k = _stabilizer_candidates(space, generators(rng_seed, indices, attempt, 1))
+        return k, space.stabilizer_membership(k, MEMBERSHIP_TOL)
+
+    return first_accepted(index, space.ambient_dim, draw, _MAX_ATTEMPTS,
+                          RuntimeError(f"stabilizer sampler failed for {space.id}"))
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,8 @@ class SpaceSpec:
         """Whether x is a point of the ambient group; for a stack, per matrix."""
         return _membership(self, x, tol)
 
-    def stabilizer_membership(self, k: np.ndarray, tol: float = 1e-10) -> bool:
+    def stabilizer_membership(self, k: np.ndarray, tol: float = 1e-10):
+        """Whether k is a point of the stabilizer K; for a stack, per matrix."""
         return _stabilizer_membership(self, k, tol)
 
     def label(self) -> str:
@@ -174,27 +175,31 @@ def _membership(space: SpaceSpec, x: np.ndarray, tol: float) -> np.ndarray:
         return (~(_norms(x @ J - J @ x.conj()) > tol * scale) & (dx.real > 0)
                 & (np.abs(dx.imag) <= tol * np.maximum(1.0, _modulus(dx))))
     if space.id in ("su-so", "su-sp"):
-        unitary = ~(_norms(x @ np.swapaxes(x, -1, -2).conj() - np.eye(d)) > tol)
-        return unitary & (_modulus(np.linalg.det(x) - 1) <= tol)
+        return _special_unitary(x, tol)
     if space.id == "slc-su":
         return _modulus(np.linalg.det(x) - 1) <= tol
     raise AssertionError(space.id)
 
 
-def _stabilizer_membership(space: SpaceSpec, k: np.ndarray, tol: float) -> bool:
+def _special_unitary(x: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each matrix of x is unitary with determinant 1, within tol."""
+    unitary = ~(_norms(x @ np.swapaxes(x, -1, -2).conj() - np.eye(x.shape[-1])) > tol)
+    return unitary & (_modulus(np.linalg.det(x) - 1) <= tol)
+
+
+def _stabilizer_membership(space: SpaceSpec, k: np.ndarray, tol: float) -> np.ndarray:
+    """Membership in K of a matrix, or of each matrix of a stack, as in _membership:
+    special unitary, and real for so(n) or commuting with J for sp(n)."""
     d = space.ambient_dim
-    if k.shape != (d, d):
-        return False
-    if np.linalg.norm(k @ k.conj().T - np.eye(d)) > tol:
-        return False
-    if abs(np.linalg.det(k) - 1) > tol:
-        return False
+    if k.shape[-2:] != (d, d):
+        return np.zeros(k.shape[:-2], dtype=bool)
+    ok = _special_unitary(k, tol)
     if space.stabilizer == "so":
-        return np.max(np.abs(k.imag)) <= tol
+        return ok & (np.max(np.abs(k.imag), axis=(-2, -1)) <= tol)
     if space.stabilizer == "sp":
         J = space.J
-        return np.linalg.norm(k @ J - J @ k.conj()) <= tol
-    return True  # su
+        return ok & (_norms(k @ J - J @ k.conj()) <= tol)
+    return ok  # su
 
 
 # ---------------------------------------------------------------------------

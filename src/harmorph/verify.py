@@ -523,7 +523,7 @@ def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,
     timer = _Timer(report)
     scaled = POSITIVE_SCALE in morphism.invariances
     xs = sample_in_domain(morphism, seed, np.arange(trials))
-    ks = np.array([sample_stabilizer_point(space, seed, index=t) for t in range(trials)])
+    ks = sample_stabilizer_point(space, seed, np.arange(trials))
     points = [xs, xs @ ks]
     if scaled:
         r = np.array([rng.uniform(0.5, 2.0) for rng in generators(seed, np.arange(trials), 7)])

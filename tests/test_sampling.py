@@ -311,3 +311,114 @@ def test_stacked_domain_sampling_error_equals_reference(sid, n):
     with pytest.raises(SamplingError) as got:
         sample_in_domain(nowhere, 5, np.arange(2))
     assert str(got.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# the stacked stabilizer sampler against the point-by-point loop it replaces
+# ---------------------------------------------------------------------------
+
+def _reference_orthogonal(rng, d):
+    m = rng.uniform(-1.0, 1.0, (d, d))
+    q, r = np.linalg.qr(m)
+    q = q * np.sign(np.diagonal(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _reference_stabilizer_membership(space, k, tol):
+    """Membership in K of one matrix, as tested point by point."""
+    d = space.ambient_dim
+    if k.shape != (d, d):
+        return False
+    if np.linalg.norm(k @ k.conj().T - np.eye(d)) > tol:
+        return False
+    if abs(np.linalg.det(k) - 1) > tol:
+        return False
+    if space.stabilizer == "so":
+        return np.max(np.abs(k.imag)) <= tol
+    if space.stabilizer == "sp":
+        J = space.J
+        return np.linalg.norm(k @ J - J @ k.conj()) <= tol
+    return True
+
+
+def _reference_stabilizer_point(space, seed, index):
+    """sample_stabilizer_point for one index, drawn point by point."""
+    d = space.ambient_dim
+    for attempt in range(1000):
+        rng = rng_from_seed(seed, index, attempt, 1)
+        if space.stabilizer == "so":
+            k = _reference_orthogonal(rng, d).astype(complex)
+        elif space.stabilizer == "su":
+            k = _reference_unitary(rng, d)
+        else:
+            n = space.n
+            g = _reference_uniform_complex(rng, (n, n)) * 0.35
+            alpha = (g - g.conj().T) / 2.0
+            h = _reference_uniform_complex(rng, (n, n)) * 0.35
+            beta = (h + h.T) / 2.0
+            k = scipy.linalg.expm(np.block([[alpha, beta], [-beta.conj(), alpha.conj()]]))
+        if _reference_stabilizer_membership(space, k, 1e-10):
+            return k
+    raise RuntimeError(f"stabilizer sampler failed for {space.id}")
+
+
+# one space of each stabilizer kind: so, su and sp
+STABILIZER_CASES = [(sid, n) for sid in ("slr-so", "slc-su", "sus-sp") for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("sid,n", STABILIZER_CASES)
+def test_stacked_stabilizer_points_equal_reference_loop(sid, n):
+    space = make_space(sid, n)
+    indices = np.array([0, 1, 2, 3, 17, 1000, 41999, 5, 5])
+    for seed in (0, 7, 2**63 + 5):
+        stack = sample_stabilizer_point(space, seed, indices)
+        assert stack.shape == (len(indices),) + (space.ambient_dim,) * 2
+        for i, k in zip(indices, stack):
+            assert np.array_equal(k, _reference_stabilizer_point(space, seed, int(i)))
+        assert np.array_equal(sample_stabilizer_point(space, seed, 17), stack[4])
+        assert np.array_equal(sample_stabilizer_point(space, seed, indices.reshape(3, 3)),
+                              stack.reshape((3, 3) + stack.shape[1:]))
+
+
+def _phases(d, theta):
+    """diag(e^{i theta}, e^{-i theta}, 1, ...): special unitary, not real, and for d >= 4
+    not commuting with J."""
+    p = np.ones(d, dtype=complex)
+    p[:2] = np.exp(1j * theta), np.exp(-1j * theta)
+    return np.diag(p)
+
+
+@pytest.mark.parametrize("sid,n", STABILIZER_CASES)
+def test_stacked_stabilizer_membership_equals_reference(sid, n):
+    """Stacked K membership decides as the per-matrix test does, on members and on
+    points moved off K by about a tolerance: scaled, and (for d >= 2) multiplied by
+    phases, which gives so an imaginary part and breaks the J condition of sp(n >= 2)."""
+    space = make_space(sid, n)
+    k = sample_stabilizer_point(space, 3, np.arange(6))
+    d = space.ambient_dim
+    near = [k * (1 + s) for s in (1e-12, 1e-8)]
+    if d >= 2:
+        near += [k @ _phases(d, theta) for theta in (1e-12, 1e-8)]
+    stack = np.concatenate([k] + near)
+    bounds = [np.linalg.norm(p @ p.conj().T - np.eye(d)) for p in stack[6:9]]
+    for tol in [1e-10, 1e-9, 1e-7] + bounds:
+        got = space.stabilizer_membership(stack, tol)
+        assert got.tolist() == [bool(_reference_stabilizer_membership(space, p, tol))
+                                for p in stack]
+        assert got.tolist() == [bool(space.stabilizer_membership(p, tol)) for p in stack]
+    assert space.stabilizer_membership(k, 1e-10).all()
+    assert not space.stabilizer_membership(stack, 1e-10).all()
+    if sid != "slc-su" and n >= 2:
+        # multiplied by phases: special unitary, yet outside SO(n) and Sp(n)
+        assert not space.stabilizer_membership(k @ _phases(d, 1e-8), 1e-10).any()
+
+
+@pytest.mark.parametrize("sid", ["slr-so", "slc-su", "sus-sp"])
+def test_stabilizer_membership_of_a_wrong_shape_is_false(sid):
+    space = make_space(sid, 2)
+    d = space.ambient_dim
+    assert not space.stabilizer_membership(np.eye(d + 1, dtype=complex))
+    assert not space.stabilizer_membership(np.eye(d, dtype=complex)[:, :-1])
+    assert space.stabilizer_membership(np.eye(d + 1, dtype=complex)[None]).tolist() == [False]
