@@ -11,7 +11,9 @@ and branch-cut test acts per point, and a point that fails one is recorded,
 not raised, so the other points go on.  The tension field tau and the
 conformality operator kappa are the sums of these derivatives over an
 orthonormal basis of the horizontal complement; kappa is complex bilinear
-(no conjugation).
+(no conjugation).  Every such sum adds the directions one at a time in
+basis order (_direction_sum), so a point's sums do not depend on its stack
+or on how the stack is laid out in memory.
 """
 
 from __future__ import annotations
@@ -141,6 +143,10 @@ class Jet2:
 
     def times_i(self) -> "Jet2":
         return Jet2(_cmul(1j, self.v), 1j * self.d1, 1j * self.d2)
+
+    def __getitem__(self, index) -> "Jet2":
+        """The jet at v[..., index]: the index acts on the stack's last axes."""
+        return Jet2(*(a[(Ellipsis, *np.index_exp[index])] for a in (self.v, self.d1, self.d2)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +327,7 @@ class JetContext:
 
     def entry_jet(self, k: int, l: int) -> Jet2:
         """Jet of the base-map entry (k, l), 1-based, along every basis direction."""
-        c = self._column[l]
-        return Jet2(self.phi[..., k - 1, c], self.d1[..., k - 1, c], self.d2[..., k - 1, c])
-
-    def base_map_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """tau(phi_kl) as a matrix, and kappa(phi_kl, phi_ij) indexed [k, l, i, j], at
-        each point of the stack."""
-        return self.d2.sum(axis=0), np.einsum("z...kl,z...ij->...klij", self.d1, self.d1)
+        return Jet2(self.phi, self.d1, self.d2)[k - 1, self._column[l]]
 
 
 def _eval(f: Expr, entry_fn, shape: tuple[int, ...]) -> tuple[Jet2, np.ndarray]:
@@ -412,9 +412,19 @@ def eval_jet_cached(f: Expr, ctx: JetContext) -> tuple[Jet2, np.ndarray]:
     return _eval(f, ctx.entry_jet, ctx.phi.shape[:-2])
 
 
-def _direction_sum(a):
-    # a 0-d derivative is a constant's 0
-    return np.sum(a, axis=0) if np.ndim(a) else a
+def _direction_sum(a, b=None):
+    """The sum of a[z], or of a[z] * b[z], over the leading axis of directions z,
+    added to zero one direction at a time in basis order.  Each term is an array
+    over the stack (numpy's scalar complex product rounds differently), so a
+    point's sum has the same bits whatever its stack and memory layout."""
+    if b is not None:
+        a, b = np.broadcast_arrays(a, b)
+    if not np.ndim(a):  # a constant's 0
+        return a if b is None else a * b
+    total = np.zeros(a.shape[1:])
+    for z in range(len(a)):
+        total = total + (a[z, ...] if b is None else a[z, ...] * b[z, ...])
+    return total
 
 
 def jet_sums(j: Jet2) -> tuple:
@@ -426,13 +436,13 @@ def jet_sums(j: Jet2) -> tuple:
     points.  A jet whose derivatives are the scalar 0.0 (a constant) sums to
     zero.
     """
-    return (_direction_sum(j.d2), _direction_sum(j.d1 * j.d1),
-            _direction_sum(np.abs(j.d1) ** 2))
+    modulus = np.abs(j.d1)
+    return _direction_sum(j.d2), _direction_sum(j.d1, j.d1), _direction_sum(modulus, modulus)
 
 
 def kappa_sum(jf: Jet2, jg: Jet2):
     """kappa(f, g) from the jets of f and g along the same orthonormal basis."""
-    return _direction_sum(jf.d1 * jg.d1)
+    return _direction_sum(jf.d1, jg.d1)
 
 
 def normalized_residual(value, energy):

@@ -400,48 +400,37 @@ _PSI = Sqrt(Entry(1, 1) * Entry(2, 2) - Entry(1, 2) ** 2)
 
 
 def _lemma_relations(space: SpaceSpec, ctx: JetContext):
-    """(quantity, lhs, rhs) of each relation at the context's stack of points.
-
-    Each sum over directions runs over a contiguous last axis, in the order of
-    kappa_sum's sum over the directions of one point.
-    """
+    """(quantity, lhs, rhs) of each relation at the context's stack of points."""
     n = space.ambient_dim
-    phi = ctx.phi
-    tau_phi, kap = ctx.base_map_sums()
+    phi, p = Jet2(ctx.phi, ctx.d1, ctx.d2), ctx.phi
     # (i) tau(phi_kl) = c * phi_kl, as a ratio where phi_kl is nonzero
     c_tau = 2 * (space.n + 1) if space.id == "slr-so" else 4 * space.n - 2
-    yield "tau_phi_ratio", tau_phi, c_tau * phi
+    yield "tau_phi_ratio", jet_sums(phi)[0], c_tau * p
     if space.id == "sus-sp":
         # shared second index: kappa(phi_kl, phi_rl) = 2 phi_kl phi_rl, indexed [l, k, r]
-        pt = np.swapaxes(phi, -1, -2)
-        yield ("kappa_phi_phi_shared_col", np.einsum("...klrl->...lkr", kap),
+        kap = kappa_sum(phi[:, None, :], phi[None, :, :])  # indexed [k, r, l]
+        pt = np.swapaxes(p, -1, -2)
+        yield ("kappa_phi_phi_shared_col", np.moveaxis(kap, -1, -3),
                2.0 * pt[..., :, None] * pt[..., None, :])
         return
-    # (ii) the kappa(phi, phi) product formula
-    yield "kappa_phi_phi", kap, 2.0 * (np.einsum("...ki,...lj->...klij", phi, phi)
-                                       + np.einsum("...kj,...li->...klij", phi, phi))
+    # (ii) the kappa(phi, phi) product formula, indexed [k, l, i, j]
+    yield "kappa_phi_phi", kappa_sum(phi[:, :, None, None], phi[None, None, :, :]), 2.0 * (
+        np.einsum("...ki,...lj->...klij", p, p) + np.einsum("...kj,...li->...klij", p, p))
     rows, cols = kl = np.triu_indices(n, 1)  # the pairs k < l, in C order
     if not rows.size:
         return
-
-    def minor_entry(i, j):
-        """Entry (i, j) of the 2x2 minor on rows and columns (k, l), over the pairs."""
-        r, c = kl[i - 1], kl[j - 1]
-        return Jet2(phi[..., r, c], ctx.d1[..., r, c], ctx.d2[..., r, c])
-
-    # (iii)-(v): the sqrt components psi_kl, one walk over the stack of (points, pairs)
-    jet, errors = _eval(_PSI, minor_entry, phi.shape[:-2] + rows.shape)
+    # (iii)-(v): the sqrt components psi_kl, one walk over the stack of (points, pairs);
+    # entry (i, j) of the 2x2 minor on rows and columns (k, l) is phi[kl[i - 1], kl[j - 1]]
+    psi, errors = _eval(_PSI, lambda i, j: phi[kl[i - 1], kl[j - 1]], p.shape[:-2] + rows.shape)
     raise_first_error(errors)
-    psi = jet.v
-    d1, d2 = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (jet.d1, jet.d2))
+    tau_psi, kappa_psi, _ = jet_sums(psi)
     # (iv) kappa(psi, psi) = 2 psi^2
-    yield "kappa_psi_psi", (d1 * d1).sum(axis=-1), 2.0 * psi ** 2
+    yield "kappa_psi_psi", kappa_psi, 2.0 * psi.v ** 2
     # (v) tau(psi) = 2(n-1) psi
-    yield "tau_psi", d2.sum(axis=-1), 2.0 * (n - 1) * psi
+    yield "tau_psi", tau_psi, 2.0 * (n - 1) * psi.v
     # (iii) kappa(phi_km, psi_kl) = 2 phi_km psi_kl, indexed [pair, m]
-    phi_d1 = np.ascontiguousarray(np.moveaxis(ctx.d1[..., rows, :], 0, -1))
-    yield ("kappa_phi_psi", (phi_d1 * d1[..., None, :]).sum(axis=-1),
-           2.0 * phi[..., rows, :] * psi[..., None])
+    yield ("kappa_phi_psi", kappa_sum(phi[rows, :], psi[:, None]),
+           2.0 * p[..., rows, :] * psi.v[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +487,9 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
         for b in range(a, len(family)):
             # for a == b the scale is max(1, energy), since sqrt(E * E) == E
             scale = np.maximum(1.0, np.sqrt(sums[a][2] * sums[b][2]))
+            kappa = sums[a][1] if a == b else kappa_sum(jets[a], jets[b])
             report.check(f"kappa{tag(family[a], family[b])}",
-                         np.broadcast_to(np.abs(kappa_sum(jets[a], jets[b])) / scale, trials),
-                         tol, inputs, ok)
+                         np.broadcast_to(np.abs(kappa) / scale, trials), tol, inputs, ok)
     checked, residual, stencil_errors = _oracle(family, xs, jets, ok)
     oracle_inputs = lambda t: {"morphism": family[t % len(family)].label, "x": _ser_mat(xs[t])}
     report.check("oracle-evaluation-error", stencil_errors, None, oracle_inputs, checked)

@@ -165,6 +165,45 @@ def test_tau_kappa_basis_rotation_invariance():
     assert abs(kap0 - kap1) < 1e-10
 
 
+@pytest.mark.parametrize("directions", [0, 1, 7, 15])
+def test_direction_sums_do_not_depend_on_stack_or_layout(directions):
+    """jet_sums and kappa_sum give each point the same bits whether its derivatives
+    lie in C order, in F order (directions fastest, as JetContext lays them out),
+    alone in a stack of one, or in part of a larger stack."""
+    rng = np.random.default_rng(directions)
+    points = 40
+    # d1 and d2 of f, and d1 of g, over (directions, points) in C order
+    re, im = rng.normal(size=(2, 3, directions, points))
+    derivs = re + 1j * im
+
+    def sums(f1, f2, g1):
+        jf = Jet2(np.zeros(f1.shape[1:], complex), f1, f2)
+        return np.stack([*jet_sums(jf), kappa_sum(jf, Jet2(jf.v, g1, g1))])
+
+    c_order = sums(*derivs)
+    assert c_order.shape == (4, points)
+    wide = np.zeros((3, points + 20, directions), complex)
+    wide[:, 5:5 + points] = np.swapaxes(derivs, 1, 2)
+    layouts = {
+        "F order": sums(*(np.asfortranarray(a) for a in derivs)),
+        "stacks of one": np.concatenate([sums(*derivs[..., p:p + 1]) for p in range(points)],
+                                        axis=1),
+        "part of a stack": sums(*np.swapaxes(wide, 1, 2)[..., 5:5 + points]),
+    }
+    for name, got in layouts.items():
+        assert got.tobytes() == c_order.tobytes(), name
+    if not directions:
+        assert not c_order.any()
+
+
+def test_direction_sums_of_a_constant_are_zero():
+    const = Jet2(2.0, 0.0, 0.0)
+    assert jet_sums(const) == (0.0, 0.0, 0.0)
+    f = Jet2(np.ones(4, complex), np.ones((3, 4), complex), np.ones((3, 4), complex))
+    kappa = kappa_sum(const, f)
+    assert kappa.shape == (4,) and not kappa.any()
+
+
 def test_normalized_residual_convention():
     assert normalized_residual(1.0, 0.5) == 1.0     # floor at 1
     assert normalized_residual(1.0, 4.0) == 0.25
