@@ -30,20 +30,15 @@ def _resolve_seed(seed: int | None) -> int:
     return s
 
 
-def _emit(reports, fmt: str, output: str | None) -> None:
-    chunks = [vf.render_report(r, fmt) for r in reports]
-    text = "\n".join(chunks) + "\n"
+def _emit(ctx, reports, fmt: str, output: str | None) -> None:
+    """Write the reports, then exit 0 if every report passed and 1 otherwise."""
+    text = "\n".join(vf.render_report(r, fmt) for r in reports) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
-
-
-def _finish(ctx, reports) -> None:
-    if not all(r.passed for r in reports):
-        ctx.exit(1)
-    ctx.exit(0)
+    ctx.exit(0 if all(r.passed for r in reports) else 1)
 
 
 def _check_tol(ctx, param, value):
@@ -96,8 +91,7 @@ def identities(ctx, lemma, n, trials, seed, fmt, output):
         report = vf.verify_lemma_formula_real(n, trials, seed)
     else:
         report = vf.verify_lemma_long(n, trials, seed)
-    _emit([report], fmt, output)
-    _finish(ctx, [report])
+    _emit(ctx, [report], fmt, output)
 
 
 @main.command()
@@ -113,8 +107,7 @@ def lemmas(ctx, space_id, n, trials, tol, seed, fmt, output):
     """Derivative-constant lemma relations at sampled points."""
     seed = _resolve_seed(seed)
     report = vf.verify_derivative_lemmas(make_space(space_id, n), trials, seed, tol)
-    _emit([report], fmt, output)
-    _finish(ctx, [report])
+    _emit(ctx, [report], fmt, output)
 
 
 def _build_targets(space_id, n, k, l, family_l):
@@ -184,8 +177,7 @@ def verify_cmd(ctx, space_id, n, k, l, family_l, compose_poly, trials, tol, seed
             reports = [vf.verify_harmonic(single, trials, seed, tol)]
     except vf.SamplingError as exc:
         raise click.ClickException(str(exc))
-    _emit(reports, fmt, output)
-    _finish(ctx, reports)
+    _emit(ctx, reports, fmt, output)
 
 
 @main.command()
@@ -199,8 +191,7 @@ def bigcell(ctx, n, trials, seed, fmt, output):
     """Leading-principal-minor positivity of g g* on SL(n, C)."""
     seed = _resolve_seed(seed)
     report = vf.verify_bigcell(n, trials, seed)
-    _emit([report], fmt, output)
-    _finish(ctx, [report])
+    _emit(ctx, [report], fmt, output)
 
 
 @main.command(name="all")
@@ -218,8 +209,7 @@ def all_cmd(ctx, n_max, trials, seed, fmt, output):
         reports = run_sweep(n_max, trials, seed)
     except vf.SamplingError as exc:
         raise click.ClickException(str(exc))
-    _emit(reports, fmt, output)
-    _finish(ctx, reports)
+    _emit(ctx, reports, fmt, output)
 
 
 def run_sweep(n_max: int, trials: int, seed: int) -> list[vf.VerificationReport]:

@@ -1,4 +1,4 @@
-"""Float determinants, leading principal minors and Gauss LDU of small matrices.
+"""Gauss LDU of small float matrices, kept as an independent oracle for the tests.
 
 Everything here stays small (n <= 16), so clarity wins over performance
 throughout.
@@ -16,38 +16,6 @@ class BigCellError(ValueError):
 def _check_square(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-
-
-def det(a: np.ndarray):
-    """Determinant via Gaussian elimination, pivoting on the first nonzero entry."""
-    _check_square(a)
-    n = a.shape[0]
-    m = a.copy()
-    sign = 1
-    result = a.dtype.type(1)
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if m[i, k] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return a.dtype.type(0)
-        if pivot_row != k:
-            m[[k, pivot_row]] = m[[pivot_row, k]]
-            sign = -sign
-        p = m[k, k]
-        result = result * p
-        for i in range(k + 1, n):
-            factor = m[i, k] / p
-            m[i, k:] = m[i, k:] - factor * m[k, k:]
-    return sign * result if sign < 0 else result
-
-
-def leading_principal_minors(a: np.ndarray) -> list:
-    """Minors m_1..m_n, where m_k is the determinant of the top-left k x k block."""
-    _check_square(a)
-    return [det(a[:k, :k]) for k in range(1, a.shape[0] + 1)]
 
 
 def gauss_ldu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -112,12 +112,42 @@ class SpaceSpec:
         return symplectic_J(self.n)
 
     def membership(self, x: np.ndarray, tol: float = 1e-10):
-        """Whether x is a point of the ambient group; for a stack, per matrix."""
-        return _membership(self, x, tol)
+        """Whether x is a point of the ambient group; for a stack (..., d, d), per matrix.
+
+        Stacked determinants and products give each matrix the numbers it gets alone,
+        and norms and moduli are taken as for one matrix, so a point's answer does not
+        depend on the points stacked with it.
+        """
+        d = self.ambient_dim
+        if x.shape[-2:] != (d, d):
+            return np.zeros(x.shape[:-2], dtype=bool)
+        if self.id == "slr-so":
+            return ~(np.max(np.abs(x.imag), axis=(-2, -1)) > tol) & (np.linalg.det(x.real) > 0)
+        if self.id == "sus-sp":
+            J = self.J
+            scale = np.maximum(1.0, _norms(x))
+            dx = np.linalg.det(x)
+            return (~(_norms(x @ J - J @ x.conj()) > tol * scale) & (dx.real > 0)
+                    & (np.abs(dx.imag) <= tol * np.maximum(1.0, _modulus(dx))))
+        if self.id in ("su-so", "su-sp"):
+            return _special_unitary(x, tol)
+        if self.id == "slc-su":
+            return _modulus(np.linalg.det(x) - 1) <= tol
+        raise AssertionError(self.id)
 
     def stabilizer_membership(self, k: np.ndarray, tol: float = 1e-10):
-        """Whether k is a point of the stabilizer K; for a stack, per matrix."""
-        return _stabilizer_membership(self, k, tol)
+        """Whether k is a point of the stabilizer K, per matrix as in membership: special
+        unitary, and real for so(n) or commuting with J for sp(n)."""
+        d = self.ambient_dim
+        if k.shape[-2:] != (d, d):
+            return np.zeros(k.shape[:-2], dtype=bool)
+        ok = _special_unitary(k, tol)
+        if self.stabilizer == "so":
+            return ok & (np.max(np.abs(k.imag), axis=(-2, -1)) <= tol)
+        if self.stabilizer == "sp":
+            J = self.J
+            return ok & (_norms(k @ J - J @ k.conj()) <= tol)
+        return ok  # su
 
     def label(self) -> str:
         return f"{self.id}:n={self.n}"
@@ -156,50 +186,10 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _membership(space: SpaceSpec, x: np.ndarray, tol: float) -> np.ndarray:
-    """Membership of a matrix, or of each matrix of a stack (x of shape (..., d, d)).
-
-    Stacked determinants and products give each matrix the numbers it gets alone,
-    and norms and moduli are taken as for one matrix, so a point's answer does not
-    depend on the points stacked with it.
-    """
-    d = space.ambient_dim
-    if x.shape[-2:] != (d, d):
-        return np.zeros(x.shape[:-2], dtype=bool)
-    if space.id == "slr-so":
-        return ~(np.max(np.abs(x.imag), axis=(-2, -1)) > tol) & (np.linalg.det(x.real) > 0)
-    if space.id == "sus-sp":
-        J = space.J
-        scale = np.maximum(1.0, _norms(x))
-        dx = np.linalg.det(x)
-        return (~(_norms(x @ J - J @ x.conj()) > tol * scale) & (dx.real > 0)
-                & (np.abs(dx.imag) <= tol * np.maximum(1.0, _modulus(dx))))
-    if space.id in ("su-so", "su-sp"):
-        return _special_unitary(x, tol)
-    if space.id == "slc-su":
-        return _modulus(np.linalg.det(x) - 1) <= tol
-    raise AssertionError(space.id)
-
-
 def _special_unitary(x: np.ndarray, tol: float) -> np.ndarray:
     """Whether each matrix of x is unitary with determinant 1, within tol."""
     unitary = ~(_norms(x @ np.swapaxes(x, -1, -2).conj() - np.eye(x.shape[-1])) > tol)
     return unitary & (_modulus(np.linalg.det(x) - 1) <= tol)
-
-
-def _stabilizer_membership(space: SpaceSpec, k: np.ndarray, tol: float) -> np.ndarray:
-    """Membership in K of a matrix, or of each matrix of a stack, as in _membership:
-    special unitary, and real for so(n) or commuting with J for sp(n)."""
-    d = space.ambient_dim
-    if k.shape[-2:] != (d, d):
-        return np.zeros(k.shape[:-2], dtype=bool)
-    ok = _special_unitary(k, tol)
-    if space.stabilizer == "so":
-        return ok & (np.max(np.abs(k.imag), axis=(-2, -1)) <= tol)
-    if space.stabilizer == "sp":
-        J = space.J
-        return ok & (_norms(k @ J - J @ k.conj()) <= tol)
-    return ok  # su
 
 
 # ---------------------------------------------------------------------------

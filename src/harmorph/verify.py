@@ -21,10 +21,9 @@ from functools import partial
 import numpy as np
 
 # eval_jet is not called here, but stays a module global: perfbench/tracing.py wraps it by name
-from .jets import (Entry, Jet2, JetContext, Sqrt, _eval, _values, entry_columns,  # noqa: F401
-                   eval_jet, eval_jet_cached, fd_jet, jet_sums, kappa_sum, normalized_residual,
-                   raise_first_error, rotated_basis)
-from .matrices import leading_principal_minors
+from .jets import (Entry, Jet2, JetContext, Sqrt, _eval, _values, base_map_value,  # noqa: F401
+                   entry_columns, eval_jet, eval_jet_cached, fd_jet, jet_sums, kappa_sum,
+                   normalized_residual, raise_first_error, rotated_basis)
 from .morphisms import POSITIVE_SCALE, Morphism, _family_space
 from .sampling import (complex_rational_vector, first_accepted, generators, rational_vector,
                        sample_group_point, sample_stabilizer_point)
@@ -100,15 +99,17 @@ class VerificationReport:
     # the keys (trial, check, entry) of the captured failures, and the checks so far
     _keys: list = field(default_factory=list, init=False, repr=False)
     _checks: int = field(default=0, init=False, repr=False)
+    # when the suite started: the report is made first, and done() stops the clock
+    _t0: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
-    def check(self, quantity: str, values, tol: float | None, inputs, checked=True) -> None:
+    def check(self, quantity: str, values, tol: float | None, inputs, checked=True) -> np.ndarray:
         """One check of every trial: values has a leading axis over the trials, and only
         the entries where the mask checked is true count.
 
         With a tol, a value is a residual: it fails unless <= tol, and the quantity's
         maximum takes it in, a NaN included.  With tol None, a value is an error
         message, or None for no error, and fails unless None.  inputs(t) gives a
-        failing trial's inputs.
+        failing trial's inputs.  Returns the pass mask: true where no entry fails.
         """
         values = np.asarray(values)
         checked = np.broadcast_to(checked, values.shape)
@@ -120,14 +121,14 @@ class VerificationReport:
                     values, where=checked, initial=self.max_residuals.get(quantity, 0.0)))
             failing = checked & ~(values <= tol)
         self._checks += 1
-        if not failing.any():
-            return
-        per_trial = math.prod(values.shape[1:])
-        at = np.flatnonzero(failing)
-        self.failed_trials.update(np.unique(at // per_trial).tolist())
-        for p in at[:MAX_CAPTURED_FAILURES].tolist():
-            trial, entry = divmod(p, per_trial)
-            self.record_failure(trial, quantity, values.flat[p], partial(inputs, trial), entry)
+        if failing.any():
+            per_trial = math.prod(values.shape[1:])
+            at = np.flatnonzero(failing)
+            self.failed_trials.update(np.unique(at // per_trial).tolist())
+            for p in at[:MAX_CAPTURED_FAILURES].tolist():
+                trial, entry = divmod(p, per_trial)
+                self.record_failure(trial, quantity, values.flat[p], partial(inputs, trial), entry)
+        return ~failing
 
     def record_failure(self, trial: int, quantity: str, value, inputs=None, entry: int = 0) -> None:
         """A failure of a trial at an entry of the latest check.  The report captures the
@@ -144,6 +145,11 @@ class VerificationReport:
             self._keys.insert(at, key)
             self.failures.insert(at, failure)
             del self._keys[MAX_CAPTURED_FAILURES:], self.failures[MAX_CAPTURED_FAILURES:]
+
+    def done(self) -> VerificationReport:
+        """Set the wall time since the report was made, and return the report."""
+        self.wall_time = time.perf_counter() - self._t0
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -198,16 +204,6 @@ def render_report(report: VerificationReport, fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
-class _Timer:
-    def __init__(self, report: VerificationReport):
-        self.report = report
-        self.t0 = time.perf_counter()
-
-    def done(self) -> VerificationReport:
-        self.report.wall_time = time.perf_counter() - self.t0
-        return self.report
-
-
 # ---------------------------------------------------------------------------
 # exact identity suites
 # ---------------------------------------------------------------------------
@@ -215,7 +211,6 @@ class _Timer:
 def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> VerificationReport:
     """Both exact sum identities over the symmetric/diagonal and Y families."""
     report = VerificationReport("lemma-formula-real", None, [], n, trials, seed, None)
-    timer = _Timer(report)
     skew = [(unit(n, k, l, -1), HALF) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     families = (("symmetric-family identity", 1,
                  _integer_family(p_basis_exact(make_space("slr-so", n)))),
@@ -232,13 +227,12 @@ def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> Verif
             if gap:
                 report.record_failure(t, quantity, Fraction(gap, denom * scale),
                                       _vector_inputs(vecs))
-    return timer.done()
+    return report.done()
 
 
 def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationReport:
     """Exact quaternionic sum identity over the five block families."""
     report = VerificationReport("lemma-long", None, [], n, trials, seed, None)
-    timer = _Timer(report)
     denom, family = _integer_family(p_basis_exact(make_space("sus-sp", n)))
     J = symplectic_J_entries(n)
     eye = _eye(2 * n)
@@ -255,7 +249,7 @@ def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationR
         if any(gap):
             value = ComplexRational(*(Fraction(g, denom * scale) for g in gap))
             report.record_failure(t, "quaternionic sum identity", value, _vector_inputs(vecs))
-    return timer.done()
+    return report.done()
 
 
 # Both identities are linear or conjugate-linear in each of x, y, alpha, beta, so
@@ -384,7 +378,6 @@ def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
         raise ValueError(f"derivative lemmas cover slr-so and sus-sp, not {space.id}")
     report = VerificationReport(f"derivative-lemmas:{space.id}", space.id, [], space.n,
                                 trials, seed, tol)
-    timer = _Timer(report)
     x = sample_group_point(space, seed, index=np.arange(trials))
     blocks = [{name: _rel_errs_guarded(lhs, rhs) for name, lhs, rhs in
                _lemma_relations(space, JetContext(space, x[s:s + _LEMMA_BLOCK], p_basis(space)))}
@@ -392,7 +385,7 @@ def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
     for name in blocks[0]:
         rel, keep = (np.concatenate([b[name][i] for b in blocks]) for i in (0, 1))
         report.check(name, rel, ratio_tol if name == "tau_phi_ratio" else tol, _inputs(x=x), keep)
-    return timer.done()
+    return report.done()
 
 
 # psi of the 2x2 minor of phi on rows and columns (k, l)
@@ -470,15 +463,13 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
         tol = default_tolerance(space)
     report = VerificationReport(suite, space.id, [m.label for m in family], space.n,
                                 trials, seed, tol)
-    timer = _Timer(report)
     xs = sample_in_domain(family, seed, np.arange(trials))
     ctx = JetContext(space, xs, p_basis(space),
                      set().union(*(entry_columns(m.expr) for m in family)))
     jets, records = zip(*(eval_jet_cached(m.expr, ctx) for m in family))
     errors = _first_errors(*records)
     inputs = _inputs(x=xs)
-    report.check("evaluation-error", errors, None, inputs)
-    ok = np.equal(errors, None)
+    ok = report.check("evaluation-error", errors, None, inputs)
     sums = [jet_sums(jet) for jet in jets]
     for m, (tau, _, energy) in zip(family, sums):
         report.check(f"tau{tag(m)}", np.broadcast_to(normalized_residual(tau, energy), trials),
@@ -495,7 +486,7 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
     report.check("oracle-evaluation-error", stencil_errors, None, oracle_inputs, checked)
     report.check("oracle", residual, ORACLE_ABS_TOL, oracle_inputs,
                  checked & np.equal(stencil_errors, None))
-    return timer.done()
+    return report.done()
 
 
 def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,
@@ -509,7 +500,6 @@ def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,
     space = morphism.space
     report = VerificationReport("invariance", space.id, [morphism.label], space.n,
                                 trials, seed, tol)
-    timer = _Timer(report)
     scaled = POSITIVE_SCALE in morphism.invariances
     xs = sample_in_domain(morphism, seed, np.arange(trials))
     ks = sample_stabilizer_point(space, seed, np.arange(trials))
@@ -524,13 +514,12 @@ def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,
     # first-jet form: Z(f) = 0 for Z in the stabilizer algebra
     d1 = np.broadcast_to(jet.d1, (len(k_gens), trials))[t % len(k_gens), t]
     errors = _first_errors(*value_errors, jet_errors)
-    report.check("evaluation-error", errors, None, _inputs(x=xs))
-    ok = np.equal(errors, None)
+    ok = report.check("evaluation-error", errors, None, _inputs(x=xs))
     report.check("stabilizer-right", _modulus(values[1] - values[0]), tol, _inputs(x=xs, k=ks), ok)
     if scaled:
         report.check("positive-scale", _modulus(values[2] - values[0]), tol, _inputs(x=xs), ok)
     report.check("stabilizer-jet", _modulus(d1), tol, _inputs(x=xs), ok)
-    return timer.done()
+    return report.done()
 
 
 def verify_bigcell(n: int, trials: int = 1000, seed: int = 0) -> VerificationReport:
@@ -539,16 +528,16 @@ def verify_bigcell(n: int, trials: int = 1000, seed: int = 0) -> VerificationRep
         raise ValueError("n >= 2 required")
     space = make_space("slc-su", n)
     report = VerificationReport("bigcell", space.id, [], n, trials, seed, 1e-10)
-    timer = _Timer(report)
     g = sample_group_point(space, seed, index=np.arange(trials))
-    minors = np.array([leading_principal_minors(a @ a.conj().T) for a in g], dtype=complex)
+    gg = base_map_value(space, g, check=False)  # g g*
+    minors = np.stack([np.linalg.det(gg[:, :k, :k]) for k in range(1, n + 1)], axis=-1)
     imag_rel = np.abs(minors.imag) / np.maximum(_modulus(minors), 1e-300)
     # the maximum only: a failing minor is recorded by its index, with its value
     report.check("minor_imag_rel", imag_rel, math.inf, _inputs(g=g))
     bad = (imag_rel > 1e-10) | (minors.real <= 0)
     for i in range(n):
         report.check(f"minor_{i + 1}", np.where(bad[:, i], minors[:, i], None), None, _inputs(g=g))
-    return timer.done()
+    return report.done()
 
 
 def verify_basis_independence(morphism: Morphism, rotations: int = 10, seed: int = 0,
@@ -557,7 +546,6 @@ def verify_basis_independence(morphism: Morphism, rotations: int = 10, seed: int
     space = morphism.space
     report = VerificationReport("basis-independence", space.id, [morphism.label],
                                 space.n, rotations, seed, tol)
-    timer = _Timer(report)
     stock = p_basis(space)
     xs = sample_in_domain(morphism, seed, np.arange(rotations))
     # the stock-basis jets as _certify computes them, all trials in one walk
@@ -571,9 +559,8 @@ def verify_basis_independence(morphism: Morphism, rotations: int = 10, seed: int
         errors[t] = errors[t] if errors[t] is not None else rot_errors[0]
         tau1[t], kap1[t], _ = (np.ravel(a)[0] for a in jet_sums(rotated))
     inputs = _inputs(x=xs)
-    report.check("evaluation-error", errors, None, inputs)
-    ok = np.equal(errors, None)
+    ok = report.check("evaluation-error", errors, None, inputs)
     scale = np.maximum(1.0, energy)
     report.check("tau_rotation_diff", _modulus(tau1 - tau0) / scale, tol, inputs, ok)
     report.check("kappa_rotation_diff", _modulus(kap1 - kap0) / scale, tol, inputs, ok)
-    return timer.done()
+    return report.done()

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import harmorph.verify
-from harmorph.jets import Const, Entry, Sqrt
+from harmorph.jets import Const, Entry, Sqrt, base_map_value
 from harmorph.morphisms import (STABILIZER_RIGHT, Morphism, control_morphism,
                                 dual_quat_family, dual_real_morphism, quat_family,
                                 real_morphism, typeIV_bigcell_morphism)
+from harmorph.sampling import sample_group_point
 from harmorph.spaces import make_space
 from harmorph.verify import (SCHEMA_VERSION, VerificationReport, default_tolerance,
                              render_report, verify_basis_independence, verify_bigcell,
@@ -71,6 +72,26 @@ def test_bigcell_suite():
     assert r.max_residuals["minor_imag_rel"] <= 1e-10
     with pytest.raises(ValueError):
         verify_bigcell(1, 10, SEED)
+
+
+def test_bigcell_records_every_minor_of_a_point_off_the_big_cell(monkeypatch):
+    """A g whose first row is zero has g g* with every leading minor zero: the report
+    fails with minor_1 .. minor_n of that trial, and its minor_imag_rel is the maximum
+    over per-point minors of the base map's top-left blocks."""
+    n, trials, bad = 3, 8, 3
+    space = make_space("slc-su", n)
+    g = sample_group_point(space, SEED, index=np.arange(trials))
+    g[bad, 0] = 0
+    monkeypatch.setattr(harmorph.verify, "sample_group_point", lambda *args, **kwargs: g)
+    r = verify_bigcell(n, trials, SEED)
+    assert not r.passed and r.failed_trials == {bad}
+    assert [(f["trial"], f["quantity"]) for f in r.failures] == [
+        (bad, f"minor_{k}") for k in range(1, n + 1)]
+    assert all(set(f["inputs"]) == {"g"} for f in r.failures)
+    minors = [np.linalg.det(base_map_value(space, g[t], check=False)[:k, :k])
+              for t in range(trials) for k in range(1, n + 1)]
+    assert r.max_residuals["minor_imag_rel"] == max(
+        abs(m.imag) / max(np.hypot(m.real, m.imag), 1e-300) for m in minors)
 
 
 def test_invariance_suite():
@@ -380,7 +401,7 @@ def _recorded_checks(monkeypatch) -> dict:
         mask = np.broadcast_to(checked, v.shape)
         recorded[quantity] = [row[keep].tolist() for row, keep in
                               zip(v.reshape(len(v), -1), mask.reshape(len(v), -1))]
-        check(report, quantity, values, tol, inputs, checked)
+        return check(report, quantity, values, tol, inputs, checked)
 
     monkeypatch.setattr(VerificationReport, "check", recording)
     return recorded
@@ -398,7 +419,6 @@ def _reference_lemmas(space, trials, seed, tol, ratio_tol):
     of one, with each sum of one base-map entry or pair of entries, and psi and its
     sums pair by pair: the report, and each quantity's guarded ratios per trial."""
     from harmorph.jets import JetContext, eval_jet_cached, jet_sums, kappa_sum
-    from harmorph.sampling import sample_group_point
     from harmorph.verify import RATIO_GUARD, _ser_mat
 
     d = space.ambient_dim
