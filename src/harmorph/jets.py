@@ -337,14 +337,12 @@ def _eval(f: Expr, entry_fn, shape: tuple[int, ...]) -> tuple[Jet2, np.ndarray]:
     Also returns the stack's error record: at each point the first
     EvaluationError or BranchCutError of the walk there, in DAG order, or None.
     The jet is meaningless at a point with an error.
+
+    Each node's jet is taken once, after its children's, first child first: the
+    order of a recursive walk, kept on an explicit stack so that no depth limit
+    applies.
     """
     errors = np.full(shape, None, dtype=object)
-    return _walk(f, entry_fn, errors), errors
-
-
-def _walk(f: Expr, entry_fn, errors: np.ndarray) -> Jet2:
-    """Each node's jet once, after its children's, first child first: the order of a
-    recursive walk, kept on an explicit stack so that no depth limit applies."""
     memo: dict[int, Jet2] = {}
     todo = [(f, False)]
     while todo:
@@ -361,7 +359,7 @@ def _walk(f: Expr, entry_fn, errors: np.ndarray) -> Jet2:
             memo[id(e)] = entry_fn(e.k, e.l)
         else:
             memo[id(e)] = _CHAIN_RULES[type(e)](*(memo[id(k)] for k in kids), errors)
-    return memo[id(f)]
+    return memo[id(f)], errors
 
 
 def raise_first_error(errors: np.ndarray) -> None:

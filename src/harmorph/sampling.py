@@ -22,18 +22,17 @@ exact rational trial      (seed, trial)
 ========================= ==================================================
 
 ``rng_from_seed`` defines the generator of one key (seed, spawn...).  A stack
-of keys gets the same generators without a SeedSequence or a Philox per key:
-``philox_keys`` runs SeedSequence's hash over all the keys at once, the part
-that depends on the seed alone once with Python ints and each spawn word as a
-uint32 array, and ``generators`` resets one Philox to each key's fresh state
-in turn.
+of keys gets the same generators without a Philox per key: ``generators``
+resets one Philox to each key's fresh state in turn.  Each key is
+SeedSequence's own, memoized, since the suites draw the same few keys again
+and again.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -52,80 +51,13 @@ def rng_from_seed(seed: int, *spawn: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-# SeedSequence's hash at numpy's pool size of 4 words (numpy/random/bit_generator.pyx).
-# The constants stay Python ints, masked to 32 bits: a numpy uint32 scalar warns
-# when a product overflows, an array wraps silently.
-_MASK32 = 2**32 - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-# hashmix calls of the pool: one per pool word, then one per ordered pair of pool words
-_POOL_CALLS = _POOL + _POOL * (_POOL - 1)
 _FRESH = [0] * 4  # a fresh Philox's counter and buffer
 
 
-def _powers(init: int, mult: int, count: int) -> list[int]:
-    """init, init * mult, init * mult^2, ... modulo 2^32: the hash constant at each call."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return out
-
-
-def _hashmix(value, consts, k):
-    """The k-th call of the hash on a word, a Python int or a uint32 array; k may be an
-    array of call numbers, one per word, with consts then a uint32 array."""
-    v = (value ^ consts[k]) * consts[k + 1] & _MASK32
-    return v ^ v >> 16
-
-
-def _mix(x, y):
-    r = _MIX_L * x - _MIX_R * y & _MASK32
-    return r ^ r >> 16
-
-
-def philox_keys(seed: int, *spawn) -> np.ndarray:
-    """The Philox key of rng_from_seed(seed, *key) for every key of the broadcast
-    spawn arrays, of shape broadcast shape + (2,) and dtype uint64.
-
-    This is SeedSequence(seed & (2^64 - 1), spawn_key=key).generate_state(2, uint64).
-    The seed fills the pool, so the pool before the first spawn word is computed
-    once.  Each spawn entry in [0, 2^64) adds one uint32 word, or two from 2^32 on;
-    the hash constants of a word depend on its position among the key's words, so
-    each key keeps the number of its next hash call.
-    """
-    entries = [np.asarray(s) for s in spawn]
-    shape = np.broadcast_shapes(*(e.shape for e in entries))
-    a = _powers(_INIT_A, _MULT_A, _POOL_CALLS + _POOL * 2 * len(entries) + 1)
-    seed = int(seed) & (2**64 - 1)
-    # the seed's words, padded with zero words to the pool size
-    words = [seed & _MASK32, seed >> 32] + [0] * (_POOL - 2)
-    pool = [_hashmix(w, a, k) for k, w in enumerate(words)]
-    k = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a, k))
-                k += 1
-    # one row per key, one column per pool word, and the number of the word's next hash call
-    pools = np.tile(np.array(pool, dtype=np.uint32), (math.prod(shape), 1))
-    at = np.tile(np.arange(_POOL_CALLS, _POOL_CALLS + _POOL), (len(pools), 1))
-    table = np.array(a, dtype=np.uint32)
-    for e in entries:
-        if e.dtype.kind not in "iu" or (e < 0).any():
-            raise ValueError("spawn entries must be integers in [0, 2^64)")
-        e = np.broadcast_to(e, shape).reshape(-1, 1).astype(np.uint64)
-        low, high = (e & _MASK32).astype(np.uint32), (e >> 32).astype(np.uint32)
-        pools = _mix(pools, _hashmix(low, table, at))
-        at += _POOL
-        more = high != 0
-        if more.any():
-            pools = np.where(more, _mix(pools, _hashmix(high, table, at)), pools)
-            at += _POOL * more
-    b = np.array(_powers(_INIT_B, _MULT_B, _POOL + 1), dtype=np.uint32)
-    state = _hashmix(pools, b, np.arange(_POOL)).astype(np.uint64)
-    return (state[:, 0::2] | state[:, 1::2] << 32).reshape(shape + (2,))
+@lru_cache(maxsize=2**14)
+def _philox_key(seed: int, spawn: tuple[int, ...]) -> list[int]:
+    """The Philox key of rng_from_seed(seed, *spawn), for a seed in [0, 2^64)."""
+    return np.random.SeedSequence(seed, spawn_key=spawn).generate_state(2, np.uint64).tolist()
 
 
 def generators(seed: int, *spawn) -> Iterator[np.random.Generator]:
@@ -134,11 +66,13 @@ def generators(seed: int, *spawn) -> Iterator[np.random.Generator]:
     One Philox generator is reset to each key's fresh state in turn, so a generator
     must be done with before the next one is taken.
     """
+    seed = int(seed) & (2**64 - 1)
+    keys = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*spawn))) if spawn else [()]
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
-    for key in philox_keys(seed, *spawn).reshape(-1, 2).tolist():
+    for key in keys:
         bit_generator.state = {"bit_generator": "Philox",
-                               "state": {"counter": _FRESH, "key": key},
+                               "state": {"counter": _FRESH, "key": _philox_key(seed, key)},
                                "buffer": _FRESH, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         yield rng
 

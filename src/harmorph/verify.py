@@ -216,17 +216,20 @@ def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> Verif
                  _integer_family(p_basis_exact(make_space("slr-so", n)))),
                 ("antisymmetric-family identity", -1, _integer_family(skew)))
     eye = _eye(n)
+    failing, gaps = {}, np.full((len(families), trials), None, dtype=object)
     for t, rng in enumerate(generators(seed, np.arange(trials))):
         vecs = [rational_vector(rng, n) for _ in range(4)]
         scale, (x, y, a, b) = _cleared(vecs)
         # sum_m c (x m y)(a m b) = 1/2 (<a, x><y, b> +- <y, a><x, b>), all parts real
         ax_yb = _gmul(_form(eye, a, x), _form(eye, y, b))[0]
         ya_xb = _gmul(_form(eye, y, a), _form(eye, x, b))[0]
-        for quantity, sign, (denom, family) in families:
+        for q, (_, sign, (denom, family)) in enumerate(families):
             gap = _family_sum(family, x, y, a, b)[0] - denom // 2 * (ax_yb + sign * ya_xb)
             if gap:
-                report.record_failure(t, quantity, Fraction(gap, denom * scale),
-                                      _vector_inputs(vecs))
+                gaps[q, t] = Fraction(gap, denom * scale)
+                failing[t] = vecs
+    for (quantity, _, _), values in zip(families, gaps):
+        report.check(quantity, values, None, _vector_inputs(failing))
     return report.done()
 
 
@@ -236,6 +239,7 @@ def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationR
     denom, family = _integer_family(p_basis_exact(make_space("sus-sp", n)))
     J = symplectic_J_entries(n)
     eye = _eye(2 * n)
+    failing, gaps = {}, np.full(trials, None, dtype=object)
     for t, rng in enumerate(generators(seed, np.arange(trials))):
         vecs = [complex_rational_vector(rng, 2 * n) for _ in range(4)]
         scale, (x, y, a, b) = _cleared(vecs)
@@ -247,8 +251,9 @@ def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationR
         lhs = _family_sum(family, x, y, a, b)
         gap = [lhs[p] - denom // 2 * (herm[p] + omega[p]) for p in (0, 1)]
         if any(gap):
-            value = ComplexRational(*(Fraction(g, denom * scale) for g in gap))
-            report.record_failure(t, "quaternionic sum identity", value, _vector_inputs(vecs))
+            gaps[t] = ComplexRational(*(Fraction(g, denom * scale) for g in gap))
+            failing[t] = vecs
+    report.check("quaternionic sum identity", gaps, None, _vector_inputs(failing))
     return report.done()
 
 
@@ -298,8 +303,11 @@ def _family_sum(family, x, y, a, b) -> tuple[int, int]:
     return re, im
 
 
-def _vector_inputs(vecs):
-    return lambda: dict(zip(("x", "y", "alpha", "beta"), map(_ser_vec, vecs)))
+def _vector_inputs(failing):
+    """inputs(t) of an exact check: the four vectors of failing trial t.  Only failing
+    trials keep theirs: holding every trial's vectors costs the suite extra garbage
+    collections."""
+    return lambda t: dict(zip(("x", "y", "alpha", "beta"), map(_ser_vec, failing[t])))
 
 
 # ---------------------------------------------------------------------------

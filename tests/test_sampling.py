@@ -5,14 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from harmorph.jets import Entry
 from harmorph.morphisms import (Morphism, control_morphism, dual_quat_family,
                                 dual_real_morphism, quat_family, real_morphism,
                                 typeIV_bigcell_morphism)
-from harmorph.sampling import (COND_CAP, complex_rational_vector, fresh_seed, generators,
-                               philox_keys, rational_vector, rng_from_seed,
+from harmorph.sampling import (COND_CAP, _philox_key, complex_rational_vector, fresh_seed,
+                               generators, rational_vector, rng_from_seed,
                                sample_group_point, sample_stabilizer_point)
 from harmorph.spaces import SPACE_IDS, make_space
 from harmorph.verify import SamplingError, sample_in_domain
@@ -31,9 +31,12 @@ def test_fresh_seed_fits_64_bits():
     assert 0 <= s < 2**64
 
 
-def _seed_sequence_key(seed, *spawn):
-    ss = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=tuple(int(s) for s in spawn))
-    return ss.generate_state(2, np.uint64)
+def _key(rng):
+    return rng.bit_generator.state["state"]["key"].tolist()
+
+
+def _ref_key(seed, *spawn):
+    return _key(rng_from_seed(seed, *(int(s) for s in spawn)))
 
 
 KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
@@ -42,38 +45,59 @@ KEY_INDICES = np.array([0, 1, 999, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63 - 1
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 def test_stacked_keys_equal_seed_sequence(seed):
-    """One vectorized pass of the hash gives every key SeedSequence gives it alone,
-    with one- and two-word spawn entries mixed in one stack."""
+    """A stack of generators has the key rng_from_seed gives each key alone, with
+    one- and two-word spawn entries mixed in one stack."""
     for attempt in (0, 1, 7, 999, 2**32, 2**40):
-        keys = philox_keys(seed, KEY_INDICES, attempt)
-        assert keys.shape == (len(KEY_INDICES), 2) and keys.dtype == np.uint64
-        for i, key in zip(KEY_INDICES, keys):
-            assert np.array_equal(key, _seed_sequence_key(seed, i, attempt)), (i, attempt)
-    # each attempt of each index, as a broadcast (index, attempt) grid
+        keys = [_key(rng) for rng in generators(seed, KEY_INDICES, attempt)]
+        assert keys == [_ref_key(seed, i, attempt) for i in KEY_INDICES], attempt
+    # each attempt of each index, as a broadcast (index, attempt) grid in C order
     attempts = np.array([0, 3, 2**33])
-    grid = philox_keys(seed, KEY_INDICES[:, None], attempts)
-    assert grid.shape == (len(KEY_INDICES), len(attempts), 2)
-    for (i, a), key in zip(np.ndindex(grid.shape[:2]), grid.reshape(-1, 2)):
-        assert np.array_equal(key, _seed_sequence_key(seed, KEY_INDICES[i], attempts[a]))
+    grid = [_key(rng) for rng in generators(seed, KEY_INDICES[:, None], attempts)]
+    assert grid == [_ref_key(seed, i, a) for i in KEY_INDICES for a in attempts]
     # other key lengths: the seed alone, one entry, three entries
-    assert np.array_equal(philox_keys(seed), _seed_sequence_key(seed))
-    assert np.array_equal(philox_keys(seed, 2**64 - 1), _seed_sequence_key(seed, 2**64 - 1))
-    assert np.array_equal(philox_keys(seed, 5, 2**35, 1), _seed_sequence_key(seed, 5, 2**35, 1))
+    for spawn in ((), (2**64 - 1,), (5, 2**35, 1)):
+        assert [_key(rng) for rng in generators(seed, *spawn)] == [_ref_key(seed, *spawn)]
 
 
 def test_stacked_keys_reject_negative_entries():
     with pytest.raises(ValueError):
-        philox_keys(7, np.array([3, -1]))
+        list(generators(7, np.array([3, -1])))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-2**70, 2**70),
        st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5),
        st.integers(0, 2**64 - 1))
+@example(-1, [0, 2**32], 3)
+@example(2**64, [0, 2**32], 3)
+@example(2**70, [0, 2**32], 3)
 def test_stacked_keys_property(seed, indices, attempt):
-    keys = philox_keys(seed, np.array(indices), attempt)
-    for i, key in zip(indices, keys):
-        assert np.array_equal(key, _seed_sequence_key(seed, i, attempt))
+    """The seed is masked to 64 bits, as in rng_from_seed."""
+    keys = [_key(rng) for rng in generators(seed, np.array(indices), attempt)]
+    assert keys == [_ref_key(seed & (2**64 - 1), i, attempt) for i in indices]
+
+
+def _state(rng):
+    state = rng.bit_generator.state
+    return (state["state"]["key"].tolist(), state["state"]["counter"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+def test_memoized_keys_give_the_same_generators():
+    """A key taken from the memo gives the generator its first derivation gave, and
+    the memo is bounded."""
+    def states_and_draws():
+        return [(_state(rng), rng.uniform(-1.0, 1.0, 4).tolist(), rng.integers(-9, 10, 3).tolist())
+                for rng in generators(11, np.arange(6)[:, None], np.array([0, 2**33]))]
+
+    _philox_key.cache_clear()
+    cold = states_and_draws()
+    assert _philox_key.cache_info().misses == 12
+    warm = states_and_draws()
+    assert _philox_key.cache_info().hits == 12
+    assert cold == warm
+    maxsize = _philox_key.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < 2**20
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
