@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .sampling import sign_fixed_q
+from .sampling import normal_exp, sign_fixed_q
 from .spaces import SpaceSpec, X_JT_XT_J, X_XSTAR, X_XT, p_basis
 
 BRANCH_CUT_EPS = 1e-9
@@ -458,15 +457,15 @@ def fd_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray, h: float,
     """Independent central-difference oracle for the jets (O(h^2) accurate).
 
     At each point of a stack x of shape (k, d, d) along its own direction, the
-    matching entry of z.  One stacked exponential of the 2k matrices +-hZ and one
-    walk of the values over the (3, k) stencil points give every point the
-    numbers it gets in a stack of its own.  A point whose stencil has an error
-    gets the first one (+h, then 0, then -h) in its entry of ``errors``, as in
-    _guard.
+    matching entry of z.  A direction is Hermitian, or skew-Hermitian on a compact
+    dual, so one stacked eigh of the k directions gives both exp(+hZ) and
+    exp(-hZ).  That and one walk of the values over the (3, k) stencil points give
+    every point the numbers it gets in a stack of its own.  A point whose stencil
+    has an error gets the first one (+h, then 0, then -h) in its entry of
+    ``errors``, as in _guard.
     """
-    k = len(x)
-    e = scipy.linalg.expm(np.concatenate([h * z, -h * z]))
-    values, stencil_errors = _values(f, space, np.stack([x @ e[:k], x, x @ e[k:]]))
+    ep, em = normal_exp(z, space.compact, (h, -h))
+    values, stencil_errors = _values(f, space, np.stack([x @ ep, x, x @ em]))
     for i, stencil in enumerate(stencil_errors.T):
         if errors[i] is None:
             errors[i] = next((err for err in stencil if err is not None), None)

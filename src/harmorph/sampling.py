@@ -4,9 +4,12 @@ All float randomness flows through Philox (counter-based) keyed by a 64-bit
 seed plus a spawn index, so every run is bit-reproducible from the seed
 recorded in its report.  Samplers resample until the membership residual
 (and, for group points, a conditioning cap cond <= 1e6) is met; the loop is
-bounded and exceeding the bound is an internal error.  The group and the
-stabilizer samplers draw a whole stack of indices at once through one retry
-loop (``first_accepted``), with the same points as one index at a time.
+bounded and exceeding the bound is an internal error.  A sus-sp point is a
+quaternionic Q(alpha, beta) scaled to determinant 1, and an Sp(n) stabilizer
+point the exponential of a skew-Hermitian Q(alpha, beta), taken from its
+eigendecomposition (``normal_exp``).  The group and the stabilizer samplers
+draw a whole stack of indices at once through one retry loop
+(``first_accepted``), with the same points as one index at a time.
 
 Every draw has its own key:
 
@@ -35,7 +38,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .scalars import ComplexRational
 from .spaces import SpaceSpec
@@ -104,6 +106,20 @@ def sign_fixed_q(m: np.ndarray) -> np.ndarray:
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
+def normal_exp(z: np.ndarray, skew: bool, steps=(1.0,)) -> np.ndarray:
+    """exp(t z) of each matrix of a stack z that is Hermitian, or skew-Hermitian if skew,
+    stacked over the steps t, from one eigh z = V diag(w) V* (of -iz if skew).
+
+    Taken as I + V diag(e^{t w} - 1) V*, so that its rounding is relative to t z and
+    not to I: a central difference over a small step t divides it by t^2.
+    """
+    w, v = np.linalg.eigh(-1j * z if skew else z)
+    w = 1j * w if skew else w
+    vh = np.swapaxes(v, -1, -2).conj()
+    eye = np.eye(z.shape[-1])
+    return np.stack([eye + (v * np.expm1(t * w)[..., None, :]) @ vh for t in steps])
+
+
 def _quaternion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[[A, B], [-conj B, conj A]] of each pair of blocks of two stacks."""
     return np.block([[a, b], [-b.conj(), a.conj()]])
@@ -129,8 +145,10 @@ def _candidates(space: SpaceSpec, count: int,
     """One candidate point from each of the count generators, stacked, and which
     candidates were drawn.  Each generator is used up before the next is taken.
 
-    Stacked determinants, factorizations and exponentials give each matrix the
-    numbers it gets alone.
+    slr-so and slc-su scale a uniform draw, and sus-sp the quaternionic matrix
+    Q(alpha, beta) of _block_pairs, to determinant 1; a draw with determinant
+    below 1e-6 in modulus is not drawn.  Stacked determinants and factorizations
+    give each matrix the numbers it gets alone.
     """
     d = space.ambient_dim
     drawn = np.ones(count, dtype=bool)
@@ -141,16 +159,18 @@ def _candidates(space: SpaceSpec, count: int,
         x = m / _roots(np.abs(dt), drawn, d)
         x[np.linalg.det(x) < 0, :, 0] *= -1
         return x.astype(complex), drawn
-    if space.id == "sus-sp":
-        return scipy.linalg.expm(_quaternion(*_block_pairs(rngs, space.n))), drawn
     if space.id in ("su-so", "su-sp"):
         return _unitary(np.array([_uniform_complex(rng, (d, d)) for rng in rngs])), drawn
-    if space.id == "slc-su":
+    if space.id == "sus-sp":  # a quaternionic determinant is real and >= 0
+        z = _quaternion(*_block_pairs(rngs, space.n))
+        dt = np.linalg.det(z).real
+    elif space.id == "slc-su":
         z = np.array([_uniform_complex(rng, (d, d)) for rng in rngs])
         dt = np.linalg.det(z)
-        drawn = ~(np.hypot(dt.real, dt.imag) < 1e-6)  # abs() of each determinant
-        return z / _roots(dt, drawn, d), drawn
-    raise AssertionError(space.id)
+    else:
+        raise AssertionError(space.id)
+    drawn = ~(np.hypot(dt.real, dt.imag) < 1e-6)  # abs() of each determinant
+    return z / _roots(dt, drawn, d), drawn
 
 
 def first_accepted(index, d: int, draw, attempts: int, failure: Exception) -> np.ndarray:
@@ -199,11 +219,11 @@ def _stabilizer_candidates(space: SpaceSpec, rngs: Iterator[np.random.Generator]
         return q.astype(complex)
     if space.stabilizer == "su":
         return _unitary(np.array([_uniform_complex(rng, (d, d)) for rng in rngs]))
-    # sp(n): exponential of Q(alpha, beta), alpha anti-Hermitian and beta symmetric
+    # sp(n): exp(Q(alpha, beta)), alpha anti-Hermitian and beta symmetric, so Q is skew-Hermitian
     g, h = _block_pairs(rngs, space.n)
     alpha = (g - np.swapaxes(g, -1, -2).conj()) / 2.0
     beta = (h + np.swapaxes(h, -1, -2)) / 2.0
-    return scipy.linalg.expm(_quaternion(alpha, beta))
+    return normal_exp(_quaternion(alpha, beta), skew=True)[0]
 
 
 def sample_stabilizer_point(space: SpaceSpec, rng_seed: int,

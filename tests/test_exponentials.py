@@ -1,0 +1,105 @@
+"""Exponentials from eigh, without scipy at run time.
+
+Every tangent direction is Hermitian (the non-compact spaces) or skew-Hermitian
+(the compact duals), and so is every Sp(n) stabilizer generator Q(alpha, beta):
+``sampling.normal_exp`` takes their exponentials from one eigh each.  These tests
+check that precondition bit for bit, compare the exponentials with
+``scipy.linalg.expm`` (an independent reference, in the test extra only), and
+check that importing harmorph loads no scipy module.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import harmorph
+from harmorph.jets import rotated_basis
+from harmorph.sampling import (MEMBERSHIP_TOL, _candidates, _stabilizer_candidates, generators,
+                               normal_exp, rng_from_seed, sample_group_point)
+from harmorph.spaces import SPACE_IDS, make_space, p_basis, p_basis_exact
+
+ALL_SPACES = [(sid, n) for sid in SPACE_IDS for n in range(1, 5)]
+
+
+def _exact_matrix(entries, d):
+    m = np.zeros((d, d), dtype=complex)
+    for i, j, re, im in entries:
+        m[i, j] = complex(re, im)
+    return m
+
+
+@pytest.mark.parametrize("sid,n", ALL_SPACES)
+def test_every_direction_is_exactly_hermitian_or_skew_hermitian(sid, n):
+    space = make_space(sid, n)
+    d = space.ambient_dim
+    sign = -1.0 if space.compact else 1.0
+    exact = [_exact_matrix(m, d) for m, _ in p_basis_exact(space)]
+    rotated = [z for seed in (0, 7, 20240823)
+               for z in rotated_basis(p_basis(space), rng_from_seed(seed, 0, 11))]
+    for z in list(p_basis(space)) + exact + rotated:
+        assert np.array_equal(z, sign * z.conj().T)
+
+
+def _max_gap(a, b):
+    return np.max(np.abs(a - b))
+
+
+@pytest.mark.parametrize("sid,n", [(sid, n) for sid in SPACE_IDS for n in range(1, 4)])
+def test_oracle_exponentials_agree_with_scipy(sid, n):
+    space = make_space(sid, n)
+    basis = p_basis(space)
+    if not len(basis):
+        return
+    z = np.concatenate([basis, rotated_basis(basis, rng_from_seed(3, 0, 11))])
+    ep, em = normal_exp(z, space.compact, (1e-4, -1e-4))
+    for zi, p, m in zip(z, ep, em):
+        assert _max_gap(p, scipy.linalg.expm(1e-4 * zi)) <= 1e-14
+        assert _max_gap(m, scipy.linalg.expm(-1e-4 * zi)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_stabilizer_exponentials_agree_with_scipy(n):
+    space = make_space("sus-sp", n)
+    indices = np.arange(40)
+    k = _stabilizer_candidates(space, generators(5, indices, 0, 1))
+    for i, ki in zip(indices, k):
+        rng = rng_from_seed(5, int(i), 0, 1)
+        g, h = (0.35 * (rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n)))
+                for _ in range(2))
+        alpha, beta = (g - g.conj().T) / 2.0, (h + h.T) / 2.0
+        q = np.block([[alpha, beta], [-beta.conj(), alpha.conj()]])
+        assert _max_gap(ki, scipy.linalg.expm(q)) <= 1e-14
+    assert space.stabilizer_membership(k, MEMBERSHIP_TOL).all()
+
+
+class _Zeros:
+    """A generator that draws only zeros: its candidate has determinant 0."""
+
+    def uniform(self, low, high, shape):
+        return np.zeros(shape)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_sus_sp_candidates_have_determinant_one(n):
+    space = make_space("sus-sp", n)
+    x = sample_group_point(space, 11, index=np.arange(200))
+    assert space.membership(x, MEMBERSHIP_TOL).all()
+    assert np.max(np.abs(np.linalg.det(x) - 1)) <= 1e-10
+    rngs = [rng_from_seed(11, 0, 0), _Zeros(), rng_from_seed(11, 1, 0)]
+    z, drawn = _candidates(space, 3, iter(rngs))
+    assert drawn.tolist() == [True, False, True]
+    assert np.all(np.isfinite(z))
+
+
+def test_importing_harmorph_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(harmorph.__file__).parents[1]))
+    code = ("import sys, harmorph, harmorph.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
