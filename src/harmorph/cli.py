@@ -31,11 +31,16 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _emit(ctx, reports, fmt: str, output: str | None) -> None:
-    """Write the reports, then exit 0 if every report passed and 1 otherwise."""
+    """Write the reports, then exit 0 if every report passed and 1 otherwise; a report
+    that cannot be written is a configuration error, exit 2."""
     text = "\n".join(vf.render_report(r, fmt) for r in reports) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            click.echo(f"Error: cannot write the report to {output}: {exc.strerror}", err=True)
+            ctx.exit(2)
     else:
         click.echo(text, nl=False)
     ctx.exit(0 if all(r.passed for r in reports) else 1)

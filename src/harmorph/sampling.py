@@ -1,4 +1,4 @@
-"""Seeded random sampling of group points, stabilizer points and rationals.
+"""Seeded random sampling of group points, stabilizer points and exact vectors.
 
 All float randomness flows through Philox (counter-based) keyed by a 64-bit
 seed plus a spawn index, so every run is bit-reproducible from the seed
@@ -9,7 +9,9 @@ quaternionic Q(alpha, beta) scaled to determinant 1, and an Sp(n) stabilizer
 point the exponential of a skew-Hermitian Q(alpha, beta), taken from its
 eigendecomposition (``normal_exp``).  The group and the stabilizer samplers
 draw a whole stack of indices at once through one retry loop
-(``first_accepted``), with the same points as one index at a time.
+(``first_accepted``), with the same points as one index at a time.  An exact
+rational vector is drawn directly as its Gaussian-integer multiple L v, with L
+the lcm of the drawn denominators.
 
 Every draw has its own key:
 
@@ -33,13 +35,12 @@ and again.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .scalars import ComplexRational
 from .spaces import SpaceSpec
 
 COND_CAP = 1e6
@@ -247,13 +248,24 @@ def sample_stabilizer_point(space: SpaceSpec, rng_seed: int,
 # exact rational sampling (numerators in [-9, 9], denominators in [1, 9])
 # ---------------------------------------------------------------------------
 
-def rational_vector(rng: np.random.Generator, n: int) -> list[Fraction]:
-    nums = rng.integers(-9, 10, n)
-    dens = rng.integers(1, 10, n)
-    return [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+# (L, [(Re, Im), ...]): the Gaussian-integer multiple L v of an exact vector v
+ExactVector = tuple[int, list[tuple[int, int]]]
 
 
-def complex_rational_vector(rng: np.random.Generator, n: int) -> list[ComplexRational]:
-    re = rational_vector(rng, n)
-    im = rational_vector(rng, n)
-    return [ComplexRational(a, b) for a, b in zip(re, im)]
+def rational_vector(rng: np.random.Generator, n: int) -> ExactVector:
+    """(L, [(L v_i, 0), ...]) of a rational vector v drawn as n numerators, then n
+    denominators, with L the lcm of the drawn denominators; every entry a Python int."""
+    nums = rng.integers(-9, 10, n).tolist()
+    dens = rng.integers(1, 10, n).tolist()
+    scale = math.lcm(*dens)
+    return scale, [(a * (scale // b), 0) for a, b in zip(nums, dens)]
+
+
+def complex_rational_vector(rng: np.random.Generator, n: int) -> ExactVector:
+    """(L, [(L Re v_i, L Im v_i), ...]) of a complex rational vector v whose real,
+    then imaginary, parts are drawn as by rational_vector; L is the lcm of all the
+    drawn denominators."""
+    (re_scale, re), (im_scale, im) = rational_vector(rng, n), rational_vector(rng, n)
+    scale = math.lcm(re_scale, im_scale)
+    return scale, [(a * (scale // re_scale), b * (scale // im_scale))
+                   for (a, _), (b, _) in zip(re, im)]

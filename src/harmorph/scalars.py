@@ -1,16 +1,14 @@
-"""Exact scalar backends: rationals and Gaussian (complex) rationals.
+"""The exact complex scalar: a Gaussian (complex) rational.
 
-Real exact arithmetic is plain ``fractions.Fraction``.  The complex exact
-backend is :class:`ComplexRational`, a pair of Fractions closed under
-+, -, *, / and conjugation.  Both are used inside numpy object arrays,
-so every operator also accepts plain ints and Fractions on either side.
-:func:`_clear_denominators` turns exact scalars into Gaussian integers, so
-that identities linear in their inputs can be checked in int arithmetic.
+Real exact values are plain ``fractions.Fraction``.  :class:`ComplexRational`
+is a pair of Fractions closed under +, -, *, / and conjugation, and every
+operator also accepts plain ints and Fractions on either side.  The exact
+suites compute in Gaussian integers and build one only to report a failing
+trial's gap and inputs, in lowest terms.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -126,14 +124,3 @@ class ComplexRational:
             return str(self.re)
         return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
 
-
-def _clear_denominators(values) -> tuple[int, list[tuple[int, int]]]:
-    """(L, [(L Re v, L Im v), ...]) for exact scalars v, L the lcm of their denominators.
-
-    The values may be ints, Fractions or ComplexRationals.  The pairs are
-    Python ints, which grow as needed where int64 products would overflow.
-    """
-    parts = [(v.re, v.im) if isinstance(v, ComplexRational) else (v, 0) for v in values]
-    scale = math.lcm(*(p.denominator for pair in parts for p in pair))
-    return scale, [(re.numerator * (scale // re.denominator),
-                    im.numerator * (scale // im.denominator)) for re, im in parts]

@@ -20,6 +20,9 @@ five block sets), slc-su the Hermitian units X_kl, iY_kl and the traceless
 diagonals h_j.  A compact dual's tangent space is i times the
 traceless part of its partner's: su-so takes i X_kl and i h_j, su-sp i times
 the sus-sp block families with the trace direction replaced by diag(h_j, h_j).
+Each basis is orthonormal for its space's invariant form (tr XY on slr-so,
+Re tr XY on sus-sp and slc-su, -Re tr XY on the compact duals); no suite needs
+the form itself, so it lives with the tests' oracles.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from .scalars import ComplexRational
 
 # An exact matrix is the tuple of its nonzero entries (i, j, Re, Im): 0-based
 # indices and Gaussian-integer values as Python ints.  An exact basis element
@@ -74,10 +75,6 @@ def dense(entries: Entries, scale_sq: Fraction, d: int) -> np.ndarray:
 # space descriptors
 # ---------------------------------------------------------------------------
 
-TRACE_XY = "trace_xy"
-RE_TRACE_XY = "re_trace_xy"
-MINUS_RE_TRACE_XY = "minus_re_trace_xy"
-
 X_XT = "x_xt"
 X_XSTAR = "x_xstar"
 X_JT_XT_J = "x_jt_xt_j"
@@ -101,7 +98,6 @@ class SpaceSpec:
     n: int
     ambient_dim: int
     base_map_variant: str
-    form: str
     compact: bool
     stabilizer: str  # "so", "sp" or "su"
 
@@ -160,15 +156,15 @@ def make_space(space_id: str, n: int) -> SpaceSpec:
     if n < 1:
         raise ValueError("rank parameter n must be positive")
     if space_id == "slr-so":
-        return SpaceSpec("slr-so", n, n, X_XT, TRACE_XY, False, "so")
+        return SpaceSpec("slr-so", n, n, X_XT, False, "so")
     if space_id == "sus-sp":
-        return SpaceSpec("sus-sp", n, 2 * n, X_XSTAR, RE_TRACE_XY, False, "sp")
+        return SpaceSpec("sus-sp", n, 2 * n, X_XSTAR, False, "sp")
     if space_id == "su-so":
-        return SpaceSpec("su-so", n, n, X_XT, MINUS_RE_TRACE_XY, True, "so")
+        return SpaceSpec("su-so", n, n, X_XT, True, "so")
     if space_id == "su-sp":
-        return SpaceSpec("su-sp", n, 2 * n, X_JT_XT_J, MINUS_RE_TRACE_XY, True, "sp")
+        return SpaceSpec("su-sp", n, 2 * n, X_JT_XT_J, True, "sp")
     if space_id == "slc-su":
-        return SpaceSpec("slc-su", n, n, X_XSTAR, RE_TRACE_XY, False, "su")
+        return SpaceSpec("slc-su", n, n, X_XSTAR, False, "su")
     raise ValueError(f"unknown space id {space_id!r}; expected one of {SPACE_IDS}")
 
 
@@ -195,17 +191,6 @@ def _special_unitary(x: np.ndarray, tol: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # p-bases
 # ---------------------------------------------------------------------------
-
-def form_inner(form: str, a: np.ndarray, b: np.ndarray) -> float:
-    t = np.trace(a @ b)
-    if form == TRACE_XY:
-        return complex(t).real if abs(complex(t).imag) < 1e-13 else complex(t)
-    if form == RE_TRACE_XY:
-        return complex(t).real
-    if form == MINUS_RE_TRACE_XY:
-        return -complex(t).real
-    raise ValueError(f"unknown form {form!r}")
-
 
 def expected_basis_size(space: SpaceSpec) -> int:
     n = space.n
@@ -311,19 +296,3 @@ def symplectic_J_entries(n: int) -> Entries:
     """symplectic_J(n) = Q(0, I) as exact entries."""
     return sum((_quaternion(n, k, k, 1, ONE, True) for k in range(1, n + 1)), ())
 
-
-# ---------------------------------------------------------------------------
-# Casimir-style p-sum
-# ---------------------------------------------------------------------------
-
-def casimir_p_sum(space: SpaceSpec) -> np.ndarray:
-    """Sum of Z^2 over the p-basis, exactly: a rational multiple of the identity."""
-    d = space.ambient_dim
-    total = np.full((d, d), ComplexRational(0), dtype=object)
-    for m, scale_sq in p_basis_exact(space):
-        for i, j, ar, ai in m:
-            for j2, l, br, bi in m:
-                if j2 == j:
-                    total[i, l] = total[i, l] + scale_sq * ComplexRational(ar * br - ai * bi,
-                                                                           ar * bi + ai * br)
-    return total

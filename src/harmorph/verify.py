@@ -3,9 +3,9 @@
 Every suite is deterministic given (parameters, seed): points are drawn
 from the counter-based generator keyed by the seed and the trial index,
 so a report fully determines a re-run.  Exact suites compare both sides
-of an identity exactly, as integers after clearing denominators, and never
-report residuals; float suites report the worst normalized residual per
-quantity and also push a 10% subsample through the finite-difference oracle.
+of an identity exactly, as Gaussian integers, and never report residuals;
+float suites report the worst normalized residual per quantity and also push a
+10% subsample through the finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .jets import (Entry, Jet2, JetContext, Sqrt, _eval, _values, base_map_value
 from .morphisms import POSITIVE_SCALE, Morphism, _family_space
 from .sampling import (complex_rational_vector, first_accepted, generators, rational_vector,
                        sample_group_point, sample_stabilizer_point)
-from .scalars import ComplexRational, _clear_denominators
+from .scalars import ComplexRational
 from .spaces import (HALF, SpaceSpec, _modulus, make_space, p_basis, p_basis_exact,
                      stabilizer_algebra, symplectic_J_entries, unit)
 
@@ -68,10 +68,6 @@ def _ser_scalar(v):
 
 def _ser_mat(m: np.ndarray):
     return [[_ser_scalar(v) for v in row] for row in np.asarray(m)]
-
-
-def _ser_vec(v):
-    return [_ser_scalar(x) for x in v]
 
 
 def _inputs(**stacks):
@@ -219,14 +215,14 @@ def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> Verif
     failing, gaps = {}, np.full((len(families), trials), None, dtype=object)
     for t, rng in enumerate(generators(seed, np.arange(trials))):
         vecs = [rational_vector(rng, n) for _ in range(4)]
-        scale, (x, y, a, b) = _cleared(vecs)
+        scales, (x, y, a, b) = zip(*vecs)
         # sum_m c (x m y)(a m b) = 1/2 (<a, x><y, b> +- <y, a><x, b>), all parts real
         ax_yb = _gmul(_form(eye, a, x), _form(eye, y, b))[0]
         ya_xb = _gmul(_form(eye, y, a), _form(eye, x, b))[0]
         for q, (_, sign, (denom, family)) in enumerate(families):
             gap = _family_sum(family, x, y, a, b)[0] - denom // 2 * (ax_yb + sign * ya_xb)
             if gap:
-                gaps[q, t] = Fraction(gap, denom * scale)
+                gaps[q, t] = Fraction(gap, denom * math.prod(scales))
                 failing[t] = vecs
     for (quantity, _, _), values in zip(families, gaps):
         report.check(quantity, values, None, _vector_inputs(failing))
@@ -242,7 +238,7 @@ def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationR
     failing, gaps = {}, np.full(trials, None, dtype=object)
     for t, rng in enumerate(generators(seed, np.arange(trials))):
         vecs = [complex_rational_vector(rng, 2 * n) for _ in range(4)]
-        scale, (x, y, a, b) = _cleared(vecs)
+        scales, (x, y, a, b) = zip(*vecs)
         # sum_m c (a m b*)(x m y*) = 1/2 ((x b*)(a y*) + (x J a) conj(y J b)); with J real,
         # x J a is the form of J at (x, conj a) and conj(y J b) its form at (conj y, b)
         ca, cy = ([(re, -im) for re, im in v] for v in (a, y))
@@ -251,14 +247,14 @@ def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationR
         lhs = _family_sum(family, x, y, a, b)
         gap = [lhs[p] - denom // 2 * (herm[p] + omega[p]) for p in (0, 1)]
         if any(gap):
-            gaps[t] = ComplexRational(*(Fraction(g, denom * scale) for g in gap))
+            gaps[t] = ComplexRational(*(Fraction(g, denom * math.prod(scales)) for g in gap))
             failing[t] = vecs
     report.check("quaternionic sum identity", gaps, None, _vector_inputs(failing))
     return report.done()
 
 
 # Both identities are linear or conjugate-linear in each of x, y, alpha, beta, so
-# they are checked on the Gaussian-integer multiples L v of the sampled vectors and
+# they are checked on the Gaussian-integer multiples L v that the draws give and
 # with both sides times D, the lcm of 2 and the scale_sq denominators: the exact
 # claim at the same points, compared with int ==.  A complex number is an int pair.
 
@@ -270,12 +266,6 @@ def _integer_family(basis: list) -> tuple[int, list]:
     """(D, [(D scale_sq, entries), ...]) of an exact basis, D as above."""
     denom = math.lcm(2, *(c.denominator for _, c in basis))
     return denom, [(c.numerator * (denom // c.denominator), m) for m, c in basis]
-
-
-def _cleared(vectors) -> tuple[int, list]:
-    """The product of the vectors' scales L and their Gaussian-integer multiples."""
-    scales, ints = zip(*map(_clear_denominators, vectors))
-    return math.prod(scales), ints
 
 
 def _form(entries, u, w) -> tuple[int, int]:
@@ -304,10 +294,12 @@ def _family_sum(family, x, y, a, b) -> tuple[int, int]:
 
 
 def _vector_inputs(failing):
-    """inputs(t) of an exact check: the four vectors of failing trial t.  Only failing
-    trials keep theirs: holding every trial's vectors costs the suite extra garbage
-    collections."""
-    return lambda t: dict(zip(("x", "y", "alpha", "beta"), map(_ser_vec, failing[t])))
+    """inputs(t) of an exact check: the four drawn vectors (L, pairs) of failing trial
+    t, each entry in lowest terms.  Only failing trials keep theirs: holding every
+    trial's vectors costs the suite extra garbage collections."""
+    return lambda t: {name: [str(ComplexRational(Fraction(re, scale), Fraction(im, scale)))
+                             for re, im in pairs]
+                      for name, (scale, pairs) in zip(("x", "y", "alpha", "beta"), failing[t])}
 
 
 # ---------------------------------------------------------------------------

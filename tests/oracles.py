@@ -1,0 +1,94 @@
+"""Independent oracles that only the tests use: Gauss LDU, the invariant forms and
+the Casimir-style p-sum.
+
+Everything here stays small (n <= 16), so clarity wins over performance
+throughout.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from harmorph.scalars import ComplexRational
+from harmorph.spaces import SpaceSpec, p_basis_exact
+
+# ---------------------------------------------------------------------------
+# Gauss LDU of small float matrices
+# ---------------------------------------------------------------------------
+
+
+class BigCellError(ValueError):
+    """A leading principal minor vanishes: the matrix is not in the big cell."""
+
+
+def _check_square(a: np.ndarray) -> None:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+
+
+def gauss_ldu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss decomposition a = L D U (L, U unipotent, D diagonal).
+
+    Exists and is unique iff all leading principal minors are nonzero;
+    a zero pivot raises :class:`BigCellError`.
+    """
+    _check_square(a)
+    n = a.shape[0]
+    dt = np.result_type(a.dtype, np.float64)
+    m = a.astype(dt)
+    L = np.eye(n, dtype=dt)
+    U = np.eye(n, dtype=dt)
+    D = np.zeros((n, n), dtype=dt)
+    for k in range(n):
+        p = m[k, k]
+        if p == 0:
+            raise BigCellError(f"leading principal minor {k + 1} vanishes")
+        D[k, k] = p
+        for i in range(k + 1, n):
+            L[i, k] = m[i, k] / p
+        for j in range(k + 1, n):
+            U[k, j] = m[k, j] / p
+        for i in range(k + 1, n):
+            factor = m[i, k] / p
+            m[i, k:] = m[i, k:] - factor * m[k, k:]
+    return L, D, U
+
+
+# ---------------------------------------------------------------------------
+# the invariant form of each space, for which its basis is orthonormal
+# ---------------------------------------------------------------------------
+
+TRACE_XY = "trace_xy"
+RE_TRACE_XY = "re_trace_xy"
+MINUS_RE_TRACE_XY = "minus_re_trace_xy"
+
+FORMS = {"slr-so": TRACE_XY, "sus-sp": RE_TRACE_XY, "su-so": MINUS_RE_TRACE_XY,
+         "su-sp": MINUS_RE_TRACE_XY, "slc-su": RE_TRACE_XY}
+
+
+def form_inner(form: str, a: np.ndarray, b: np.ndarray) -> float:
+    t = np.trace(a @ b)
+    if form == TRACE_XY:
+        return complex(t).real if abs(complex(t).imag) < 1e-13 else complex(t)
+    if form == RE_TRACE_XY:
+        return complex(t).real
+    if form == MINUS_RE_TRACE_XY:
+        return -complex(t).real
+    raise ValueError(f"unknown form {form!r}")
+
+
+# ---------------------------------------------------------------------------
+# Casimir-style p-sum
+# ---------------------------------------------------------------------------
+
+def casimir_p_sum(space: SpaceSpec) -> np.ndarray:
+    """Sum of Z^2 over the p-basis, exactly: a rational multiple of the identity."""
+    d = space.ambient_dim
+    total = np.full((d, d), ComplexRational(0), dtype=object)
+    for m, scale_sq in p_basis_exact(space):
+        for i, j, ar, ai in m:
+            for j2, l, br, bi in m:
+                if j2 == j:
+                    total[i, l] = total[i, l] + scale_sq * ComplexRational(ar * br - ai * bi,
+                                                                           ar * bi + ai * br)
+    return total

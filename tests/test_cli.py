@@ -103,6 +103,24 @@ def test_output_file(runner, tmp_path):
     assert json.loads(out.read_text())["passed"] is True
 
 
+@pytest.mark.parametrize("args", [
+    ["identities", "--lemma", "long", "--n", "1", "--trials", "2"],
+    ["lemmas", "--space", "slr-so", "--n", "2", "--trials", "2"],
+    ["verify", "--space", "slr-so", "--n", "2", "--k", "1", "--l", "2", "--trials", "2"],
+    ["bigcell", "--n", "2", "--trials", "2"],
+    ["all", "--n-max", "2", "--trials", "2"],
+], ids=lambda args: args[0])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_is_a_configuration_error(runner, tmp_path, args, where):
+    """An --output that cannot be written exits 2 with a message naming it, not 1 with a
+    traceback: exit 1 means a verification failed."""
+    out = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+    result = runner.invoke(main, args + ["--seed", "1", "--output", str(out)])
+    assert result.exit_code == 2
+    assert type(result.exception) is SystemExit
+    assert f"cannot write the report to {out}" in result.output + getattr(result, "stderr", "")
+
+
 def test_all_sweep_small(runner):
     result = runner.invoke(main, ["all", "--n-max", "2", "--trials", "5", "--seed", "7"])
     assert result.exit_code == 0

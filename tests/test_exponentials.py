@@ -5,9 +5,11 @@ Every tangent direction is Hermitian (the non-compact spaces) or skew-Hermitian
 ``sampling.normal_exp`` takes their exponentials from one eigh each.  These tests
 check that precondition bit for bit, compare the exponentials with
 ``scipy.linalg.expm`` (an independent reference, in the test extra only), and
-check that importing harmorph loads no scipy module.
+check that importing harmorph loads no scipy module, and every module of the
+package.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -96,10 +98,25 @@ def test_sus_sp_candidates_have_determinant_one(n):
     assert np.all(np.isfinite(z))
 
 
-def test_importing_harmorph_loads_no_scipy():
+@pytest.fixture(scope="module")
+def fresh_import_modules():
+    """The names in sys.modules after `import harmorph, harmorph.cli` in a fresh
+    interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(harmorph.__file__).parents[1]))
-    code = ("import sys, harmorph, harmorph.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = "import json, sys, harmorph, harmorph.cli; print(json.dumps(sorted(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout)
+
+
+def test_importing_harmorph_loads_no_scipy(fresh_import_modules):
+    assert [m for m in fresh_import_modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_importing_harmorph_loads_every_module_of_the_package(fresh_import_modules):
+    """A module that the program never imports (a test-only oracle, say) does not belong
+    in the package."""
+    package = Path(harmorph.__file__).parent
+    modules = {f"harmorph.{p.stem}" for p in package.glob("*.py")} - {
+        "harmorph.__init__", "harmorph.__main__"}
+    assert modules - set(fresh_import_modules) == set()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmorph.matrices import BigCellError, gauss_ldu
+from oracles import BigCellError, gauss_ldu
 
 
 def complex_matrix(rows):

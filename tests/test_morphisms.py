@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from harmorph.matrices import gauss_ldu
 from harmorph.morphisms import (POSITIVE_SCALE, STABILIZER_RIGHT,
                                 dual_quat_family, dual_real_domain_detail,
                                 dual_real_morphism, holomorphic_compose,
@@ -11,6 +10,7 @@ from harmorph.morphisms import (POSITIVE_SCALE, STABILIZER_RIGHT,
                                 typeIV_bigcell_morphism)
 from harmorph.sampling import sample_group_point
 from harmorph.spaces import make_space
+from oracles import gauss_ldu
 
 
 def test_real_morphism_known_values():

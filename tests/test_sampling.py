@@ -1,5 +1,6 @@
 """Seeded samplers: determinism, membership, conditioning."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -156,17 +157,43 @@ def test_determinant_one_where_required():
 
 
 def test_rational_vector_ranges():
-    rng = rng_from_seed(3)
-    v = rational_vector(rng, 50)
-    assert all(isinstance(q, Fraction) for q in v)
-    assert all(-9 <= q.numerator <= 9 or abs(q) <= 9 for q in v)
-    assert all(1 <= q.denominator <= 9 * 9 for q in v)
+    scale, v = rational_vector(rng_from_seed(3), 50)
+    assert len(v) == 50 and 2520 % scale == 0  # 2520 = lcm(1, ..., 9)
+    assert all(im == 0 and abs(Fraction(re, scale)) <= 9 for re, im in v)
+    assert all(Fraction(re, scale).denominator <= 9 for re, _ in v)
 
 
 def test_complex_rational_vector_exact():
-    rng = rng_from_seed(4)
-    v = complex_rational_vector(rng, 10)
-    assert all(isinstance(q.re, Fraction) and isinstance(q.im, Fraction) for q in v)
+    scale, v = complex_rational_vector(rng_from_seed(4), 10)
+    assert len(v) == 10 and 2520 % scale == 0
+    assert all(type(re) is int and type(im) is int for re, im in v)
+
+
+def _drawn_fractions(rng, n):
+    """The Fractions of the two rng.integers calls of an exact draw, and the denominators."""
+    nums, dens = rng.integers(-9, 10, n), rng.integers(1, 10, n)
+    return [Fraction(int(a), int(b)) for a, b in zip(nums, dens)], dens.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_exact_draws_equal_the_fractions_of_the_same_integers(seed):
+    """(L, L v) of each draw gives v value for value, with L the lcm of the drawn
+    denominators and every entry a Python int, and leaves the generator where the
+    Fraction draws leave it."""
+    for t in range(100):
+        for n in range(1, 7):
+            want, rng = rng_from_seed(seed, t), rng_from_seed(seed, t)
+            re, dens = _drawn_fractions(want, n)
+            scale, v = rational_vector(rng, n)
+            assert scale == math.lcm(*dens)
+            assert [(Fraction(a, scale), b) for a, b in v] == [(q, 0) for q in re]
+            assert all(type(p) is int for pair in v for p in pair) and type(scale) is int
+            (re, re_dens), (im, im_dens) = _drawn_fractions(want, n), _drawn_fractions(want, n)
+            scale, v = complex_rational_vector(rng, n)
+            assert scale == math.lcm(*re_dens, *im_dens)
+            assert [(Fraction(a, scale), Fraction(b, scale)) for a, b in v] == list(zip(re, im))
+            assert all(type(p) is int for pair in v for p in pair) and type(scale) is int
+            assert rng.integers(2**62) == want.integers(2**62)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Field arithmetic of the exact complex-rational scalar."""
 
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from harmorph.scalars import ComplexRational, _clear_denominators
+from harmorph.scalars import ComplexRational
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 cq = st.builds(ComplexRational, rationals, rationals)
@@ -54,13 +53,3 @@ def test_multiplicative_inverse(a):
 def test_conjugation_is_multiplicative(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
-
-@given(st.lists(st.one_of(rationals, cq, st.integers(-50, 50)), max_size=6))
-def test_clear_denominators_gives_gaussian_integer_multiples(values):
-    scale, pairs = _clear_denominators(values)
-    assert scale >= 1 and len(pairs) == len(values)
-    for v, (re, im) in zip(values, pairs):
-        assert type(re) is int and type(im) is int
-        assert ComplexRational(Fraction(re, scale), Fraction(im, scale)) == v
-    # the least such scale: a common factor g would leave scale / g working too
-    assert math.gcd(scale, *(p for pair in pairs for p in pair)) == 1

@@ -202,11 +202,21 @@ def _real(re, im):
     return Fraction(re)
 
 
+def _fractions(rng, n):
+    """A rational vector from the two rng.integers calls the suites' draws make."""
+    nums, dens = rng.integers(-9, 10, n), rng.integers(1, 10, n)
+    return [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+
+
+def _vector_inputs(x, y, a, b):
+    return {name: [str(v) for v in vec] for name, vec in
+            (("x", x), ("y", y), ("alpha", a), ("beta", b))}
+
+
 def _reference_lemma_formula_real(n, trials, seed):
     """Both real identities on object arrays of Fractions, one dense product per element."""
-    from harmorph.sampling import rational_vector, rng_from_seed
+    from harmorph.sampling import rng_from_seed
     from harmorph.spaces import HALF, unit
-    from harmorph.verify import _ser_vec
 
     report = VerificationReport("lemma-formula-real", None, [], n, trials, seed, None)
     sym = [(_dense_exact(m, n, _real), c)
@@ -215,13 +225,13 @@ def _reference_lemma_formula_real(n, trials, seed):
             for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     for t in range(trials):
         rng = rng_from_seed(seed, t)
-        x, y, a, b = (np.array(rational_vector(rng, n), dtype=object) for _ in range(4))
+        x, y, a, b = (np.array(_fractions(rng, n), dtype=object) for _ in range(4))
         dot = lambda u, w: sum(u[i] * w[i] for i in range(n))
         lhs_sym = sum(c * (x @ m @ y) * (a @ m @ b) for m, c in sym)
         rhs_sym = Fraction(1, 2) * (dot(a, x) * dot(y, b) + dot(y, a) * dot(x, b))
         lhs_skew = sum(c * (x @ m @ y) * (a @ m @ b) for m, c in skew)
         rhs_skew = Fraction(1, 2) * (dot(a, x) * dot(y, b) - dot(y, a) * dot(x, b))
-        inputs = {"x": _ser_vec(x), "y": _ser_vec(y), "alpha": _ser_vec(a), "beta": _ser_vec(b)}
+        inputs = _vector_inputs(x, y, a, b)
         if lhs_sym != rhs_sym:
             report.record_failure(t, "symmetric-family identity", lhs_sym - rhs_sym, inputs)
         if lhs_skew != rhs_skew:
@@ -231,10 +241,9 @@ def _reference_lemma_formula_real(n, trials, seed):
 
 def _reference_lemma_long(n, trials, seed):
     """The quaternionic identity on object arrays of ComplexRationals."""
-    from harmorph.sampling import complex_rational_vector, rng_from_seed
+    from harmorph.sampling import rng_from_seed
     from harmorph.scalars import ComplexRational
     from harmorph.spaces import symplectic_J_entries
-    from harmorph.verify import _ser_vec
 
     report = VerificationReport("lemma-long", None, [], n, trials, seed, None)
     d = 2 * n
@@ -245,15 +254,17 @@ def _reference_lemma_long(n, trials, seed):
     omega = lambda u, w: (u @ J) @ w
     for t in range(trials):
         rng = rng_from_seed(seed, t)
-        x, y, a, b = (np.array(complex_rational_vector(rng, d), dtype=object) for _ in range(4))
+        x, y, a, b = (np.array([ComplexRational(re, im) for re, im in
+                                zip(_fractions(rng, d), _fractions(rng, d))], dtype=object)
+                      for _ in range(4))
         lhs = ComplexRational(0)
         for m, c in basis:
             lhs = lhs + c * herm(a @ m, b) * herm(x @ m, y)
         rhs = Fraction(1, 2) * (herm(x, b) * herm(y, a).conjugate()
                                 + omega(x, a) * omega(y, b).conjugate())
         if lhs != rhs:
-            inputs = {"x": _ser_vec(x), "y": _ser_vec(y), "alpha": _ser_vec(a), "beta": _ser_vec(b)}
-            report.record_failure(t, "quaternionic sum identity", lhs - rhs, inputs)
+            report.record_failure(t, "quaternionic sum identity", lhs - rhs,
+                                  _vector_inputs(x, y, a, b))
     return report
 
 
@@ -294,10 +305,8 @@ def test_exact_identities_at_higher_ranks(suite, n):
 def test_purely_imaginary_quaternionic_gap_is_a_failure(monkeypatch):
     """With the one element of n = 1 dropped, x = y = alpha = (1, 0) and beta = (i, 0)
     leave lhs - rhs = 0 - (-i/2), a gap with no real part."""
-    from harmorph.scalars import ComplexRational
-
-    one, i, zero = ComplexRational(1), ComplexRational(0, 1), ComplexRational(0)
-    draws = iter([[one, zero], [one, zero], [one, zero], [i, zero]])
+    one, i, zero = (1, 0), (0, 1), (0, 0)
+    draws = iter([(1, [one, zero]), (1, [one, zero]), (1, [one, zero]), (1, [i, zero])])
     monkeypatch.setattr(harmorph.verify, "complex_rational_vector", lambda rng, d: next(draws))
     monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: [])
     r = verify_lemma_long(1, 1, SEED)
@@ -306,6 +315,21 @@ def test_purely_imaginary_quaternionic_gap_is_a_failure(monkeypatch):
                            "value": "(0+1/2i)",
                            "inputs": {"x": ["1", "0"], "y": ["1", "0"], "alpha": ["1", "0"],
                                       "beta": ["(0+1i)", "0"]}}]
+
+
+def test_real_gap_and_inputs_are_written_in_lowest_terms(monkeypatch):
+    """With the one element of n = 1 dropped, x, y, alpha, beta = 2/3, 1/2, 1/3, 3/4,
+    drawn as 4/6, 2/4, 3/9 and 6/8, leave lhs - rhs = 0 - 1/12: the report shows the
+    values, not the drawn fractions or their common denominator."""
+    draws = iter([(6, [(4, 0)]), (4, [(2, 0)]), (9, [(3, 0)]), (8, [(6, 0)])])
+    monkeypatch.setattr(harmorph.verify, "rational_vector", lambda rng, n: next(draws))
+    monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: [])
+    r = verify_lemma_formula_real(1, 1, SEED)
+    assert not r.passed
+    assert r.failures == [{"trial": 0, "quantity": "symmetric-family identity",
+                           "value": "-1/12",
+                           "inputs": {"x": ["2/3"], "y": ["1/2"], "alpha": ["1/3"],
+                                      "beta": ["3/4"]}}]
 
 
 def test_harmonic_suite_skips_out_of_domain_points():
