@@ -4,12 +4,15 @@ All float randomness flows through Philox (counter-based) keyed by a 64-bit
 seed plus a spawn index, so every run is bit-reproducible from the seed
 recorded in its report.  Samplers resample until the membership residual
 (and, for group points, a conditioning cap cond <= 1e6) is met; the loop is
-bounded and exceeding the bound is an internal error.  A sus-sp point is a
-quaternionic Q(alpha, beta) scaled to determinant 1, and an Sp(n) stabilizer
-point the exponential of a skew-Hermitian Q(alpha, beta), taken from its
-eigendecomposition (``normal_exp``).  The group and the stabilizer samplers
-draw a whole stack of indices at once through one retry loop
-(``first_accepted``), with the same points as one index at a time.  An exact
+bounded and exceeding the bound is an internal error.  The cap takes an SVD
+only where the cheap bound ||x||_F^d / |det x| leaves it open (``_conditioned``).
+A sus-sp point is a quaternionic Q(alpha, beta) scaled to determinant 1, and
+an Sp(n) stabilizer point the exponential of a skew-Hermitian Q(alpha, beta),
+taken from its eigendecomposition (``normal_exp``).  The group and the
+stabilizer samplers draw a whole stack of indices at once through one retry
+loop (``first_accepted``), with the same points as one index at a time; each
+key's candidate is one rng.random call (``_draw``), rounded as the
+rng.uniform calls it replaces.  An exact
 rational vector is drawn directly as its Gaussian-integer multiple L v, with L
 the lcm of the drawn denominators.
 
@@ -85,8 +88,24 @@ def fresh_seed() -> int:
     return int(np.random.SeedSequence().entropy) & (2**64 - 1)
 
 
-def _uniform_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+def _draw(rngs: Iterator[np.random.Generator], shape: tuple[int, ...],
+          real: bool = False) -> np.ndarray:
+    """A complex (or real) draw of the given shape from each generator in turn, each
+    part uniform in [-1, 1), stacked, with one rng.random call per generator.
+
+    -1 + 2u of each word u rounds as uniform(-1, 1) does, since 2u is exact.  Each
+    complex n x n matrix takes its real words, then its imaginary words, as
+    uniform(-1, 1, (n, n)) + 1j * uniform(-1, 1, (n, n)) does.
+    """
+    parts = () if real else (2,)
+    u = np.array([rng.random(math.prod(shape + parts)) for rng in rngs])
+    v = (u * 2.0 - 1.0).reshape((-1,) + shape[:-2] + parts + shape[-2:])
+    if real:
+        return v
+    z = np.empty(v.shape[:-3] + v.shape[-2:], dtype=complex)
+    z.real = v[..., 0, :, :]
+    z.imag = v[..., 1, :, :]
+    return z
 
 
 def _unitary(z: np.ndarray) -> np.ndarray:
@@ -126,13 +145,6 @@ def _quaternion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.block([[a, b], [-b.conj(), a.conj()]])
 
 
-def _block_pairs(rngs: Iterator[np.random.Generator], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two n x n draws from each generator in turn, 0.35 * uniform complex, as two stacks."""
-    a, b = zip(*[(_uniform_complex(rng, (n, n)) * 0.35, _uniform_complex(rng, (n, n)) * 0.35)
-                 for rng in rngs])
-    return np.array(a), np.array(b)
-
-
 def _roots(values: np.ndarray, keep: np.ndarray, d: int) -> np.ndarray:
     """values ** (1/d) where keep, else 1, shaped to divide a stack of matrices.
 
@@ -146,27 +158,28 @@ def _candidates(space: SpaceSpec, count: int,
     """One candidate point from each of the count generators, stacked, and which
     candidates were drawn.  Each generator is used up before the next is taken.
 
-    slr-so and slc-su scale a uniform draw, and sus-sp the quaternionic matrix
-    Q(alpha, beta) of _block_pairs, to determinant 1; a draw with determinant
-    below 1e-6 in modulus is not drawn.  Stacked determinants and factorizations
-    give each matrix the numbers it gets alone.
+    Each generator makes one _draw: slr-so and slc-su scale it, and sus-sp the
+    quaternionic matrix Q(alpha, beta) of two 0.35 * draws, to determinant 1; a
+    draw with determinant below 1e-6 in modulus is not drawn.  Stacked
+    determinants and factorizations give each matrix the numbers it gets alone.
+    The conditioning cap is left to _conditioned, which runs after membership.
     """
     d = space.ambient_dim
     drawn = np.ones(count, dtype=bool)
     if space.id == "slr-so":
-        m = np.array([rng.uniform(-1.0, 1.0, (d, d)) for rng in rngs])
+        m = _draw(rngs, (d, d), real=True)
         dt = np.linalg.det(m)
         drawn = ~(np.abs(dt) < 1e-6)
         x = m / _roots(np.abs(dt), drawn, d)
         x[np.linalg.det(x) < 0, :, 0] *= -1
         return x.astype(complex), drawn
     if space.id in ("su-so", "su-sp"):
-        return _unitary(np.array([_uniform_complex(rng, (d, d)) for rng in rngs])), drawn
+        return _unitary(_draw(rngs, (d, d))), drawn
     if space.id == "sus-sp":  # a quaternionic determinant is real and >= 0
-        z = _quaternion(*_block_pairs(rngs, space.n))
+        z = _quaternion(*np.moveaxis(_draw(rngs, (2, space.n, space.n)) * 0.35, 1, 0))
         dt = np.linalg.det(z).real
     elif space.id == "slc-su":
-        z = np.array([_uniform_complex(rng, (d, d)) for rng in rngs])
+        z = _draw(rngs, (d, d))
         dt = np.linalg.det(z)
     else:
         raise AssertionError(space.id)
@@ -194,6 +207,22 @@ def first_accepted(index, d: int, draw, attempts: int, failure: Exception) -> np
     return out.reshape(index.shape + (d, d))
 
 
+def _conditioned(x: np.ndarray) -> np.ndarray:
+    """~(np.linalg.cond(x) > COND_CAP) of each matrix of a stack, with the SVD taken
+    only where the bound cond(x) <= ||x||_F^d / |det x| leaves it open.
+
+    The bound holds since the singular values multiply to |det x| and the largest is
+    at most ||x||_F.  A matrix is accepted outright when it is at most COND_CAP / 2:
+    the halving absorbs the rounding of both the bound and the SVD.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bound = np.linalg.norm(x, axis=(-2, -1)) ** x.shape[-1] / np.abs(np.linalg.det(x))
+    ok = bound <= COND_CAP / 2
+    if not ok.all():
+        ok[~ok] = ~(np.linalg.cond(x[~ok]) > COND_CAP)
+    return ok
+
+
 def sample_group_point(space: SpaceSpec, rng_seed: int, index: int | np.ndarray = 0) -> np.ndarray:
     """A random ambient-group point passing membership within 1e-10; for an array of
     indices, a stack of points of shape index.shape + (d, d).
@@ -205,7 +234,9 @@ def sample_group_point(space: SpaceSpec, rng_seed: int, index: int | np.ndarray 
     """
     def draw(indices, attempt):
         x, ok = _candidates(space, indices.size, generators(rng_seed, indices, attempt))
-        return x, ok & ~(np.linalg.cond(x) > COND_CAP) & space.membership(x, MEMBERSHIP_TOL)
+        ok &= space.membership(x, MEMBERSHIP_TOL)
+        ok[ok] = _conditioned(x[ok])
+        return x, ok
 
     return first_accepted(index, space.ambient_dim, draw, _MAX_ATTEMPTS, RuntimeError(
         f"sampler failed to produce a {space.id} point after {_MAX_ATTEMPTS} attempts"))
@@ -215,13 +246,13 @@ def _stabilizer_candidates(space: SpaceSpec, rngs: Iterator[np.random.Generator]
     """One candidate point of K from each generator, stacked."""
     d = space.ambient_dim
     if space.stabilizer == "so":
-        q = sign_fixed_q(np.array([rng.uniform(-1.0, 1.0, (d, d)) for rng in rngs]))
+        q = sign_fixed_q(_draw(rngs, (d, d), real=True))
         q[np.linalg.det(q) < 0, :, 0] *= -1
         return q.astype(complex)
     if space.stabilizer == "su":
-        return _unitary(np.array([_uniform_complex(rng, (d, d)) for rng in rngs]))
+        return _unitary(_draw(rngs, (d, d)))
     # sp(n): exp(Q(alpha, beta)), alpha anti-Hermitian and beta symmetric, so Q is skew-Hermitian
-    g, h = _block_pairs(rngs, space.n)
+    g, h = np.moveaxis(_draw(rngs, (2, space.n, space.n)) * 0.35, 1, 0)
     alpha = (g - np.swapaxes(g, -1, -2).conj()) / 2.0
     beta = (h + np.swapaxes(h, -1, -2)) / 2.0
     return normal_exp(_quaternion(alpha, beta), skew=True)[0]

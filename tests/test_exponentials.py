@@ -80,10 +80,11 @@ def test_stabilizer_exponentials_agree_with_scipy(n):
 
 
 class _Zeros:
-    """A generator that draws only zeros: its candidate has determinant 0."""
+    """A generator whose uniform(-1, 1) draws are all zeros: its candidate has
+    determinant 0."""
 
-    def uniform(self, low, high, shape):
-        return np.zeros(shape)
+    def random(self, words):
+        return np.full(words, 0.5)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

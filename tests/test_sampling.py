@@ -11,9 +11,10 @@ from harmorph.jets import Entry
 from harmorph.morphisms import (Morphism, control_morphism, dual_quat_family,
                                 dual_real_morphism, quat_family, real_morphism,
                                 typeIV_bigcell_morphism)
-from harmorph.sampling import (COND_CAP, _philox_key, complex_rational_vector, fresh_seed,
-                               generators, rational_vector, rng_from_seed,
-                               sample_group_point, sample_stabilizer_point)
+from harmorph.sampling import (COND_CAP, MEMBERSHIP_TOL, _candidates, _conditioned, _draw,
+                               _philox_key, complex_rational_vector, fresh_seed, generators,
+                               rational_vector, rng_from_seed, sample_group_point,
+                               sample_stabilizer_point)
 from harmorph.spaces import SPACE_IDS, make_space
 from harmorph.verify import SamplingError, sample_in_domain
 
@@ -147,6 +148,64 @@ def test_stabilizer_points_members(sid):
     for i in range(3):
         k = sample_stabilizer_point(space, 5, index=i)
         assert space.stabilizer_membership(k, 1e-10)
+
+
+@pytest.mark.parametrize("seed", (0, 7, 2**64 - 1))
+def test_row_draw_equals_successive_uniform_calls(seed):
+    """One rng.random call per generator draws what successive rng.uniform(-1, 1, shape)
+    calls draw, byte for byte: a real draw as one call, a complex n x n matrix as its
+    real, then its imaginary call; odd and even word counts."""
+    indices = np.array([0, 3, 2**40])
+    for shape, real in [((1, 1), True), ((3, 3), True), ((2, 2), True), ((1, 1), False),
+                        ((3, 3), False), ((2, 3, 3), False), ((2, 1, 1), False)]:
+        stack = _draw(generators(seed, indices, 2), shape, real)
+        assert stack.shape == (len(indices),) + shape
+        for got, i in zip(stack, indices):
+            rng = rng_from_seed(seed, int(i), 2)
+
+            def block():
+                re = rng.uniform(-1.0, 1.0, shape[-2:])
+                return re if real else re + 1j * rng.uniform(-1.0, 1.0, shape[-2:])
+            want = np.array([block() for _ in range(math.prod(shape[:-2]))]).reshape(shape)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (shape, real)
+
+
+def _with_condition(rng, d, sigma, dtype):
+    """U diag(sigma) V of random orthogonal (or unitary) U and V."""
+    def q(shape):
+        m = rng.standard_normal(shape)
+        if dtype is complex:
+            m = m + 1j * rng.standard_normal(shape)
+        return np.linalg.qr(m)[0]
+    return (q((d, d)) * np.asarray(sigma)) @ q((d, d))
+
+
+CONDITIONS = (1.0, 1e3, 4.9e5, 5.1e5, 9.99e5, 1e6 * (1 - 1e-9), 1e6, 1e6 * (1 + 1e-9),
+              2e6, 1e8)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_conditioned_equals_the_condition_number_test(dtype):
+    """The cap decision, bound first and SVD only where the bound leaves it open, is
+    ~(cond(x) > COND_CAP) for every matrix: spread and clustered singular values,
+    scaled, next to the cap on both sides, and singular.  The sampler's |det| filter
+    removes badly conditioned draws first, so only this test reaches a rejection."""
+    rng = np.random.default_rng(18)
+    open_below_cap = 0
+    for d in range(2, 7):
+        spectra = [s for c in CONDITIONS for s in (np.geomspace(1.0, 1.0 / c, d),
+                                                   [1.0] * (d - 1) + [1.0 / c],
+                                                   [c] + [1.0] * (d - 1))]
+        x = [_with_condition(rng, d, s, dtype) * 10.0 ** rng.integers(-3, 4) for s in spectra]
+        singular = [np.zeros((d, d), dtype), _with_condition(rng, d, [1.0] * (d - 1) + [0.0], dtype)]
+        stack = np.array(x + singular)
+        want = ~(np.linalg.cond(stack) > COND_CAP)
+        assert _conditioned(stack).tolist() == want.tolist(), d
+        assert want.any() and not want.all() and not want[-2:].any()
+        bound = np.linalg.norm(x, axis=(-2, -1)) ** d / np.abs(np.linalg.det(x))
+        open_below_cap += np.sum((bound > COND_CAP / 2) & want[:-2])
+    assert open_below_cap > 0
+    assert _conditioned(np.empty((0, 3, 3), dtype=complex)).shape == (0,)
 
 
 def test_determinant_one_where_required():
@@ -295,8 +354,9 @@ def _reference_in_domain(family, seed, trial):
 
 
 STACK_SEEDS = (0, 7, 20240823)
-SPACE_CASES = [("slr-so", 2), ("slr-so", 5), ("sus-sp", 1), ("sus-sp", 3), ("su-so", 3),
-               ("su-sp", 1), ("su-sp", 2), ("slc-su", 2), ("slc-su", 3)]
+SPACE_CASES = [("slr-so", 2), ("slr-so", 4), ("slr-so", 5), ("sus-sp", 1), ("sus-sp", 2),
+               ("sus-sp", 3), ("su-so", 3), ("su-sp", 1), ("su-sp", 2), ("slc-su", 2),
+               ("slc-su", 3)]
 
 
 @pytest.mark.parametrize("sid,n", SPACE_CASES)
@@ -309,6 +369,22 @@ def test_stacked_group_points_equal_reference_loop(sid, n):
         for i, x in zip(indices, stack):
             assert np.array_equal(x, _reference_group_point(space, seed, int(i)))
         assert np.array_equal(sample_group_point(space, seed, index=17), stack[4])
+
+
+def test_group_points_past_the_bound_equal_reference_loop():
+    """slr-so n=5 indices whose attempt-0 candidates are members but have a bound above
+    COND_CAP / 2, so the SVD decides them: each is accepted as the reference loop
+    accepts it (cond 1.2e4, 3.6e3 and 7.8e5)."""
+    space = make_space("slr-so", 5)
+    indices = np.array([250, 969, 3035])
+    x, drawn = _candidates(space, indices.size, generators(0, indices, 0))
+    assert (drawn & space.membership(x, MEMBERSHIP_TOL)).all()
+    bound = np.linalg.norm(x, axis=(-2, -1)) ** 5 / np.abs(np.linalg.det(x))
+    assert (bound > COND_CAP / 2).all() and (np.linalg.cond(x) <= COND_CAP).all()
+    stack = sample_group_point(space, 0, index=indices)
+    assert np.array_equal(stack, x)
+    for i, p in zip(indices, stack):
+        assert np.array_equal(p, _reference_group_point(space, 0, int(i)))
 
 
 @pytest.mark.parametrize("sid,n", SPACE_CASES)
