@@ -12,9 +12,9 @@ taken from its eigendecomposition (``normal_exp``).  The group and the
 stabilizer samplers draw a whole stack of indices at once through one retry
 loop (``first_accepted``), with the same points as one index at a time; each
 key's candidate is one rng.random call (``_draw``), rounded as the
-rng.uniform calls it replaces.  An exact
-rational vector is drawn directly as its Gaussian-integer multiple L v, with L
-the lcm of the drawn denominators.
+rng.uniform calls it replaces.  An exact trial draws its four rational vectors
+with one rng.integers call (``_exact_trial``), each vector directly as its
+Gaussian-integer multiple L v, with L the lcm of its drawn denominators.
 
 Every draw has its own key:
 
@@ -26,7 +26,7 @@ group point, attempt a    (seed, index, a); the domain point of trial t
 stabilizer point, a       (seed, index, a, 1)
 invariance scale factor   (seed, trial, 7)
 basis rotation            (seed, rotation, 11)
-exact rational trial      (seed, trial)
+exact trial's 4 vectors   (seed, trial), one rng.integers call
 ========================= ==================================================
 
 ``rng_from_seed`` defines the generator of one key (seed, spawn...).  A stack
@@ -283,20 +283,25 @@ def sample_stabilizer_point(space: SpaceSpec, rng_seed: int,
 ExactVector = tuple[int, list[tuple[int, int]]]
 
 
-def rational_vector(rng: np.random.Generator, n: int) -> ExactVector:
-    """(L, [(L v_i, 0), ...]) of a rational vector v drawn as n numerators, then n
-    denominators, with L the lcm of the drawn denominators; every entry a Python int."""
-    nums = rng.integers(-9, 10, n).tolist()
-    dens = rng.integers(1, 10, n).tolist()
-    scale = math.lcm(*dens)
-    return scale, [(a * (scale // b), 0) for a, b in zip(nums, dens)]
+def _exact_trial(rng: np.random.Generator, parts: int, n: int) -> list[ExactVector]:
+    """The four vectors x, y, alpha, beta of an exact trial, each of n entries with
+    parts 1 (real) or 2 (real, then imaginary), from one rng.integers call: a drawn q
+    is the fraction (q // 9 - 9) / (q % 9 + 1), so numerators in [-9, 9] and
+    denominators in [1, 9] are independent and uniform.  A vector is (L, [(L Re v_i,
+    L Im v_i), ...]), L the lcm of its drawn denominators, in Python ints."""
+    num, den = np.divmod(rng.integers(0, 171, (4, parts, n)), 9)
+    den += 1
+    scale = np.lcm.reduce(den.reshape(4, -1), axis=1)
+    multiples = ((num - 9) * (scale[:, None, None] // den)).tolist()
+    zeros = [[0] * n] * (2 - parts)
+    return [(s, list(zip(*m, *zeros))) for s, m in zip(scale.tolist(), multiples)]
 
 
-def complex_rational_vector(rng: np.random.Generator, n: int) -> ExactVector:
-    """(L, [(L Re v_i, L Im v_i), ...]) of a complex rational vector v whose real,
-    then imaginary, parts are drawn as by rational_vector; L is the lcm of all the
-    drawn denominators."""
-    (re_scale, re), (im_scale, im) = rational_vector(rng, n), rational_vector(rng, n)
-    scale = math.lcm(re_scale, im_scale)
-    return scale, [(a * (scale // re_scale), b * (scale // im_scale))
-                   for (a, _), (b, _) in zip(re, im)]
+def rational_vector(rng: np.random.Generator, n: int) -> list[ExactVector]:
+    """The four real vectors of an exact trial, from rng.integers(0, 171, (4, n))."""
+    return _exact_trial(rng, 1, n)
+
+
+def complex_rational_vector(rng: np.random.Generator, n: int) -> list[ExactVector]:
+    """The four complex vectors of an exact trial, from rng.integers(0, 171, (4, 2, n))."""
+    return _exact_trial(rng, 2, n)

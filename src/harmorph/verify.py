@@ -214,7 +214,7 @@ def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> Verif
     eye = _eye(n)
     failing, gaps = {}, np.full((len(families), trials), None, dtype=object)
     for t, rng in enumerate(generators(seed, np.arange(trials))):
-        vecs = [rational_vector(rng, n) for _ in range(4)]
+        vecs = rational_vector(rng, n)
         scales, (x, y, a, b) = zip(*vecs)
         # sum_m c (x m y)(a m b) = 1/2 (<a, x><y, b> +- <y, a><x, b>), all parts real
         ax_yb = _gmul(_form(eye, a, x), _form(eye, y, b))[0]
@@ -237,7 +237,7 @@ def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationR
     eye = _eye(2 * n)
     failing, gaps = {}, np.full(trials, None, dtype=object)
     for t, rng in enumerate(generators(seed, np.arange(trials))):
-        vecs = [complex_rational_vector(rng, 2 * n) for _ in range(4)]
+        vecs = complex_rational_vector(rng, 2 * n)
         scales, (x, y, a, b) = zip(*vecs)
         # sum_m c (a m b*)(x m y*) = 1/2 ((x b*)(a y*) + (x J a) conj(y J b)); with J real,
         # x J a is the form of J at (x, conj a) and conj(y J b) its form at (conj y, b)

@@ -1,11 +1,13 @@
-"""Independent oracles that only the tests use: Gauss LDU, the invariant forms and
-the Casimir-style p-sum.
+"""Independent oracles that only the tests use: Gauss LDU, the invariant forms, the
+Casimir-style p-sum and the decoding of an exact trial's draw.
 
 Everything here stays small (n <= 16), so clarity wins over performance
 throughout.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,3 +94,23 @@ def casimir_p_sum(space: SpaceSpec) -> np.ndarray:
                     total[i, l] = total[i, l] + scale_sq * ComplexRational(ar * br - ai * bi,
                                                                            ar * bi + ai * br)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the four rational vectors of an exact trial
+# ---------------------------------------------------------------------------
+
+def exact_trial_fractions(rng: np.random.Generator, n: int, complex_parts: bool = False):
+    """The four vectors x, y, alpha, beta of an exact trial as Fractions, and each
+    vector's drawn denominators, from one rng.integers(0, 171, (4, n)) call, or
+    (4, 2, n) with the real parts first: q is the fraction (q // 9 - 9) / (q % 9 + 1).
+
+    A real vector is a list of n Fractions, a complex one a list of n (Re, Im) pairs.
+    """
+    draw = rng.integers(0, 171, (4, 2, n) if complex_parts else (4, n)).tolist()
+    vectors, dens = [], []
+    for parts in (draw if complex_parts else [[v] for v in draw]):
+        values = [[Fraction(q // 9 - 9, q % 9 + 1) for q in part] for part in parts]
+        vectors.append(list(zip(*values)) if complex_parts else values[0])
+        dens.append([q % 9 + 1 for part in parts for q in part])
+    return vectors, dens

@@ -1,6 +1,7 @@
 """Seeded samplers: determinism, membership, conditioning."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from harmorph.sampling import (COND_CAP, MEMBERSHIP_TOL, _candidates, _condition
                                sample_stabilizer_point)
 from harmorph.spaces import SPACE_IDS, make_space
 from harmorph.verify import SamplingError, sample_in_domain
+from oracles import exact_trial_fractions
 
 
 def test_rng_is_deterministic_and_spawn_separated():
@@ -216,43 +218,84 @@ def test_determinant_one_where_required():
 
 
 def test_rational_vector_ranges():
-    scale, v = rational_vector(rng_from_seed(3), 50)
-    assert len(v) == 50 and 2520 % scale == 0  # 2520 = lcm(1, ..., 9)
-    assert all(im == 0 and abs(Fraction(re, scale)) <= 9 for re, im in v)
-    assert all(Fraction(re, scale).denominator <= 9 for re, _ in v)
+    vectors = rational_vector(rng_from_seed(3), 50)
+    assert len(vectors) == 4
+    for scale, v in vectors:
+        assert len(v) == 50 and 2520 % scale == 0  # 2520 = lcm(1, ..., 9)
+        assert all(im == 0 and abs(Fraction(re, scale)) <= 9 for re, im in v)
+        assert all(Fraction(re, scale).denominator <= 9 for re, _ in v)
 
 
 def test_complex_rational_vector_exact():
-    scale, v = complex_rational_vector(rng_from_seed(4), 10)
-    assert len(v) == 10 and 2520 % scale == 0
-    assert all(type(re) is int and type(im) is int for re, im in v)
+    vectors = complex_rational_vector(rng_from_seed(4), 10)
+    assert len(vectors) == 4
+    for scale, v in vectors:
+        assert len(v) == 10 and 2520 % scale == 0
+        assert all(type(re) is int and type(im) is int for re, im in v)
+        assert all(abs(Fraction(p, scale)) <= 9 for pair in v for p in pair)
 
 
-def _drawn_fractions(rng, n):
-    """The Fractions of the two rng.integers calls of an exact draw, and the denominators."""
-    nums, dens = rng.integers(-9, 10, n), rng.integers(1, 10, n)
-    return [Fraction(int(a), int(b)) for a, b in zip(nums, dens)], dens.tolist()
+def _assert_exact(vectors, want, dens):
+    """Each (L, L v) gives the wanted vector value for value, with L the lcm of its
+    drawn denominators and every L and value a Python int."""
+    assert len(vectors) == len(want) == 4
+    for (scale, v), w, d in zip(vectors, want, dens):
+        assert type(scale) is int and scale == math.lcm(*d)
+        assert all(type(p) is int for pair in v for p in pair)
+        assert [(Fraction(a, scale), Fraction(b, scale)) for a, b in v] == w
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_exact_draws_equal_the_fractions_of_the_same_integers(seed):
-    """(L, L v) of each draw gives v value for value, with L the lcm of the drawn
-    denominators and every entry a Python int, and leaves the generator where the
-    Fraction draws leave it."""
+    """An exact trial's four vectors are the decoding of one rng.integers(0, 171, ...)
+    call on the trial's generator, which they leave where that call leaves it."""
     for t in range(100):
         for n in range(1, 7):
             want, rng = rng_from_seed(seed, t), rng_from_seed(seed, t)
-            re, dens = _drawn_fractions(want, n)
-            scale, v = rational_vector(rng, n)
-            assert scale == math.lcm(*dens)
-            assert [(Fraction(a, scale), b) for a, b in v] == [(q, 0) for q in re]
-            assert all(type(p) is int for pair in v for p in pair) and type(scale) is int
-            (re, re_dens), (im, im_dens) = _drawn_fractions(want, n), _drawn_fractions(want, n)
-            scale, v = complex_rational_vector(rng, n)
-            assert scale == math.lcm(*re_dens, *im_dens)
-            assert [(Fraction(a, scale), Fraction(b, scale)) for a, b in v] == list(zip(re, im))
-            assert all(type(p) is int for pair in v for p in pair) and type(scale) is int
+            re, dens = exact_trial_fractions(want, n)
+            _assert_exact(rational_vector(rng, n), [[(q, 0) for q in v] for v in re], dens)
             assert rng.integers(2**62) == want.integers(2**62)
+            want, rng = rng_from_seed(seed, t), rng_from_seed(seed, t)
+            z, dens = exact_trial_fractions(want, n, complex_parts=True)
+            _assert_exact(complex_rational_vector(rng, n), z, dens)
+            assert rng.integers(2**62) == want.integers(2**62)
+
+
+def _chi_square_quantile(counts: Counter, probabilities: dict) -> tuple[float, float]:
+    """Pearson's chi-square of the counts over the cells of the probabilities, and the
+    0.999 quantile of its distribution under them."""
+    from scipy.stats import chi2
+
+    total = counts.total()
+    stat = sum((counts[c] - total * p) ** 2 / (total * p) for c, p in probabilities.items())
+    return stat, chi2.ppf(0.999, len(probabilities) - 1)
+
+
+_PAIRS = [(a, b) for a in range(-9, 10) for b in range(1, 10)]
+
+
+def test_exact_draws_are_uniform_over_numerator_denominator_pairs():
+    """A real vector of one entry is (b, [(a, 0)]) for the drawn a / b, so 5,000 trials
+    show 20,000 drawn pairs: each of the 171 must appear, and the counts must fit the
+    uniform distribution.  A degenerate draw (all zeros, one denominator) fails here."""
+    counts = Counter((a, scale) for rng in generators(20240823, np.arange(5000))
+                     for scale, [(a, _)] in rational_vector(rng, 1))
+    assert counts.total() == 20000 and set(counts) == set(_PAIRS)
+    stat, quantile = _chi_square_quantile(counts, {c: 1 / 171 for c in _PAIRS})
+    assert stat < quantile
+
+
+def test_complex_exact_draws_have_the_distribution_of_the_pairs():
+    """The real and the imaginary parts of 20,000 complex entries each take every value
+    a / b of the 171 pairs, as often as the pairs give it."""
+    values = {q: k / 171 for q, k in Counter(Fraction(*pair) for pair in _PAIRS).items()}
+    draws = [(scale, z) for rng in generators(20240823, np.arange(5000))
+             for scale, [z] in complex_rational_vector(rng, 1)]
+    for part in (0, 1):
+        counts = Counter(Fraction(z[part], scale) for scale, z in draws)
+        assert counts.total() == 20000 and set(counts) == set(values)
+        stat, quantile = _chi_square_quantile(counts, values)
+        assert stat < quantile
 
 
 # ---------------------------------------------------------------------------

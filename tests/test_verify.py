@@ -18,6 +18,7 @@ from harmorph.verify import (SCHEMA_VERSION, VerificationReport, default_toleran
                              verify_derivative_lemmas, verify_family,
                              verify_harmonic, verify_invariance,
                              verify_lemma_formula_real, verify_lemma_long)
+from oracles import exact_trial_fractions
 
 TRIALS = 10
 SEED = 424242
@@ -202,12 +203,6 @@ def _real(re, im):
     return Fraction(re)
 
 
-def _fractions(rng, n):
-    """A rational vector from the two rng.integers calls the suites' draws make."""
-    nums, dens = rng.integers(-9, 10, n), rng.integers(1, 10, n)
-    return [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
-
-
 def _vector_inputs(x, y, a, b):
     return {name: [str(v) for v in vec] for name, vec in
             (("x", x), ("y", y), ("alpha", a), ("beta", b))}
@@ -224,8 +219,8 @@ def _reference_lemma_formula_real(n, trials, seed):
     skew = [(_dense_exact(unit(n, k, l, -1), n, _real), HALF)
             for k in range(1, n + 1) for l in range(k + 1, n + 1)]
     for t in range(trials):
-        rng = rng_from_seed(seed, t)
-        x, y, a, b = (np.array(_fractions(rng, n), dtype=object) for _ in range(4))
+        vectors, _ = exact_trial_fractions(rng_from_seed(seed, t), n)
+        x, y, a, b = (np.array(v, dtype=object) for v in vectors)
         dot = lambda u, w: sum(u[i] * w[i] for i in range(n))
         lhs_sym = sum(c * (x @ m @ y) * (a @ m @ b) for m, c in sym)
         rhs_sym = Fraction(1, 2) * (dot(a, x) * dot(y, b) + dot(y, a) * dot(x, b))
@@ -253,10 +248,9 @@ def _reference_lemma_long(n, trials, seed):
     herm = lambda u, w: sum(u[i] * w[i].conjugate() for i in range(d))
     omega = lambda u, w: (u @ J) @ w
     for t in range(trials):
-        rng = rng_from_seed(seed, t)
-        x, y, a, b = (np.array([ComplexRational(re, im) for re, im in
-                                zip(_fractions(rng, d), _fractions(rng, d))], dtype=object)
-                      for _ in range(4))
+        vectors, _ = exact_trial_fractions(rng_from_seed(seed, t), d, complex_parts=True)
+        x, y, a, b = (np.array([ComplexRational(re, im) for re, im in v], dtype=object)
+                      for v in vectors)
         lhs = ComplexRational(0)
         for m, c in basis:
             lhs = lhs + c * herm(a @ m, b) * herm(x @ m, y)
@@ -306,8 +300,8 @@ def test_purely_imaginary_quaternionic_gap_is_a_failure(monkeypatch):
     """With the one element of n = 1 dropped, x = y = alpha = (1, 0) and beta = (i, 0)
     leave lhs - rhs = 0 - (-i/2), a gap with no real part."""
     one, i, zero = (1, 0), (0, 1), (0, 0)
-    draws = iter([(1, [one, zero]), (1, [one, zero]), (1, [one, zero]), (1, [i, zero])])
-    monkeypatch.setattr(harmorph.verify, "complex_rational_vector", lambda rng, d: next(draws))
+    draws = [(1, [one, zero]), (1, [one, zero]), (1, [one, zero]), (1, [i, zero])]
+    monkeypatch.setattr(harmorph.verify, "complex_rational_vector", lambda rng, d: draws)
     monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: [])
     r = verify_lemma_long(1, 1, SEED)
     assert not r.passed
@@ -321,8 +315,8 @@ def test_real_gap_and_inputs_are_written_in_lowest_terms(monkeypatch):
     """With the one element of n = 1 dropped, x, y, alpha, beta = 2/3, 1/2, 1/3, 3/4,
     drawn as 4/6, 2/4, 3/9 and 6/8, leave lhs - rhs = 0 - 1/12: the report shows the
     values, not the drawn fractions or their common denominator."""
-    draws = iter([(6, [(4, 0)]), (4, [(2, 0)]), (9, [(3, 0)]), (8, [(6, 0)])])
-    monkeypatch.setattr(harmorph.verify, "rational_vector", lambda rng, n: next(draws))
+    draws = [(6, [(4, 0)]), (4, [(2, 0)]), (9, [(3, 0)]), (8, [(6, 0)])]
+    monkeypatch.setattr(harmorph.verify, "rational_vector", lambda rng, n: draws)
     monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: [])
     r = verify_lemma_formula_real(1, 1, SEED)
     assert not r.passed
@@ -330,6 +324,36 @@ def test_real_gap_and_inputs_are_written_in_lowest_terms(monkeypatch):
                            "value": "-1/12",
                            "inputs": {"x": ["2/3"], "y": ["1/2"], "alpha": ["1/3"],
                                       "beta": ["3/4"]}}]
+
+
+class _CountingGenerator:
+    """A generator that counts its integers calls."""
+
+    def __init__(self, rng):
+        self.rng, self.integers_calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.integers_calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("suite, n", [(verify_lemma_formula_real, 3), (verify_lemma_long, 2)],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_exact_suites_draw_each_trial_with_one_integers_call(monkeypatch, suite, n):
+    """Each exact trial draws its four vectors with one rng.integers call, and the
+    counted generators give the suite's report."""
+    want = suite(n, 20, SEED)
+    taken, full = [], harmorph.verify.generators
+
+    def counted(seed, *spawn):
+        for rng in full(seed, *spawn):
+            taken.append(_CountingGenerator(rng))
+            yield taken[-1]
+
+    monkeypatch.setattr(harmorph.verify, "generators", counted)
+    got = suite(n, 20, SEED)
+    assert [g.integers_calls for g in taken] == [1] * 20
+    assert _strip_time(got) == _strip_time(want)
 
 
 def test_harmonic_suite_skips_out_of_domain_points():
@@ -523,9 +547,10 @@ def test_exact_line_counts_every_failing_trial(monkeypatch):
     full = harmorph.verify.p_basis_exact
     monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: full(space)[:-1])
     r = verify_lemma_formula_real(2, 100, SEED)
-    # 97 trials fail (at 3 the dropped term vanishes), but only 10 failures are captured
-    assert len(r.failures) == 10 and len(r.failed_trials) == 97
-    assert "  exact: 3/100" in render_report(r).splitlines()
+    # 98 trials fail (at 2 the dropped term vanishes), as _reference_lemma_formula_real
+    # finds with the same element dropped, but only 10 failures are captured
+    assert len(r.failures) == 10 and len(r.failed_trials) == 98
+    assert "  exact: 2/100" in render_report(r).splitlines()
     # a float suite prints no exact line, even when no trial left a residual
     bad = verify_harmonic(_zero_denominator_morphism(), 3, SEED)
     assert bad.max_residuals == {}
