@@ -277,9 +277,6 @@ def base_map_value(space: SpaceSpec, x: np.ndarray, check: bool = True) -> np.nd
     return x @ _companion(space, x)
 
 
-_BLOCK = 10  # points per product x M in JetContext
-
-
 class JetContext:
     """Base-map jets at a stack of points along every basis direction.
 
@@ -295,6 +292,14 @@ class JetContext:
     They hold the c base-map columns listed in ``columns`` (1-based), by default
     all of them: a suite over a stack asks only for the columns its maps read,
     which keeps the stack's jets small.
+
+    Column l of a derivative is x (M T(x) e_l) for each M above.  One product
+    gives M T(x) e_l for every M at every point and every wanted column l, and
+    each point's x then multiplies its own block, so no column is computed that
+    no map reads.  A point's jets are the same numbers alone, in any stack and
+    with any columns.  Where neither the points nor the basis have an imaginary
+    part (slr-so, and real stabilizer or rotated bases), the derivatives are
+    real and taken in float64; ``phi`` is the complex product either way.
     """
 
     def __init__(self, space: SpaceSpec, x: np.ndarray, basis: np.ndarray | None = None,
@@ -307,21 +312,24 @@ class JetContext:
         self._column = {l: i for i, l in enumerate(cols)}
         z = np.asarray(self.basis).reshape(dirs, d, d)
         tz = _companion(space, z)
-        # x M T(x) for M = Z + TZ and Z^2 + 2 Z TZ + TZ^2 of every direction: x times
-        # all the M as one matrix product, then T(x), a block of points at a time so
-        # that the products stay small, keeping the wanted columns
-        m = np.concatenate([z + tz, z @ z + 2.0 * (z @ tz) + tz @ tz])
-        m = m.transpose(1, 0, 2).reshape(d, 2 * dirs * d)
+        keep = [l - 1 for l in cols]
         xs = x.reshape(-1, d, d)
-        tx = _companion(space, xs)
-        keep = slice(None) if columns is None else [l - 1 for l in cols]
-        both = np.empty((len(xs), 2 * dirs * d, len(cols)), dtype=complex)
-        for s in range(0, len(xs), _BLOCK):
-            block = xs[s:s + _BLOCK]
-            left = (block.reshape(-1, d) @ m).reshape(len(block), 2 * dirs * d, d)
-            both[s:s + _BLOCK] = (left @ tx[s:s + _BLOCK])[..., keep]
-        both = np.moveaxis(both.reshape(x.shape[:-2] + (d, 2 * dirs, len(cols))), -2, 0)
-        self.phi = (xs @ tx)[..., keep].reshape(x.shape[:-2] + (d, len(cols)))
+        self.phi = (xs @ _companion(space, xs))[..., keep].reshape(x.shape[:-2] + (d, len(cols)))
+        # the M = Z + TZ and Z^2 + 2 Z TZ + TZ^2 of every direction
+        m = np.concatenate([z + tz, z @ z + 2.0 * (z @ tz) + tz @ tz]).reshape(2 * dirs * d, d)
+        if not np.imag(m).any() and not np.imag(xs).any():
+            m, xs = np.ascontiguousarray(m.real), np.ascontiguousarray(xs.real)
+        # The stack and the columns set only the number of rows of each product below:
+        # BLAS rounds a row the same way whatever their number, but not a column (the
+        # last few take another kernel), and it sends a product of one row to gemv,
+        # which rounds differently (hence a spare row).
+        rows = np.zeros((len(xs) * len(cols) + 1, d), dtype=xs.dtype)
+        rows[:-1] = _companion(space, xs)[..., keep].swapaxes(-1, -2).reshape(-1, d)
+        # row (point, l) of the first product holds (M T(x) e_l)^T of every M; taken
+        # per point, row (l, M) of the second holds (x M T(x) e_l)^T
+        mt = (rows @ m.T)[:-1].reshape(len(xs), len(cols) * 2 * dirs, d)
+        both = (mt @ xs.swapaxes(-1, -2)).reshape(len(xs), len(cols), 2 * dirs, d)
+        both = both.transpose(2, 0, 3, 1).reshape((2 * dirs,) + x.shape[:-2] + (d, len(cols)))
         self.d1, self.d2 = both[:dirs], both[dirs:]
 
     def entry_jet(self, k: int, l: int) -> Jet2:

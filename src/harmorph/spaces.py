@@ -121,9 +121,8 @@ class SpaceSpec:
             return ~(np.max(np.abs(x.imag), axis=(-2, -1)) > tol) & (np.linalg.det(x.real) > 0)
         if self.id == "sus-sp":
             J = self.J
-            scale = np.maximum(1.0, _norms(x))
             dx = np.linalg.det(x)
-            return (~(_norms(x @ J - J @ x.conj()) > tol * scale) & (dx.real > 0)
+            return (~_norm_exceeds(x @ J - J @ x.conj(), tol, x) & (dx.real > 0)
                     & (np.abs(dx.imag) <= tol * np.maximum(1.0, _modulus(dx))))
         if self.id in ("su-so", "su-sp"):
             return _special_unitary(x, tol)
@@ -142,7 +141,8 @@ class SpaceSpec:
             return ok & (np.max(np.abs(k.imag), axis=(-2, -1)) <= tol)
         if self.stabilizer == "sp":
             J = self.J
-            return ok & (_norms(k @ J - J @ k.conj()) <= tol)
+            # where the norm is NaN, k is not special unitary
+            return ok & ~_norm_exceeds(k @ J - J @ k.conj(), tol)
         return ok  # su
 
     def label(self) -> str:
@@ -168,13 +168,30 @@ def make_space(space_id: str, n: int) -> SpaceSpec:
     raise ValueError(f"unknown space id {space_id!r}; expected one of {SPACE_IDS}")
 
 
-def _norms(a: np.ndarray):
-    """Frobenius norm of a matrix, or of each matrix of a stack taken one by one: a
-    norm over the stack's last two axes sums in another order and rounds differently."""
-    if a.ndim == 2:
-        return np.linalg.norm(a)
-    return np.array([np.linalg.norm(m) for m in a.reshape((-1,) + a.shape[-2:])]).reshape(
-        a.shape[:-2])
+# A norm over a stack's last two axes sums in another order than np.linalg.norm of
+# one matrix, so the two differ in the last bits: by about n eps for n entries, far
+# less than this relative margin.
+_NORM_MARGIN = 1e-9
+
+
+def _norm_exceeds(a: np.ndarray, tol: float, scale: np.ndarray | None = None):
+    """Whether ||a||_F > tol * max(1, ||scale||_F) for a matrix, or for each matrix of
+    a stack (scale, if given, of the same shape), as np.linalg.norm of each matrix alone
+    decides it: a NaN norm does not exceed.  The norms are taken over the whole stack,
+    and again matrix by matrix only where they lie within _NORM_MARGIN of the bound or
+    are NaN."""
+    flat = a.reshape((-1,) + a.shape[-2:])
+    norm = np.linalg.norm(flat, axis=(-2, -1))
+    if scale is None:
+        limit = np.full(len(flat), tol)
+    else:
+        scales = scale.reshape(flat.shape)
+        limit = tol * np.maximum(1.0, np.linalg.norm(scales, axis=(-2, -1)))
+    for i in np.flatnonzero(~(np.abs(norm - limit) > _NORM_MARGIN * limit)):
+        norm[i] = np.linalg.norm(flat[i])
+        if scale is not None:
+            limit[i] = tol * np.maximum(1.0, np.linalg.norm(scales[i]))
+    return (norm > limit).reshape(a.shape[:-2])
 
 
 def _modulus(z):
@@ -184,7 +201,7 @@ def _modulus(z):
 
 def _special_unitary(x: np.ndarray, tol: float) -> np.ndarray:
     """Whether each matrix of x is unitary with determinant 1, within tol."""
-    unitary = ~(_norms(x @ np.swapaxes(x, -1, -2).conj() - np.eye(x.shape[-1])) > tol)
+    unitary = ~_norm_exceeds(x @ np.swapaxes(x, -1, -2).conj() - np.eye(x.shape[-1]), tol)
     return unitary & (_modulus(np.linalg.det(x) - 1) <= tol)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .jets import (Entry, Jet2, JetContext, Sqrt, _eval, _values, base_map_value,  # noqa: F401
                    entry_columns, eval_jet, eval_jet_cached, fd_jet, jet_sums, kappa_sum,
                    normalized_residual, raise_first_error, rotated_basis)
-from .morphisms import POSITIVE_SCALE, Morphism, _family_space
+from .morphisms import POSITIVE_SCALE, Morphism, _everywhere, _family_space
 from .sampling import (complex_rational_vector, first_accepted, generators, rational_vector,
                        sample_group_point, sample_stabilizer_point)
 from .scalars import ComplexRational
@@ -196,7 +196,7 @@ def render_report(report: VerificationReport, fmt: str = "text") -> str:
             lines.append(f"    trial {f['trial']}: {f['quantity']} = {f['value']}")
             if "inputs" in f:
                 lines.append(f"      inputs: {json.dumps(f['inputs'])}")
-    lines.append(f"  wall time  : {report.wall_time:.2f}s")
+    lines.append(f"  wall time  : {report.wall_time:.3g}s")
     return "\n".join(lines)
 
 
@@ -315,14 +315,18 @@ def sample_in_domain(morphisms: Morphism | list[Morphism], seed: int,
     for an array of trials, a stack of them.
 
     Round r tries the group point of index trial * 1000 + r of every trial still
-    without a point, drawn as one stack, and tests the domain point by point.
+    without a point, drawn as one stack, and tests the domain point by point; a
+    globally defined member's domain holds at every point and is not called.
     """
     family = morphisms if isinstance(morphisms, list) else [morphisms]
     space = family[0].space
+    domains = [m.domain for m in family if m.domain is not _everywhere]
 
     def draw(trials, r):
         x = sample_group_point(space, seed, index=trials * _DOMAIN_ATTEMPTS + r)
-        return x, np.array([all(m.domain(p) for m in family) for p in x], dtype=bool)
+        if not domains:
+            return x, np.ones(len(x), dtype=bool)
+        return x, np.array([all(domain(p) for domain in domains) for p in x], dtype=bool)
 
     labels = ", ".join(m.label for m in family)
     return first_accepted(trial, space.ambient_dim, draw, _DOMAIN_ATTEMPTS, SamplingError(
@@ -395,7 +399,9 @@ _PSI = Sqrt(Entry(1, 1) * Entry(2, 2) - Entry(1, 2) ** 2)
 def _lemma_relations(space: SpaceSpec, ctx: JetContext):
     """(quantity, lhs, rhs) of each relation at the context's stack of points."""
     n = space.ambient_dim
-    phi, p = Jet2(ctx.phi, ctx.d1, ctx.d2), ctx.phi
+    # contiguous derivatives: the broadcast products below then run over long inner loops
+    phi = Jet2(ctx.phi, np.ascontiguousarray(ctx.d1), np.ascontiguousarray(ctx.d2))
+    p = ctx.phi
     # (i) tau(phi_kl) = c * phi_kl, as a ratio where phi_kl is nonzero
     c_tau = 2 * (space.n + 1) if space.id == "slr-so" else 4 * space.n - 2
     yield "tau_phi_ratio", jet_sums(phi)[0], c_tau * p
@@ -445,8 +451,10 @@ def verify_family(family: list[Morphism], trials: int = 100, seed: int = 0,
 
 def _first_errors(*records) -> np.ndarray:
     """Each point's first error over the error records, taken in order, or None."""
-    return np.array([next((e for e in es if e is not None), None) for es in zip(*records)],
-                    dtype=object)
+    out = np.full(np.shape(records[0]), None, dtype=object)
+    for r in reversed(records):
+        out = np.where(np.equal(r, None), out, r)
+    return out
 
 
 def _certify(suite: str, family: list[Morphism], trials: int, seed: int,

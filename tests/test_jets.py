@@ -13,7 +13,8 @@ from harmorph.jets import (Add, BranchCutError, Const, Div, Entry, EvaluationErr
 from harmorph.morphisms import (dual_quat_family, dual_real_morphism, quat_family,
                                 real_morphism, typeIV_bigcell_morphism)
 from harmorph.sampling import rng_from_seed, sample_group_point
-from harmorph.spaces import HALF, SPACE_IDS, dense, make_space, p_basis, unit
+from harmorph.spaces import (HALF, SPACE_IDS, dense, make_space, p_basis,
+                             stabilizer_algebra, unit)
 from harmorph.verify import sample_in_domain
 
 
@@ -268,6 +269,67 @@ def test_cross_kappa_equals_reference_loop():
         kappa = kappa_sum(_jets(f.expr, f.space, x), _jets(g.expr, g.space, x))
         _, ref, energy = _reference_sums(f.expr, g.expr, f.space, x)
         assert abs(kappa - ref) <= REFERENCE_REL_TOL * max(1.0, energy)
+
+
+def _column_jets(ctx, l):
+    """phi, d1 and d2 of the context's base-map column l, 1-based."""
+    c = ctx._column[l]
+    return ctx.phi[..., c], ctx.d1[..., c], ctx.d2[..., c]
+
+
+def _same_bits(got, want):
+    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("sid,n", [("slr-so", 3), ("slr-so", 5), ("sus-sp", 2), ("su-so", 3),
+                                   ("su-sp", 2), ("slc-su", 3)])
+@pytest.mark.parametrize("algebra", ["tangent", "stabilizer", "rotated"])
+def test_point_jets_do_not_depend_on_stack_or_columns(sid, n, algebra):
+    """Each point's phi, d1 and d2 have the same bits alone and in a stack of 100, whatever
+    columns are asked for: the reference loops and the basis-independence suite compare a
+    point alone, with every column, against the suites' stacks.  A rotated basis is dense,
+    so no product term is an exact zero that would hide a change of rounding."""
+    space = make_space(sid, n)
+    basis = {"tangent": p_basis(space), "stabilizer": np.array(stabilizer_algebra(space)),
+             "rotated": rotated_basis(p_basis(space), rng_from_seed(83, 0))}[algebra]
+    d = space.ambient_dim
+    x = sample_group_point(space, 81, index=np.arange(100))
+    full = JetContext(space, x, basis)
+    for columns in (None, {d}, {1, d}):
+        stacked = JetContext(space, x, basis, columns)
+        alone = [JetContext(space, x[p:p + 1], basis, columns) for p in range(len(x))]
+        for l in columns or range(1, d + 1):
+            want = _column_jets(full, l)
+            assert _same_bits(_column_jets(stacked, l), want)
+            for p, ctx in enumerate(alone):
+                phi, d1, d2 = _column_jets(ctx, l)
+                assert _same_bits((phi[0], d1[:, 0], d2[:, 0]),
+                                  (want[0][p], want[1][:, p], want[2][:, p]))
+
+
+def test_real_points_along_a_real_basis_get_real_derivatives():
+    """slr-so points along a real basis (the tangent basis, the stabilizer algebra, a
+    rotation of the tangent basis) get float64 derivatives equal to the closed form to
+    round-off, and phi is base_map_value's complex product; a complex stack keeps
+    complex128 derivatives."""
+    space = make_space("slr-so", 4)
+    x = sample_group_point(space, 91, index=np.arange(20))
+    stock = p_basis(space)
+    for basis in (stock, np.array(stabilizer_algebra(space)),
+                  rotated_basis(stock, rng_from_seed(5, 0))):
+        ctx = JetContext(space, x, basis)
+        assert ctx.d1.dtype == ctx.d2.dtype == np.float64
+        assert ctx.phi.dtype == complex
+        assert np.array_equal(ctx.phi, base_map_value(space, x, check=False))
+        for p in range(len(x)):
+            for zi, z in enumerate(basis):
+                for got, ref in zip((ctx.d1[zi, p], ctx.d2[zi, p]),
+                                    _closed_form_jet(space, x[p], z)[1:]):
+                    assert np.max(np.abs(got - ref)) <= REFERENCE_REL_TOL * max(
+                        1.0, np.max(np.abs(ref)))
+    sus = make_space("sus-sp", 2)
+    ctx = JetContext(sus, sample_group_point(sus, 91, index=np.arange(3)))
+    assert ctx.d1.dtype == ctx.d2.dtype == complex
 
 
 # Every node type: Const, Entry, Add, Sub, Mul, Div, Sqrt, ScaleByI.

@@ -595,6 +595,30 @@ def test_stacked_stabilizer_membership_equals_reference(sid, n):
         assert not space.stabilizer_membership(k @ _phases(d, 1e-8), 1e-10).any()
 
 
+@pytest.mark.parametrize("sid,n", [("sus-sp", 2), ("su-so", 3), ("su-sp", 2)])
+def test_membership_of_non_finite_and_huge_matrices_equals_reference(sid, n):
+    """A stacked norm that is NaN, infinite or overflows is taken again matrix by matrix,
+    so group and stabilizer membership still decide as the per-matrix test does.  (The
+    so(n) stabilizer is left out: its reference lets a NaN determinant through.)"""
+    space = make_space(sid, n)
+    x = sample_group_point(space, 5, index=np.arange(4))
+    k = sample_stabilizer_point(space, 5, np.arange(4))
+    bad = []
+    for value in (np.nan, np.inf, 1e200, 1e-200):
+        for p in (x[0], k[0]):
+            q = p.copy()
+            q[0, -1] = value
+            bad.append(q)
+    stack = np.concatenate([x, k, np.stack(bad)])
+    with np.errstate(all="ignore"):
+        for tol in (1e-10, 1e-8):
+            assert space.membership(stack, tol).tolist() == [
+                bool(_reference_membership(space, p, tol)) for p in stack]
+            if space.stabilizer == "sp":
+                assert space.stabilizer_membership(stack, tol).tolist() == [
+                    bool(_reference_stabilizer_membership(space, p, tol)) for p in stack]
+
+
 @pytest.mark.parametrize("sid", ["slr-so", "slc-su", "sus-sp"])
 def test_stabilizer_membership_of_a_wrong_shape_is_false(sid):
     space = make_space(sid, 2)

@@ -154,6 +154,16 @@ def test_render_text_report():
         render_report(r, "yaml")
 
 
+@pytest.mark.parametrize("seconds,shown", [(0.0012345, "0.00123s"), (0.25, "0.25s"),
+                                           (12.345, "12.3s")])
+def test_text_report_shows_wall_time_to_three_digits(seconds, shown):
+    """A suite that takes milliseconds does not read 0.00s; the JSON time is unrounded."""
+    r = verify_harmonic(real_morphism(2, 1, 2), 3, SEED)
+    r.wall_time = seconds
+    assert f"  wall time  : {shown}" in render_report(r).splitlines()
+    assert r.to_dict()["wall_time"] == seconds
+
+
 def test_sensitivity_control_fails_with_large_residual():
     r = verify_harmonic(control_morphism(2), TRIALS, SEED)
     assert not r.passed
