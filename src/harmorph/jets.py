@@ -391,13 +391,6 @@ def _values(f: Expr, space: SpaceSpec, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.broadcast_to(jet.v, errors.shape), errors
 
 
-def eval_value(f: Expr, space: SpaceSpec, x: np.ndarray) -> complex:
-    """Plain value of f at x (no derivatives), walked as a stack of one."""
-    value, errors = _values(f, space, x[None])
-    raise_first_error(errors)
-    return complex(value[0])
-
-
 def entry_columns(f: Expr) -> set[int]:
     """The base-map columns l of the entries (k, l) that f reads."""
     seen, todo, cols = set(), [f], set()

@@ -12,8 +12,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .jets import (BRANCH_CUT_EPS, Const, Entry, Expr, ScaleByI, Sqrt,
-                   base_map_value, eval_value)
+from .jets import BRANCH_CUT_EPS, Const, Entry, Expr, ScaleByI, Sqrt, base_map_value
 from .spaces import SpaceSpec, make_space
 
 DEFAULT_MARGIN = 1e-6
@@ -36,9 +35,6 @@ class Morphism:
     label: str
     domain: Callable[[np.ndarray], bool]
     invariances: tuple[str, ...]
-
-    def value(self, x: np.ndarray) -> complex:
-        return eval_value(self.expr, self.space, x)
 
 
 def _everywhere(x: np.ndarray) -> bool:

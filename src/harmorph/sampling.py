@@ -29,11 +29,12 @@ basis rotation            (seed, rotation, 11)
 exact trial's 4 vectors   (seed, trial), one rng.integers call
 ========================= ==================================================
 
-``rng_from_seed`` defines the generator of one key (seed, spawn...).  A stack
-of keys gets the same generators without a Philox per key: ``generators``
-resets one Philox to each key's fresh state in turn.  Each key is
-SeedSequence's own, memoized, since the suites draw the same few keys again
-and again.
+The stream of a key (seed, spawn...) is that of Philox seeded by
+``SeedSequence(seed, spawn_key=spawn)``, with the seed masked to 64 bits.
+``generators`` gives a stack of keys their streams without a Philox per key:
+it resets one Philox to each key's fresh state in turn.  Each key's Philox key
+is SeedSequence's own (``_philox_key``), memoized, since the suites draw the
+same few keys again and again.
 """
 
 from __future__ import annotations
@@ -51,23 +52,17 @@ MEMBERSHIP_TOL = 1e-10
 _MAX_ATTEMPTS = 1000
 
 
-def rng_from_seed(seed: int, *spawn: int) -> np.random.Generator:
-    """Deterministic Philox generator for (seed, spawn index...)."""
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(spawn))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 _FRESH = [0] * 4  # a fresh Philox's counter and buffer
 
 
 @lru_cache(maxsize=2**14)
 def _philox_key(seed: int, spawn: tuple[int, ...]) -> list[int]:
-    """The Philox key of rng_from_seed(seed, *spawn), for a seed in [0, 2^64)."""
+    """The key of Philox(SeedSequence(seed, spawn_key=spawn)), for a seed in [0, 2^64)."""
     return np.random.SeedSequence(seed, spawn_key=spawn).generate_state(2, np.uint64).tolist()
 
 
 def generators(seed: int, *spawn) -> Iterator[np.random.Generator]:
-    """rng_from_seed(seed, *key) for every key of the broadcast spawn arrays, in C order.
+    """The generator of (seed, *key) for every key of the broadcast spawn arrays, in C order.
 
     One Philox generator is reset to each key's fresh state in turn, so a generator
     must be done with before the next one is taken.

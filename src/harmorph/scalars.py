@@ -3,8 +3,8 @@
 Real exact values are plain ``fractions.Fraction``.  :class:`ComplexRational`
 is a pair of Fractions closed under +, -, *, / and conjugation, and every
 operator also accepts plain ints and Fractions on either side.  The exact
-suites compute in Gaussian integers and build one only to report a failing
-trial's gap and inputs, in lowest terms.
+suites compute in Gaussian integers and do not use it; the benchmark's tracer
+counts its operators.
 """
 
 from __future__ import annotations

@@ -82,10 +82,9 @@ X_JT_XT_J = "x_jt_xt_j"
 
 @lru_cache(maxsize=None)
 def symplectic_J(n: int) -> np.ndarray:
-    """The fixed 2n x 2n symplectic matrix [[0, I], [-I, 0]], shared and read-only."""
-    z = np.zeros((n, n))
-    i = np.eye(n)
-    J = np.block([[z, i], [-i, z]]).astype(complex)
+    """The fixed 2n x 2n symplectic matrix [[0, I], [-I, 0]] of symplectic_J_entries,
+    shared and read-only."""
+    J = dense(symplectic_J_entries(n), 1, 2 * n)
     J.setflags(write=False)
     return J
 

@@ -27,7 +27,6 @@ from .jets import (Entry, Jet2, JetContext, Sqrt, _eval, _values, base_map_value
 from .morphisms import POSITIVE_SCALE, Morphism, _everywhere, _family_space
 from .sampling import (complex_rational_vector, first_accepted, generators, rational_vector,
                        sample_group_point, sample_stabilizer_point)
-from .scalars import ComplexRational
 from .spaces import (HALF, SpaceSpec, _modulus, make_space, p_basis, p_basis_exact,
                      stabilizer_algebra, symplectic_J_entries, unit)
 
@@ -58,12 +57,13 @@ def default_tolerance(space: SpaceSpec) -> float:
 
 
 def _ser_scalar(v):
-    if isinstance(v, (str, Exception, ComplexRational, Fraction)):
-        return str(v)
-    c = complex(v)
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-        return str(v)  # strict JSON has no nan or inf
-    return [c.real, c.imag]
+    """[re, im] of a finite float or complex value, else str(v): an error message, an
+    exact value's text, or a nan or inf, which strict JSON does not have."""
+    if isinstance(v, (float, complex, np.inexact)):
+        c = complex(v)
+        if math.isfinite(c.real) and math.isfinite(c.imag):
+            return [c.real, c.imag]
+    return str(v)
 
 
 def _ser_mat(m: np.ndarray):
@@ -222,7 +222,7 @@ def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> Verif
         for q, (_, sign, (denom, family)) in enumerate(families):
             gap = _family_sum(family, x, y, a, b)[0] - denom // 2 * (ax_yb + sign * ya_xb)
             if gap:
-                gaps[q, t] = Fraction(gap, denom * math.prod(scales))
+                gaps[q, t] = _exact_text(gap, 0, denom * math.prod(scales))
                 failing[t] = vecs
     for (quantity, _, _), values in zip(families, gaps):
         report.check(quantity, values, None, _vector_inputs(failing))
@@ -247,7 +247,7 @@ def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationR
         lhs = _family_sum(family, x, y, a, b)
         gap = [lhs[p] - denom // 2 * (herm[p] + omega[p]) for p in (0, 1)]
         if any(gap):
-            gaps[t] = ComplexRational(*(Fraction(g, denom * math.prod(scales)) for g in gap))
+            gaps[t] = _exact_text(*gap, denom * math.prod(scales))
             failing[t] = vecs
     report.check("quaternionic sum identity", gaps, None, _vector_inputs(failing))
     return report.done()
@@ -293,12 +293,18 @@ def _family_sum(family, x, y, a, b) -> tuple[int, int]:
     return re, im
 
 
+def _exact_text(re: int, im: int, denom: int) -> str:
+    """The text of (re + im i) / denom, denom >= 1, in lowest terms: the real part alone
+    when im is 0, else (a+bi) or (a-bi) with b = |im| / denom."""
+    a = Fraction(re, denom)
+    return f"({a}{'-' if im < 0 else '+'}{Fraction(abs(im), denom)}i)" if im else str(a)
+
+
 def _vector_inputs(failing):
     """inputs(t) of an exact check: the four drawn vectors (L, pairs) of failing trial
     t, each entry in lowest terms.  Only failing trials keep theirs: holding every
     trial's vectors costs the suite extra garbage collections."""
-    return lambda t: {name: [str(ComplexRational(Fraction(re, scale), Fraction(im, scale)))
-                             for re, im in pairs]
+    return lambda t: {name: [_exact_text(re, im, scale) for re, im in pairs]
                       for name, (scale, pairs) in zip(("x", "y", "alpha", "beta"), failing[t])}
 
 

@@ -1,5 +1,6 @@
 """Independent oracles that only the tests use: Gauss LDU, the invariant forms, the
-Casimir-style p-sum and the decoding of an exact trial's draw.
+Casimir-style p-sum, the generator of one key, the value of a map at one point and
+the decoding of an exact trial's draw.
 
 Everything here stays small (n <= 16), so clarity wins over performance
 throughout.
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from harmorph.jets import Expr, _values, raise_first_error
 from harmorph.scalars import ComplexRational
 from harmorph.spaces import SpaceSpec, p_basis_exact
 
@@ -94,6 +96,24 @@ def casimir_p_sum(space: SpaceSpec) -> np.ndarray:
                     total[i, l] = total[i, l] + scale_sq * ComplexRational(ar * br - ai * bi,
                                                                            ar * bi + ai * br)
     return total
+
+
+# ---------------------------------------------------------------------------
+# one key's generator and one point's value
+# ---------------------------------------------------------------------------
+
+def rng_from_seed(seed: int, *spawn: int) -> np.random.Generator:
+    """The generator of one key (seed, spawn...), built directly: Philox seeded by
+    SeedSequence(seed, spawn_key=spawn), the seed masked to 64 bits."""
+    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(spawn))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def eval_value(f: Expr, space: SpaceSpec, x: np.ndarray) -> complex:
+    """Plain value of f at x (no derivatives), walked as a stack of one."""
+    value, errors = _values(f, space, x[None])
+    raise_first_error(errors)
+    return complex(value[0])
 
 
 # ---------------------------------------------------------------------------

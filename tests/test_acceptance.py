@@ -16,13 +16,13 @@ from harmorph.morphisms import (control_morphism, dual_quat_family,
                                 dual_real_morphism, holomorphic_compose,
                                 quat_family, real_morphism,
                                 typeIV_bigcell_morphism)
-from harmorph.sampling import rng_from_seed
 from harmorph.spaces import make_space, p_basis
 from harmorph.verify import (sample_in_domain,
                              verify_basis_independence, verify_bigcell,
                              verify_derivative_lemmas, verify_family,
                              verify_harmonic, verify_invariance,
                              verify_lemma_formula_real, verify_lemma_long)
+from oracles import rng_from_seed
 
 SEED = 20240823
 

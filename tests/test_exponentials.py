@@ -22,8 +22,9 @@ import scipy.linalg
 import harmorph
 from harmorph.jets import rotated_basis
 from harmorph.sampling import (MEMBERSHIP_TOL, _candidates, _stabilizer_candidates, generators,
-                               normal_exp, rng_from_seed, sample_group_point)
+                               normal_exp, sample_group_point)
 from harmorph.spaces import SPACE_IDS, make_space, p_basis, p_basis_exact
+from oracles import rng_from_seed
 
 ALL_SPACES = [(sid, n) for sid in SPACE_IDS for n in range(1, 5)]
 

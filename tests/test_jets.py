@@ -7,15 +7,15 @@ import pytest
 
 from harmorph.jets import (Add, BranchCutError, Const, Div, Entry, EvaluationError, Jet2,
                            JetContext, Mul, ScaleByI, Sqrt, Sub, _companion, _eval,
-                           base_map_value, eval_jet, eval_jet_cached, eval_value, fd_jet,
-                           jet_sums, kappa_sum, normalized_residual, raise_first_error,
-                           rotated_basis)
+                           base_map_value, eval_jet, eval_jet_cached, fd_jet, jet_sums,
+                           kappa_sum, normalized_residual, raise_first_error, rotated_basis)
 from harmorph.morphisms import (dual_quat_family, dual_real_morphism, quat_family,
                                 real_morphism, typeIV_bigcell_morphism)
-from harmorph.sampling import rng_from_seed, sample_group_point
+from harmorph.sampling import sample_group_point
 from harmorph.spaces import (HALF, SPACE_IDS, dense, make_space, p_basis,
                              stabilizer_algebra, unit)
 from harmorph.verify import sample_in_domain
+from oracles import eval_value, rng_from_seed
 
 
 def _record():

@@ -14,11 +14,10 @@ from harmorph.morphisms import (Morphism, control_morphism, dual_quat_family,
                                 typeIV_bigcell_morphism)
 from harmorph.sampling import (COND_CAP, MEMBERSHIP_TOL, _candidates, _conditioned, _draw,
                                _philox_key, complex_rational_vector, fresh_seed, generators,
-                               rational_vector, rng_from_seed, sample_group_point,
-                               sample_stabilizer_point)
+                               rational_vector, sample_group_point, sample_stabilizer_point)
 from harmorph.spaces import SPACE_IDS, make_space
 from harmorph.verify import SamplingError, sample_in_domain
-from oracles import exact_trial_fractions
+from oracles import exact_trial_fractions, rng_from_seed
 
 
 def test_rng_is_deterministic_and_spawn_separated():
@@ -507,9 +506,10 @@ def _reference_orthogonal(rng, d):
 
 
 def _reference_stabilizer_membership(space, k, tol):
-    """Membership in K of one matrix, as tested point by point."""
+    """Membership in K of one matrix, as tested point by point; a matrix with a
+    non-finite entry is not a member."""
     d = space.ambient_dim
-    if k.shape != (d, d):
+    if k.shape != (d, d) or not np.isfinite(k).all():
         return False
     if np.linalg.norm(k @ k.conj().T - np.eye(d)) > tol:
         return False
@@ -595,11 +595,12 @@ def test_stacked_stabilizer_membership_equals_reference(sid, n):
         assert not space.stabilizer_membership(k @ _phases(d, 1e-8), 1e-10).any()
 
 
-@pytest.mark.parametrize("sid,n", [("sus-sp", 2), ("su-so", 3), ("su-sp", 2)])
+@pytest.mark.parametrize("sid,n", [("sus-sp", 2), ("su-so", 3), ("su-sp", 2), ("slr-so", 3),
+                                   ("slc-su", 2)])
 def test_membership_of_non_finite_and_huge_matrices_equals_reference(sid, n):
     """A stacked norm that is NaN, infinite or overflows is taken again matrix by matrix,
-    so group and stabilizer membership still decide as the per-matrix test does.  (The
-    so(n) stabilizer is left out: its reference lets a NaN determinant through.)"""
+    so group and stabilizer membership still decide as the per-matrix test does, for
+    every kind of stabilizer."""
     space = make_space(sid, n)
     x = sample_group_point(space, 5, index=np.arange(4))
     k = sample_stabilizer_point(space, 5, np.arange(4))
@@ -614,9 +615,8 @@ def test_membership_of_non_finite_and_huge_matrices_equals_reference(sid, n):
         for tol in (1e-10, 1e-8):
             assert space.membership(stack, tol).tolist() == [
                 bool(_reference_membership(space, p, tol)) for p in stack]
-            if space.stabilizer == "sp":
-                assert space.stabilizer_membership(stack, tol).tolist() == [
-                    bool(_reference_stabilizer_membership(space, p, tol)) for p in stack]
+            assert space.stabilizer_membership(stack, tol).tolist() == [
+                bool(_reference_stabilizer_membership(space, p, tol)) for p in stack]
 
 
 @pytest.mark.parametrize("sid", ["slr-so", "slc-su", "sus-sp"])

@@ -208,6 +208,15 @@ def test_symplectic_J_exact_matches_float():
                               symplectic_J(n))
 
 
+def test_symplectic_J_is_the_block_matrix():
+    """J = [[0, I], [-I, 0]], complex, whichever way its exact entries are built."""
+    for n in (1, 2, 3, 4):
+        z, i = np.zeros((n, n)), np.eye(n)
+        J = symplectic_J(n)
+        assert J.dtype == complex
+        assert np.array_equal(J, np.block([[z, i], [-i, z]]))
+
+
 def test_stabilizer_algebra_dimensions():
     assert len(stabilizer_algebra(make_space("slr-so", 3))) == 3        # so(3)
     assert len(stabilizer_algebra(make_space("su-so", 3))) == 3         # so(3)

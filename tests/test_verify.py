@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import harmorph.verify
 from harmorph.jets import Const, Entry, Sqrt, base_map_value
@@ -220,7 +221,7 @@ def _vector_inputs(x, y, a, b):
 
 def _reference_lemma_formula_real(n, trials, seed):
     """Both real identities on object arrays of Fractions, one dense product per element."""
-    from harmorph.sampling import rng_from_seed
+    from oracles import rng_from_seed
     from harmorph.spaces import HALF, unit
 
     report = VerificationReport("lemma-formula-real", None, [], n, trials, seed, None)
@@ -246,7 +247,7 @@ def _reference_lemma_formula_real(n, trials, seed):
 
 def _reference_lemma_long(n, trials, seed):
     """The quaternionic identity on object arrays of ComplexRationals."""
-    from harmorph.sampling import rng_from_seed
+    from oracles import rng_from_seed
     from harmorph.scalars import ComplexRational
     from harmorph.spaces import symplectic_J_entries
 
@@ -304,6 +305,22 @@ def test_exact_suites_equal_reference_loop(monkeypatch, lemma, n, corrupt):
 def test_exact_identities_at_higher_ranks(suite, n):
     r = suite(n, 100, SEED)
     assert r.passed and not r.failed_trials
+
+
+@given(st.integers(), st.integers(), st.integers(min_value=1))
+@example(0, 0, 1)
+@example(0, -3, 6)
+@example(-4, 0, 6)
+@example(6, 4, 2)
+@example(-9, 12, 3)
+def test_exact_text_is_the_text_of_the_complex_rational(re, im, denom):
+    """A failing exact gap or input is written from its Gaussian integer and denominator
+    as ComplexRational writes the same value."""
+    from harmorph.scalars import ComplexRational
+    from harmorph.verify import _exact_text
+
+    want = str(ComplexRational(Fraction(re, denom), Fraction(im, denom)))
+    assert _exact_text(re, im, denom) == want
 
 
 def test_purely_imaginary_quaternionic_gap_is_a_failure(monkeypatch):
@@ -768,11 +785,12 @@ def test_basis_independence_and_invariance_record_jet_errors(m):
 
 def _reference_invariance(morphism, trials, seed, tol):
     """The invariance suite one trial at a time, by eval_value and eval_jet."""
-    from harmorph.jets import BranchCutError, EvaluationError, eval_jet, eval_value
+    from harmorph.jets import BranchCutError, EvaluationError, eval_jet
     from harmorph.morphisms import POSITIVE_SCALE
-    from harmorph.sampling import rng_from_seed, sample_stabilizer_point
+    from harmorph.sampling import sample_stabilizer_point
     from harmorph.spaces import stabilizer_algebra
     from harmorph.verify import _ser_mat, sample_in_domain
+    from oracles import eval_value, rng_from_seed
 
     space = morphism.space
     report = VerificationReport("invariance", space.id, [morphism.label], space.n,
