@@ -19,6 +19,7 @@ or on how the stack is laid out in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -277,6 +278,21 @@ def base_map_value(space: SpaceSpec, x: np.ndarray, check: bool = True) -> np.nd
     return x @ _companion(space, x)
 
 
+def _direction_products(space: SpaceSpec, z: np.ndarray) -> np.ndarray:
+    """The M = Z + TZ of every direction Z of the stack z, then its Z^2 + 2 Z TZ + TZ^2,
+    as the rows of one (2 directions d, d) matrix."""
+    tz = _companion(space, z)
+    return np.concatenate([z + tz, z @ z + 2.0 * (z @ tz) + tz @ tz]).reshape(-1, z.shape[-1])
+
+
+@lru_cache(maxsize=None)
+def _stock_products(space: SpaceSpec) -> np.ndarray:
+    """_direction_products of p_basis(space), built once per space and read-only."""
+    m = _direction_products(space, p_basis(space))
+    m.setflags(write=False)
+    return m
+
+
 class JetContext:
     """Base-map jets at a stack of points along every basis direction.
 
@@ -310,13 +326,13 @@ class JetContext:
         d, dirs = x.shape[-1], len(self.basis)
         cols = range(1, d + 1) if columns is None else sorted(columns)
         self._column = {l: i for i, l in enumerate(cols)}
-        z = np.asarray(self.basis).reshape(dirs, d, d)
-        tz = _companion(space, z)
         keep = [l - 1 for l in cols]
         xs = x.reshape(-1, d, d)
         self.phi = (xs @ _companion(space, xs))[..., keep].reshape(x.shape[:-2] + (d, len(cols)))
-        # the M = Z + TZ and Z^2 + 2 Z TZ + TZ^2 of every direction
-        m = np.concatenate([z + tz, z @ z + 2.0 * (z @ tz) + tz @ tz]).reshape(2 * dirs * d, d)
+        if self.basis is p_basis(space):
+            m = _stock_products(space)
+        else:
+            m = _direction_products(space, np.asarray(self.basis).reshape(dirs, d, d))
         if not np.imag(m).any() and not np.imag(xs).any():
             m, xs = np.ascontiguousarray(m.real), np.ascontiguousarray(xs.real)
         # The stack and the columns set only the number of rows of each product below:
@@ -443,9 +459,10 @@ def kappa_sum(jf: Jet2, jg: Jet2):
     return _direction_sum(jf.d1, jg.d1)
 
 
-def normalized_residual(value, energy):
-    """|value| / max(1, S): the zero-target residual convention."""
-    return np.abs(value) / np.maximum(1.0, energy)
+def normalized_residual(value, scale):
+    """|value| / max(1, S): the zero-target residual convention.  It is NaN, so it
+    fails, where S is not finite: an overflowed scale normalizes nothing."""
+    return np.where(np.isfinite(scale), np.abs(value) / np.maximum(1.0, scale), np.nan)
 
 
 def _divided(a: np.ndarray, b: float) -> np.ndarray:

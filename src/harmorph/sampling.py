@@ -35,11 +35,19 @@ The stream of a key (seed, spawn...) is that of Philox seeded by
 it resets one Philox to each key's fresh state in turn.  Each key's Philox key
 is SeedSequence's own (``_philox_key``), memoized, since the suites draw the
 same few keys again and again.
+
+Above that memo of keys sits one of accepted group points, ``_POINTS``: a
+point is a function of (space, seed, index) alone, so every suite on a space
+at a seed shares its draws.  A stack looks up each of its indices and draws
+only the missing ones, as one stack; a draw that raises stores nothing.  The
+memo keeps at most _POINTS_MAXSIZE points, the oldest going first, and a
+caller always gets a new array.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -218,6 +226,11 @@ def _conditioned(x: np.ndarray) -> np.ndarray:
     return ok
 
 
+# accepted group points by (space, seed masked to 64 bits, index), oldest first
+_POINTS: OrderedDict[tuple[SpaceSpec, int, int], np.ndarray] = OrderedDict()
+_POINTS_MAXSIZE = 2**13
+
+
 def sample_group_point(space: SpaceSpec, rng_seed: int, index: int | np.ndarray = 0) -> np.ndarray:
     """A random ambient-group point passing membership within 1e-10; for an array of
     indices, a stack of points of shape index.shape + (d, d).
@@ -225,7 +238,8 @@ def sample_group_point(space: SpaceSpec, rng_seed: int, index: int | np.ndarray 
     Attempt a at an index draws from the generator of (seed, index, a), so a point
     is the same whether it is sampled alone or in a stack.  A stack draws the
     indices still without a point together, with their generators derived
-    together, and tests them together.
+    together, and tests them together.  Accepted points are memoized (_POINTS), so
+    only indices never drawn before are drawn; the stack returned is a new array.
     """
     def draw(indices, attempt):
         x, ok = _candidates(space, indices.size, generators(rng_seed, indices, attempt))
@@ -233,8 +247,19 @@ def sample_group_point(space: SpaceSpec, rng_seed: int, index: int | np.ndarray 
         ok[ok] = _conditioned(x[ok])
         return x, ok
 
-    return first_accepted(index, space.ambient_dim, draw, _MAX_ATTEMPTS, RuntimeError(
-        f"sampler failed to produce a {space.id} point after {_MAX_ATTEMPTS} attempts"))
+    index = np.asarray(index)
+    seed, d = int(rng_seed) & (2**64 - 1), space.ambient_dim
+    keys = [(space, seed, i) for i in index.ravel().tolist()]
+    points = [_POINTS.get(key) for key in keys]
+    missing = [j for j, p in enumerate(points) if p is None]
+    if missing:
+        drawn = first_accepted(index.ravel()[missing], d, draw, _MAX_ATTEMPTS, RuntimeError(
+            f"sampler failed to produce a {space.id} point after {_MAX_ATTEMPTS} attempts"))
+        for j, x in zip(missing, drawn):
+            points[j] = _POINTS[keys[j]] = x.copy()
+        while len(_POINTS) > _POINTS_MAXSIZE:
+            _POINTS.popitem(last=False)
+    return np.array(points, dtype=complex).reshape(index.shape + (d, d))
 
 
 def _stabilizer_candidates(space: SpaceSpec, rngs: Iterator[np.random.Generator]) -> np.ndarray:

@@ -164,8 +164,6 @@ def test_compose_out_of_bounds_is_usage_error(runner, poly):
     assert result.exit_code == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_residual_fails_with_strict_json(runner):
     """1e300 * z1**2 overflows: its energy is inf and kappa nan, which must FAIL."""
     result = runner.invoke(main, ["verify", "--space", "sus-sp", "--n", "2", "--family", "1",
@@ -181,8 +179,6 @@ NAN_KAPPA = ["verify", "--space", "sus-sp", "--n", "2", "--family", "1",
              "--compose", "1e300*z1**2", "--seed", "3", "--trials", "20"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_nan_residual_is_the_reported_maximum(runner):
     """Every kappa residual of this run is nan: the report's maximum and its worst
     residual say nan, not the largest finite residual."""
@@ -193,6 +189,17 @@ def test_nan_residual_is_the_reported_maximum(runner):
     result = runner.invoke(main, NAN_KAPPA + ["--format", "json"])
     assert result.exit_code == 1
     assert json.loads(result.stdout, parse_constant=pytest.fail)["max_residuals"]["kappa"] == "nan"
+
+
+def test_overflowed_energy_gives_a_nan_tau_and_no_warning():
+    """The energy of 1e300 * z1**2 overflows to inf, which normalizes nothing: tau is
+    nan, not |tau| / inf = 0, and the overflow ends in the report, not on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(harmorph.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "harmorph", *NAN_KAPPA], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1 and result.stderr == ""
+    lines = [line.split() for line in result.stdout.splitlines()]
+    assert ["tau", "nan"] in lines and ["kappa", "nan"] in lines
 
 
 def test_long_composition_is_walked_without_recursion(runner):

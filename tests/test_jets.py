@@ -7,8 +7,9 @@ import pytest
 
 from harmorph.jets import (Add, BranchCutError, Const, Div, Entry, EvaluationError, Jet2,
                            JetContext, Mul, ScaleByI, Sqrt, Sub, _companion, _eval,
-                           base_map_value, eval_jet, eval_jet_cached, fd_jet, jet_sums,
-                           kappa_sum, normalized_residual, raise_first_error, rotated_basis)
+                           _stock_products, base_map_value, eval_jet, eval_jet_cached, fd_jet,
+                           jet_sums, kappa_sum, normalized_residual, raise_first_error,
+                           rotated_basis)
 from harmorph.morphisms import (dual_quat_family, dual_real_morphism, quat_family,
                                 real_morphism, typeIV_bigcell_morphism)
 from harmorph.sampling import sample_group_point
@@ -305,6 +306,22 @@ def test_point_jets_do_not_depend_on_stack_or_columns(sid, n, algebra):
                 phi, d1, d2 = _column_jets(ctx, l)
                 assert _same_bits((phi[0], d1[:, 0], d2[:, 0]),
                                   (want[0][p], want[1][:, p], want[2][:, p]))
+
+
+@pytest.mark.parametrize("sid,n", [("slr-so", 3), ("sus-sp", 2), ("su-so", 3), ("su-sp", 1),
+                                   ("su-sp", 2), ("slc-su", 3)])
+def test_stock_basis_products_are_built_once_with_the_same_jets(sid, n):
+    """A context on the stock basis takes the basis products from the per-space cache;
+    one on a copy of the basis builds them afresh, with the same jets bit for bit."""
+    space = make_space(sid, n)
+    x = sample_group_point(space, 81, index=np.arange(12))
+    for columns in (None, {space.ambient_dim}):
+        hits = _stock_products.cache_info().hits
+        cached = [JetContext(space, x, basis, columns) for basis in (p_basis(space), None)]
+        assert _stock_products.cache_info().hits >= hits + 1
+        fresh = JetContext(space, x, p_basis(space).copy(), columns)
+        for ctx in cached:
+            assert _same_bits((ctx.phi, ctx.d1, ctx.d2), (fresh.phi, fresh.d1, fresh.d2))
 
 
 def test_real_points_along_a_real_basis_get_real_derivatives():

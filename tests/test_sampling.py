@@ -1,19 +1,21 @@
 """Seeded samplers: determinism, membership, conditioning."""
 
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import harmorph.sampling
 from harmorph.jets import Entry
 from harmorph.morphisms import (Morphism, control_morphism, dual_quat_family,
                                 dual_real_morphism, quat_family, real_morphism,
                                 typeIV_bigcell_morphism)
-from harmorph.sampling import (COND_CAP, MEMBERSHIP_TOL, _candidates, _conditioned, _draw,
-                               _philox_key, complex_rational_vector, fresh_seed, generators,
+from harmorph.sampling import (COND_CAP, MEMBERSHIP_TOL, _POINTS, _candidates, _conditioned,
+                               _draw, _philox_key, complex_rational_vector, fresh_seed, generators,
                                rational_vector, sample_group_point, sample_stabilizer_point)
 from harmorph.spaces import SPACE_IDS, make_space
 from harmorph.verify import SamplingError, sample_in_domain
@@ -137,6 +139,7 @@ def test_group_points_members_and_conditioned(sid):
 def test_group_points_reproducible(sid):
     space = make_space(sid, 3)
     x = sample_group_point(space, 7, index=4)
+    _POINTS.clear()  # so that y is drawn again, not served from the memo
     y = sample_group_point(space, 7, index=4)
     assert np.array_equal(x, y)
     z = sample_group_point(space, 8, index=4)
@@ -410,6 +413,7 @@ def test_stacked_group_points_equal_reference_loop(sid, n):
         assert stack.shape == (len(indices),) + (space.ambient_dim,) * 2
         for i, x in zip(indices, stack):
             assert np.array_equal(x, _reference_group_point(space, seed, int(i)))
+        _POINTS.clear()  # so that index 17 is drawn alone, not served from the memo
         assert np.array_equal(sample_group_point(space, seed, index=17), stack[4])
 
 
@@ -423,10 +427,92 @@ def test_group_points_past_the_bound_equal_reference_loop():
     assert (drawn & space.membership(x, MEMBERSHIP_TOL)).all()
     bound = np.linalg.norm(x, axis=(-2, -1)) ** 5 / np.abs(np.linalg.det(x))
     assert (bound > COND_CAP / 2).all() and (np.linalg.cond(x) <= COND_CAP).all()
+    _POINTS.clear()  # so that the stack is drawn, not served from the memo
     stack = sample_group_point(space, 0, index=indices)
     assert np.array_equal(stack, x)
     for i, p in zip(indices, stack):
         assert np.array_equal(p, _reference_group_point(space, 0, int(i)))
+
+
+# ---------------------------------------------------------------------------
+# the memo of accepted group points
+# ---------------------------------------------------------------------------
+
+MEMO_CASES = [("slr-so", 2), ("sus-sp", 1), ("su-sp", 1), ("slc-su", 2)]
+_COLD = {}
+
+
+def _cold_point(space, seed, i):
+    """The group point of (space, seed, i) drawn alone with an empty memo."""
+    key = (space, seed & (2**64 - 1), i)
+    if key not in _COLD:
+        _POINTS.clear()
+        _COLD[key] = sample_group_point(space, seed, i)
+    return _COLD[key]
+
+
+_INDEX_ARRAYS = hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                                      max_side=5), elements=st.integers(0, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(MEMO_CASES), st.sampled_from([0, 7, -1, 2**64 + 7]),
+                          _INDEX_ARRAYS), min_size=1, max_size=5))
+@example([(("slr-so", 2), 7, np.array(i)) for i in (3, [3, 3, 1], [1, 3], [5, 4, 3, 2, 1, 0],
+                                                   [0, 1, 2, 3], [[5, 9], [0, 5]])])
+@example([(("slc-su", 2), 7, np.arange(4)), (("slr-so", 2), 7, np.arange(4)),
+          (("slc-su", 2), 2**64 + 7, np.arange(6)), (("slc-su", 2), 0, np.arange(6))])
+def test_memoized_points_equal_cold_draws(calls):
+    """Successive calls on any spaces and seeds, each with a scalar or an array of
+    indices with repeats, in any order and part served from the memo, give each index
+    the bits it gets drawn alone with an empty memo."""
+    calls = [(make_space(*case), seed, index) for case, seed, index in calls]
+    want = {(space, seed, i): _cold_point(space, seed, i)
+            for space, seed, index in calls for i in index.ravel().tolist()}
+    _POINTS.clear()
+    for space, seed, index in calls:
+        d = space.ambient_dim
+        got = sample_group_point(space, seed, index)
+        assert got.shape == index.shape + (d, d)
+        for i, x in zip(index.ravel().tolist(), got.reshape(-1, d, d)):
+            assert np.array_equal(x, want[space, seed, i])
+
+
+def test_mutating_a_returned_stack_leaves_the_memo_unchanged():
+    space = make_space("sus-sp", 1)
+    stack = sample_group_point(space, 5, np.arange(4))
+    want = stack.copy()
+    stack[...] = np.nan
+    sample_group_point(space, 5, 2)[...] = 0.0
+    assert np.array_equal(sample_group_point(space, 5, np.arange(4)), want)
+
+
+def test_memo_keeps_the_newest_points_up_to_its_bound(monkeypatch):
+    """Past the bound the points stored first go first; serving a point does not
+    renew it."""
+    space = make_space("slr-so", 2)
+    want = [_cold_point(space, 7, i) for i in range(9)]
+    monkeypatch.setattr(harmorph.sampling, "_POINTS", OrderedDict())
+    monkeypatch.setattr(harmorph.sampling, "_POINTS_MAXSIZE", 5)
+    for index, kept in [(np.arange(3), [0, 1, 2]), (np.arange(2, 9), [4, 5, 6, 7, 8]),
+                        (1, [5, 6, 7, 8, 1]), (np.arange(9)[::-1], [1, 4, 3, 2, 0])]:
+        got = sample_group_point(space, 7, index)
+        assert [key[2] for key in harmorph.sampling._POINTS] == kept
+        for i, x in zip(np.ravel(index), got.reshape(-1, 2, 2)):
+            assert np.array_equal(x, want[i])
+
+
+def test_failing_draw_stores_nothing(monkeypatch):
+    """A stack that raises stores none of its points, also those it accepted."""
+    monkeypatch.setattr(harmorph.sampling, "_POINTS", OrderedDict())
+    space = make_space("slc-su", 2)
+    sample_group_point(space, 3, 0)
+    monkeypatch.setattr(harmorph.sampling, "_MAX_ATTEMPTS", 1)
+    # the last candidate of every draw is rejected
+    monkeypatch.setattr(harmorph.sampling, "_conditioned", lambda x: np.arange(len(x)) < len(x) - 1)
+    with pytest.raises(RuntimeError, match="after 1 attempts"):
+        sample_group_point(space, 3, np.arange(4))
+    assert list(harmorph.sampling._POINTS) == [(space, 3, 0)]
 
 
 @pytest.mark.parametrize("sid,n", SPACE_CASES)

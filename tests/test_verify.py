@@ -12,7 +12,7 @@ from harmorph.jets import Const, Entry, Sqrt, base_map_value
 from harmorph.morphisms import (STABILIZER_RIGHT, Morphism, control_morphism,
                                 dual_quat_family, dual_real_morphism, quat_family,
                                 real_morphism, typeIV_bigcell_morphism)
-from harmorph.sampling import sample_group_point
+from harmorph.sampling import _POINTS, sample_group_point
 from harmorph.spaces import make_space
 from harmorph.verify import (SCHEMA_VERSION, VerificationReport, default_tolerance,
                              render_report, verify_basis_independence, verify_bigcell,
@@ -502,6 +502,7 @@ def _reference_lemmas(space, trials, seed, tol, ratio_tol):
     report = VerificationReport(f"derivative-lemmas:{space.id}", space.id, [], space.n,
                                 trials, seed, tol)
     residuals = {}
+    _POINTS.clear()  # so that each point is drawn alone, not served from the memo
     for t in range(trials):
         x = sample_group_point(space, seed, index=t)
         ctx = JetContext(space, x[None])
@@ -625,6 +626,7 @@ def _reference_certify(suite, family, trials, seed, tag):
     report = VerificationReport(suite, space.id, [m.label for m in family], space.n,
                                 trials, seed, tol)
     basis = p_basis(space)
+    _POINTS.clear()  # so that each point is drawn alone, not served from the memo
     for t in range(trials):
         x = sample_in_domain(family, seed, t)
         # the point as a stack of one, whose walk rounds as the suite's stack does
@@ -797,6 +799,7 @@ def _reference_invariance(morphism, trials, seed, tol):
                                 trials, seed, tol)
     k_gens = stabilizer_algebra(space)
     scaled = POSITIVE_SCALE in morphism.invariances
+    _POINTS.clear()  # so that each point is drawn alone, not served from the memo
     for t in range(trials):
         x = sample_in_domain(morphism, seed, t)
         k = sample_stabilizer_point(space, seed, index=t)
