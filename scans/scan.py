@@ -2,6 +2,7 @@
 
     python3 scans/scan.py                          # every scan over its own seeds
     python3 scans/scan.py --scan lemmas --seeds 70-80
+    python3 scans/scan.py --scan left-out          # the benchmark's left-out calls
     python3 scans/scan.py --update                 # rewrite the baseline from this run
 
 A scan runs one named call at every seed of a range and records each FAIL as
@@ -48,10 +49,27 @@ def _sweep(seed: int) -> list:
     return run_sweep(3, 50, seed)
 
 
+def _left_out(seed: int) -> list:
+    """The float calls perfbench/README.md lists under "Calls left out", 100 trials
+    each, every report's suite naming its first map, so that two calls' records at
+    one seed stay apart."""
+    from harmorph.morphisms import dual_quat_family, dual_real_morphism, real_morphism
+    from harmorph.verify import verify_family, verify_harmonic
+    reports = [verify_harmonic(dual_real_morphism(n, k, l), 100, seed, 1e-7)
+               for n in (2, 3, 4) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
+    reports += [verify_harmonic(real_morphism(2, k, l), 100, seed, 1e-8)
+                for k, l in ((1, 2), (2, 1))]
+    reports += [verify_family(dual_quat_family(2, l), 100, seed, 1e-7) for l in (1, 2)]
+    for report in reports:
+        report.suite = f"{report.suite}:{report.morphisms[0]}"
+    return reports
+
+
 # name: (the call, returning its reports, and its seeds, inclusive)
 SCANS = {
     "lemmas": (_lemmas, (0, 599)),  # slr-so n=2 derivative lemmas, 100 trials
     "sweep": (_sweep, (0, 299)),    # harmorph all --n-max 3 --trials 50
+    "left-out": (_left_out, (0, 1999)),  # the benchmark's left-out calls, 100 trials
 }
 
 

@@ -24,6 +24,15 @@ def test_a_short_lemma_scan_equals_the_baseline():
     assert out.stdout.splitlines()[-1] == "equal to the baseline"
 
 
+def test_a_short_left_out_scan_equals_the_baseline():
+    """Seeds 4-6 of the benchmark's left-out calls FAIL at 5 and 6."""
+    out = subprocess.run([sys.executable, str(HERE / "scan.py"), "--scan", "left-out",
+                          "--seeds", "4-6"], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "2 FAIL [5, 6]" in out.stdout
+    assert out.stdout.splitlines()[-1] == "equal to the baseline"
+
+
 def test_difference_names_new_and_gone_records():
     known = [r for r in json.loads(scan.BASELINE.read_text()) if r["scan"] == "lemmas"]
     moved = copy.deepcopy(known[0])

@@ -19,7 +19,7 @@ from .morphisms import (MAX_COMPOSE_DEGREE, control_morphism, dual_quat_family,
                         dual_real_morphism, holomorphic_compose, quat_family, real_morphism,
                         typeIV_bigcell_morphism)
 from .sampling import fresh_seed
-from .spaces import SPACE_IDS, expected_basis_size, make_space
+from .spaces import SPACE_IDS, SPACES, expected_basis_size, make_space
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -74,11 +74,9 @@ def main():
 def spaces(n):
     """List the supported symmetric-space configurations."""
     click.echo(f"{'id':<8} {'ambient':<10} {'matrix size':<12} {'p-basis size':<12} (at n={n})")
-    ambient = {"slr-so": "GL+(n,R)", "sus-sp": "U*(2n)", "su-so": "SU(n)",
-               "su-sp": "SU(2n)", "slc-su": "SL(n,C)"}
-    for sid in SPACE_IDS:
+    for sid, row in SPACES.items():
         sp = make_space(sid, n)
-        click.echo(f"{sid:<8} {ambient[sid]:<10} {sp.ambient_dim:<12} {expected_basis_size(sp):<12}")
+        click.echo(f"{sid:<8} {row.ambient:<10} {sp.ambient_dim:<12} {expected_basis_size(sp):<12}")
 
 
 @main.command()

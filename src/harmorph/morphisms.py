@@ -49,11 +49,15 @@ def _check_kl(n: int, k: int, l: int) -> None:
         raise ValueError("the construction requires k != l")
 
 
+def _psi(k: int, l: int) -> Expr:
+    """psi_kl = sqrt(phi_kk phi_ll - phi_kl^2) of the minor of phi on (k, l)."""
+    return Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2)
+
+
 def _real_quotient(space: SpaceSpec, k: int, l: int, domain: Callable[[np.ndarray], bool],
                    invariances: tuple[str, ...]) -> Morphism:
-    """(phi_kl + i psi_kl) / phi_ll on the space, psi_kl = sqrt(phi_kk phi_ll - phi_kl^2)."""
-    psi = Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2)
-    expr = (Entry(k, l) + ScaleByI(psi)) / Entry(l, l)
+    """(phi_kl + i psi_kl) / phi_ll on the space."""
+    expr = (Entry(k, l) + ScaleByI(_psi(k, l))) / Entry(l, l)
     return Morphism(expr, space, f"{space.label()}:kl={k}{l}", domain, invariances)
 
 
@@ -141,6 +145,15 @@ def dual_quat_family(n: int, l: int, margin: float = DEFAULT_MARGIN) -> list[Mor
 MAX_COMPOSE_DEGREE = 6
 
 
+def _joint_domain(maps: Sequence[Morphism]) -> Callable[[np.ndarray], bool]:
+    """Where every map is defined: _everywhere if every map is globally defined, else the
+    one distinct predicate of the others, or a predicate calling each distinct one once."""
+    domains = list(dict.fromkeys(m.domain for m in maps if m.domain is not _everywhere))
+    if len(domains) > 1:
+        return lambda x: all(d(x) for d in domains)
+    return domains[0] if domains else _everywhere
+
+
 def _family_space(family: Sequence[Morphism]) -> SpaceSpec:
     """The space every member of a non-empty family lives on."""
     if not family:
@@ -172,16 +185,11 @@ def holomorphic_compose(coeffs: Mapping[tuple[int, ...], complex],
                 term = term * f.expr ** e
         expr = expr + term
 
-    domains = [m.domain for m in family]
-
-    def domain(x: np.ndarray) -> bool:
-        return all(d(x) for d in domains)
-
     shared = tuple(inv for inv in family[0].invariances
                    if all(inv in m.invariances for m in family))
     if label is None:
         label = f"{space.id}:n={space.n}:compose[{len(family)}]"
-    return Morphism(expr, space, label, domain, shared)
+    return Morphism(expr, space, label, _joint_domain(family), shared)
 
 
 # ---------------------------------------------------------------------------

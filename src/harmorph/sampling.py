@@ -37,10 +37,10 @@ is SeedSequence's own (``_philox_key``), memoized, since the suites draw the
 same few keys again and again.
 
 Above that memo of keys sits one of accepted group points, ``_POINTS``: a
-point is a function of (space, seed, index) alone, so every suite on a space
-at a seed shares its draws.  A stack looks up each of its indices and draws
-only the missing ones, as one stack; a draw that raises stores nothing.  The
-memo keeps at most _POINTS_MAXSIZE points, the oldest going first, and a
+point is a function of (space id, n, seed, index) alone, so every suite on a
+space at a seed shares its draws.  A stack looks up each of its indices and
+draws only the missing ones, as one stack; a draw that raises stores nothing.
+The memo keeps at most _POINTS_MAXSIZE points, the oldest going first, and a
 caller always gets a new array.
 """
 
@@ -226,8 +226,8 @@ def _conditioned(x: np.ndarray) -> np.ndarray:
     return ok
 
 
-# accepted group points by (space, seed masked to 64 bits, index), oldest first
-_POINTS: OrderedDict[tuple[SpaceSpec, int, int], np.ndarray] = OrderedDict()
+# accepted group points by (space id, n, seed masked to 64 bits, index), oldest first
+_POINTS: OrderedDict[tuple[str, int, int, int], np.ndarray] = OrderedDict()
 _POINTS_MAXSIZE = 2**13
 
 
@@ -249,7 +249,7 @@ def sample_group_point(space: SpaceSpec, rng_seed: int, index: int | np.ndarray 
 
     index = np.asarray(index)
     seed, d = int(rng_seed) & (2**64 - 1), space.ambient_dim
-    keys = [(space, seed, i) for i in index.ravel().tolist()]
+    keys = [(space.id, space.n, seed, i) for i in index.ravel().tolist()]
     points = [_POINTS.get(key) for key in keys]
     missing = [j for j, p in enumerate(points) if p is None]
     if missing:

@@ -1,16 +1,7 @@
 """Symmetric-space descriptors and orthonormal bases of the horizontal complement.
 
-Five configurations are supported, identified by short CLI-facing ids:
-
-====== =================== =============== ==================
-id      ambient group       stabilizer K    base map
-====== =================== =============== ==================
-slr-so  GL+(n, R)           SO(n)           x -> x x^t
-sus-sp  U*(2n)              Sp(n)           x -> x x^*
-su-so   SU(n)               SO(n)           x -> x x^t
-su-sp   SU(2n)              Sp(n)           x -> x J^t x^t J
-slc-su  SL(n, C)            SU(n)           x -> x x^*
-====== =================== =============== ==================
+Five configurations are supported, one row each of :data:`SPACES`, identified
+by short CLI-facing ids.
 
 Every basis is built exactly, as the sparse Gaussian-integer entries of each
 element with a rational scale^2 (:func:`p_basis_exact`), all from one unit
@@ -31,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,9 +67,9 @@ def dense(entries: Entries, scale_sq: Fraction, d: int) -> np.ndarray:
 # space descriptors
 # ---------------------------------------------------------------------------
 
-X_XT = "x_xt"
-X_XSTAR = "x_xstar"
-X_JT_XT_J = "x_jt_xt_j"
+X_XT = "x_xt"  # x -> x x^t
+X_XSTAR = "x_xstar"  # x -> x x^*
+X_JT_XT_J = "x_jt_xt_j"  # x -> x J^t x^t J
 
 
 @lru_cache(maxsize=None)
@@ -148,23 +140,35 @@ class SpaceSpec:
         return f"{self.id}:n={self.n}"
 
 
-SPACE_IDS = ("slr-so", "sus-sp", "su-so", "su-sp", "slc-su")
+class SpaceRow(NamedTuple):
+    """What fixes the space of an id at every n."""
+
+    ambient: str  # the ambient group, as `harmorph spaces` prints it
+    size: int  # the matrix size per n
+    base_map_variant: str
+    compact: bool
+    stabilizer: str  # "so", "sp" or "su": K is SO(n), Sp(n) or SU(n)
+    basis_size: Callable[[int], int]  # dim p at n
+
+
+SPACES = {
+    "slr-so": SpaceRow("GL+(n,R)", 1, X_XT, False, "so", lambda n: n * (n + 1) // 2),
+    "sus-sp": SpaceRow("U*(2n)", 2, X_XSTAR, False, "sp", lambda n: 2 * n * n - n),
+    "su-so": SpaceRow("SU(n)", 1, X_XT, True, "so", lambda n: n * (n + 1) // 2 - 1),
+    "su-sp": SpaceRow("SU(2n)", 2, X_JT_XT_J, True, "sp", lambda n: 2 * n * n - n - 1),
+    "slc-su": SpaceRow("SL(n,C)", 1, X_XSTAR, False, "su", lambda n: n * n - 1),
+}
+SPACE_IDS = tuple(SPACES)
 
 
 def make_space(space_id: str, n: int) -> SpaceSpec:
+    """The space of the id at rank n, built from its SPACES row alone."""
     if n < 1:
         raise ValueError("rank parameter n must be positive")
-    if space_id == "slr-so":
-        return SpaceSpec("slr-so", n, n, X_XT, False, "so")
-    if space_id == "sus-sp":
-        return SpaceSpec("sus-sp", n, 2 * n, X_XSTAR, False, "sp")
-    if space_id == "su-so":
-        return SpaceSpec("su-so", n, n, X_XT, True, "so")
-    if space_id == "su-sp":
-        return SpaceSpec("su-sp", n, 2 * n, X_JT_XT_J, True, "sp")
-    if space_id == "slc-su":
-        return SpaceSpec("slc-su", n, n, X_XSTAR, False, "su")
-    raise ValueError(f"unknown space id {space_id!r}; expected one of {SPACE_IDS}")
+    if space_id not in SPACES:
+        raise ValueError(f"unknown space id {space_id!r}; expected one of {SPACE_IDS}")
+    row = SPACES[space_id]
+    return SpaceSpec(space_id, n, row.size * n, row.base_map_variant, row.compact, row.stabilizer)
 
 
 # A norm over a stack's last two axes sums in another order than np.linalg.norm of
@@ -209,18 +213,7 @@ def _special_unitary(x: np.ndarray, tol: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def expected_basis_size(space: SpaceSpec) -> int:
-    n = space.n
-    if space.id == "slr-so":
-        return n * (n + 1) // 2
-    if space.id == "sus-sp":
-        return 2 * n * n - n
-    if space.id == "su-so":
-        return n * (n + 1) // 2 - 1
-    if space.id == "su-sp":
-        return 2 * n * n - n - 1
-    if space.id == "slc-su":
-        return n * n - 1
-    raise AssertionError(space.id)
+    return SPACES[space.id].basis_size(space.n)
 
 
 def stabilizer_algebra(space: SpaceSpec) -> list[np.ndarray]:

@@ -21,10 +21,10 @@ from functools import partial
 import numpy as np
 
 # eval_jet is not called here, but stays a module global: perfbench/tracing.py wraps it by name
-from .jets import (Entry, Jet2, JetContext, Sqrt, _eval, _values, base_map_value,  # noqa: F401
+from .jets import (Jet2, JetContext, _eval, _values, base_map_value,  # noqa: F401
                    entry_columns, eval_jet, eval_jet_cached, fd_jet, jet_sums, kappa_sum,
                    normalized_residual, raise_first_error, rotated_basis)
-from .morphisms import POSITIVE_SCALE, Morphism, _everywhere, _family_space
+from .morphisms import POSITIVE_SCALE, Morphism, _everywhere, _family_space, _joint_domain, _psi
 from .sampling import (complex_rational_vector, first_accepted, generators, rational_vector,
                        sample_group_point, sample_stabilizer_point)
 from .spaces import (HALF, SpaceSpec, _modulus, make_space, p_basis, p_basis_exact,
@@ -321,18 +321,18 @@ def sample_in_domain(morphisms: Morphism | list[Morphism], seed: int,
     for an array of trials, a stack of them.
 
     Round r tries the group point of index trial * 1000 + r of every trial still
-    without a point, drawn as one stack, and tests the domain point by point; a
-    globally defined member's domain holds at every point and is not called.
+    without a point, drawn as one stack, and calls the members' joint domain
+    (morphisms._joint_domain) once per point, unless it is _everywhere.
     """
     family = morphisms if isinstance(morphisms, list) else [morphisms]
     space = family[0].space
-    domains = [m.domain for m in family if m.domain is not _everywhere]
+    domain = _joint_domain(family)
 
     def draw(trials, r):
         x = sample_group_point(space, seed, index=trials * _DOMAIN_ATTEMPTS + r)
-        if not domains:
+        if domain is _everywhere:
             return x, np.ones(len(x), dtype=bool)
-        return x, np.array([all(domain(p) for domain in domains) for p in x], dtype=bool)
+        return x, np.array([domain(p) for p in x], dtype=bool)
 
     labels = ", ".join(m.label for m in family)
     return first_accepted(trial, space.ambient_dim, draw, _DOMAIN_ATTEMPTS, SamplingError(
@@ -398,8 +398,7 @@ def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
     return report.done()
 
 
-# psi of the 2x2 minor of phi on rows and columns (k, l)
-_PSI = Sqrt(Entry(1, 1) * Entry(2, 2) - Entry(1, 2) ** 2)
+_PSI = _psi(1, 2)
 
 
 def _lemma_relations(space: SpaceSpec, ctx: JetContext):

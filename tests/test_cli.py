@@ -32,6 +32,29 @@ def test_spaces_lists_all_ids(runner):
         assert sid in result.output
 
 
+SPACES_TEXT = {
+    1: ("id       ambient    matrix size  p-basis size (at n=1)\n"
+        "slr-so   GL+(n,R)   1            1           \n"
+        "sus-sp   U*(2n)     2            1           \n"
+        "su-so    SU(n)      1            0           \n"
+        "su-sp    SU(2n)     2            0           \n"
+        "slc-su   SL(n,C)    1            0           \n"),
+    3: ("id       ambient    matrix size  p-basis size (at n=3)\n"
+        "slr-so   GL+(n,R)   3            6           \n"
+        "sus-sp   U*(2n)     6            15          \n"
+        "su-so    SU(n)      3            5           \n"
+        "su-sp    SU(2n)     6            14          \n"
+        "slc-su   SL(n,C)    3            8           \n"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SPACES_TEXT))
+def test_spaces_prints_the_whole_table(runner, n):
+    result = runner.invoke(main, ["spaces", "--n", str(n)])
+    assert result.exit_code == 0
+    assert result.output == SPACES_TEXT[n]
+
+
 def test_identities_pass_and_report_exact_count(runner):
     result = runner.invoke(main, ["identities", "--lemma", "formula-real",
                                   "--n", "2", "--trials", "20", "--seed", "7"])

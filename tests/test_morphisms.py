@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from harmorph.morphisms import (POSITIVE_SCALE, STABILIZER_RIGHT,
+from harmorph.morphisms import (POSITIVE_SCALE, STABILIZER_RIGHT, _everywhere,
                                 dual_quat_family, dual_real_domain_detail,
                                 dual_real_morphism, holomorphic_compose,
                                 quat_family, real_morphism,
@@ -92,6 +92,11 @@ def test_compose_intersects_domains_and_invariances():
     a = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
     x = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), a]])
     assert not composed.domain(x)
+
+
+def test_compose_of_global_maps_is_global():
+    composed = holomorphic_compose({(1, 1, 0): 1, (0, 0, 2): 2}, quat_family(2, 1))
+    assert composed.domain is _everywhere
 
 
 def test_typeIV_morphism_matches_ldu_factor():

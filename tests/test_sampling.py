@@ -1,5 +1,6 @@
 """Seeded samplers: determinism, membership, conditioning."""
 
+import dataclasses
 import math
 from collections import Counter, OrderedDict
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import harmorph.sampling
+import harmorph.verify
 from harmorph.jets import Entry
 from harmorph.morphisms import (Morphism, control_morphism, dual_quat_family,
                                 dual_real_morphism, quat_family, real_morphism,
@@ -497,7 +499,7 @@ def test_memo_keeps_the_newest_points_up_to_its_bound(monkeypatch):
     for index, kept in [(np.arange(3), [0, 1, 2]), (np.arange(2, 9), [4, 5, 6, 7, 8]),
                         (1, [5, 6, 7, 8, 1]), (np.arange(9)[::-1], [1, 4, 3, 2, 0])]:
         got = sample_group_point(space, 7, index)
-        assert [key[2] for key in harmorph.sampling._POINTS] == kept
+        assert [key[-1] for key in harmorph.sampling._POINTS] == kept
         for i, x in zip(np.ravel(index), got.reshape(-1, 2, 2)):
             assert np.array_equal(x, want[i])
 
@@ -512,7 +514,7 @@ def test_failing_draw_stores_nothing(monkeypatch):
     monkeypatch.setattr(harmorph.sampling, "_conditioned", lambda x: np.arange(len(x)) < len(x) - 1)
     with pytest.raises(RuntimeError, match="after 1 attempts"):
         sample_group_point(space, 3, np.arange(4))
-    assert list(harmorph.sampling._POINTS) == [(space, 3, 0)]
+    assert list(harmorph.sampling._POINTS) == [("slc-su", 2, 3, 0)]
 
 
 @pytest.mark.parametrize("sid,n", SPACE_CASES)
@@ -565,6 +567,25 @@ def test_stacked_domain_points_equal_reference_loop(family):
         stack = sample_in_domain(family, seed, trials)
         for t in trials:
             assert np.array_equal(stack[t], _reference_in_domain(family, seed, int(t)))
+
+
+def test_shared_domain_is_called_once_per_drawn_point(monkeypatch):
+    """The members of dual_quat_family share one predicate: each point drawn is tested
+    by one call of it, not one per member."""
+    calls, drawn = [], []
+    members = dual_quat_family(2, 1, margin=0.3)
+
+    def shared(x):
+        calls.append(x)
+        return members[0].domain(x)
+
+    def counted(*args, **kwargs):
+        drawn.append(harmorph.sampling.sample_group_point(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(harmorph.verify, "sample_group_point", counted)
+    sample_in_domain([dataclasses.replace(m, domain=shared) for m in members], 7, np.arange(12))
+    assert len(calls) == sum(map(len, drawn)) > 12
 
 
 @pytest.mark.parametrize("sid,n", [(sid, 2) for sid in SPACE_IDS])
