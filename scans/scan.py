@@ -2,6 +2,7 @@
 
     python3 scans/scan.py                          # every scan over its own seeds
     python3 scans/scan.py --scan lemmas --seeds 70-80
+    python3 scans/scan.py --scan exact             # the benchmark's exact calls
     python3 scans/scan.py --scan left-out          # the benchmark's left-out calls
     python3 scans/scan.py --update                 # rewrite the baseline from this run
 
@@ -38,6 +39,13 @@ SRC = HERE.parent / "src"
 BASELINE = HERE / "baseline.json"
 
 
+def _exact(seed: int) -> list:
+    """The benchmark's six exact calls, 100 trials each."""
+    from harmorph.verify import verify_lemma_formula_real, verify_lemma_long
+    return ([verify_lemma_formula_real(n, 100, seed) for n in (2, 3, 4)]
+            + [verify_lemma_long(n, 100, seed) for n in (1, 2, 3)])
+
+
 def _lemmas(seed: int) -> list:
     from harmorph.spaces import make_space
     from harmorph.verify import verify_derivative_lemmas
@@ -67,6 +75,7 @@ def _left_out(seed: int) -> list:
 
 # name: (the call, returning its reports, and its seeds, inclusive)
 SCANS = {
+    "exact": (_exact, (0, 1999)),   # the benchmark's exact identity calls, 100 trials
     "lemmas": (_lemmas, (0, 599)),  # slr-so n=2 derivative lemmas, 100 trials
     "sweep": (_sweep, (0, 299)),    # harmorph all --n-max 3 --trials 50
     "left-out": (_left_out, (0, 1999)),  # the benchmark's left-out calls, 100 trials

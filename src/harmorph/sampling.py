@@ -13,8 +13,9 @@ stabilizer samplers draw a whole stack of indices at once through one retry
 loop (``first_accepted``), with the same points as one index at a time; each
 key's candidate is one rng.random call (``_draw``), rounded as the
 rng.uniform calls it replaces.  An exact trial draws its four rational vectors
-with one rng.integers call (``_exact_trial``), each vector directly as its
-Gaussian-integer multiple L v, with L the lcm of its drawn denominators.
+with one rng.integers call, each vector directly as its Gaussian-integer
+multiple L v, with L the lcm of its drawn denominators; a block of trials is
+decoded as one stack of int64 arrays (``_exact_draws``).
 
 Every draw has its own key:
 
@@ -299,29 +300,28 @@ def sample_stabilizer_point(space: SpaceSpec, rng_seed: int,
 # exact rational sampling (numerators in [-9, 9], denominators in [1, 9])
 # ---------------------------------------------------------------------------
 
-# (L, [(Re, Im), ...]): the Gaussian-integer multiple L v of an exact vector v
-ExactVector = tuple[int, list[tuple[int, int]]]
-
-
-def _exact_trial(rng: np.random.Generator, parts: int, n: int) -> list[ExactVector]:
-    """The four vectors x, y, alpha, beta of an exact trial, each of n entries with
-    parts 1 (real) or 2 (real, then imaginary), from one rng.integers call: a drawn q
-    is the fraction (q // 9 - 9) / (q % 9 + 1), so numerators in [-9, 9] and
-    denominators in [1, 9] are independent and uniform.  A vector is (L, [(L Re v_i,
-    L Im v_i), ...]), L the lcm of its drawn denominators, in Python ints."""
-    num, den = np.divmod(rng.integers(0, 171, (4, parts, n)), 9)
+def _exact_draws(rngs: Iterator[np.random.Generator], parts: int,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The four vectors x, y, alpha, beta of each trial of a block, each of n entries
+    with parts 1 (real) or 2 (real, then imaginary), from one rng.integers call per
+    generator: a drawn q is the fraction (q // 9 - 9) / (q % 9 + 1), so numerators in
+    [-9, 9] and denominators in [1, 9] are independent and uniform.  Returns (L, L v):
+    L of shape (trials, 4), the lcm of each vector's drawn denominators, and the
+    Gaussian-integer multiples L v of shape (trials, 4, parts, n), both int64.  The flat
+    size 4 parts n gives the words of the shape (4, parts, n), in the same order."""
+    q = np.array([rng.integers(0, 171, 4 * parts * n) for rng in rngs], dtype=np.int64)
+    num, den = np.divmod(q.reshape(-1, 4, parts, n), 9)
     den += 1
-    scale = np.lcm.reduce(den.reshape(4, -1), axis=1)
-    multiples = ((num - 9) * (scale[:, None, None] // den)).tolist()
-    zeros = [[0] * n] * (2 - parts)
-    return [(s, list(zip(*m, *zeros))) for s, m in zip(scale.tolist(), multiples)]
+    scale = np.lcm.reduce(den.reshape(len(q), 4, -1), axis=2)
+    return scale, (num - 9) * (scale[..., None, None] // den)
 
 
-def rational_vector(rng: np.random.Generator, n: int) -> list[ExactVector]:
-    """The four real vectors of an exact trial, from rng.integers(0, 171, (4, n))."""
-    return _exact_trial(rng, 1, n)
+def rational_vector(rngs: Iterator[np.random.Generator], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The four real vectors of each generator's exact trial, from rng.integers(0, 171, 4 n)."""
+    return _exact_draws(rngs, 1, n)
 
 
-def complex_rational_vector(rng: np.random.Generator, n: int) -> list[ExactVector]:
-    """The four complex vectors of an exact trial, from rng.integers(0, 171, (4, 2, n))."""
-    return _exact_trial(rng, 2, n)
+def complex_rational_vector(rngs: Iterator[np.random.Generator],
+                            n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The four complex vectors of each generator's exact trial, from rng.integers(0, 171, 8 n)."""
+    return _exact_draws(rngs, 2, n)

@@ -204,6 +204,11 @@ def render_report(report: VerificationReport, fmt: str = "text") -> str:
 # exact identity suites
 # ---------------------------------------------------------------------------
 
+# entries gathered (trials x members x E) per block of an exact suite's trials: it
+# bounds a block's arrays, and a call of 100 trials up to n = 4 (real) or 3 is one block
+_EXACT_BLOCK_ENTRIES = 2**13
+
+
 def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> VerificationReport:
     """Both exact sum identities over the symmetric/diagonal and Y families."""
     report = VerificationReport("lemma-formula-real", None, [], n, trials, seed, None)
@@ -213,17 +218,17 @@ def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> Verif
                 ("antisymmetric-family identity", -1, _integer_family(skew)))
     eye = _eye(n)
     failing, gaps = {}, np.full((len(families), trials), None, dtype=object)
-    for t, rng in enumerate(generators(seed, np.arange(trials))):
-        vecs = rational_vector(rng, n)
-        scales, (x, y, a, b) = zip(*vecs)
+    tables = [eye] + [family[2] for _, _, family in families]
+    for t, scales, v in _exact_blocks(rational_vector, n, seed, trials, tables):
+        x, y, a, b = np.moveaxis(v, 1, 0)
         # sum_m c (x m y)(a m b) = 1/2 (<a, x><y, b> +- <y, a><x, b>), all parts real
-        ax_yb = _gmul(_form(eye, a, x), _form(eye, y, b))[0]
-        ya_xb = _gmul(_form(eye, y, a), _form(eye, x, b))[0]
-        for q, (_, sign, (denom, family)) in enumerate(families):
-            gap = _family_sum(family, x, y, a, b)[0] - denom // 2 * (ax_yb + sign * ya_xb)
-            if gap:
-                gaps[q, t] = _exact_text(gap, 0, denom * math.prod(scales))
-                failing[t] = vecs
+        ax_yb = _gmul(_form(eye, a, x), _form(eye, y, b))[0][:, 0]
+        ya_xb = _gmul(_form(eye, y, a), _form(eye, x, b))[0][:, 0]
+        for q, (_, sign, (denom, weights, table)) in enumerate(families):
+            gap = _family_sum(weights, table, x, y, a, b)[0] - denom // 2 * (ax_yb + sign * ya_xb)
+            for r in np.flatnonzero(gap != 0).tolist():
+                gaps[q, t[r]] = _exact_text(gap[r], 0, denom * math.prod(scales[r].tolist()))
+                failing[t[r]] = scales[r].tolist(), v[r].tolist()
     for (quantity, _, _), values in zip(families, gaps):
         report.check(quantity, values, None, _vector_inputs(failing))
     return report.done()
@@ -232,23 +237,23 @@ def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> Verif
 def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationReport:
     """Exact quaternionic sum identity over the five block families."""
     report = VerificationReport("lemma-long", None, [], n, trials, seed, None)
-    denom, family = _integer_family(p_basis_exact(make_space("sus-sp", n)))
-    J = symplectic_J_entries(n)
+    denom, weights, table = _integer_family(p_basis_exact(make_space("sus-sp", n)))
+    J = _table([symplectic_J_entries(n)])
     eye = _eye(2 * n)
     failing, gaps = {}, np.full(trials, None, dtype=object)
-    for t, rng in enumerate(generators(seed, np.arange(trials))):
-        vecs = complex_rational_vector(rng, 2 * n)
-        scales, (x, y, a, b) = zip(*vecs)
+    for t, scales, v in _exact_blocks(complex_rational_vector, 2 * n, seed, trials,
+                                      [table, J, eye]):
+        x, y, a, b = np.moveaxis(v, 1, 0)
         # sum_m c (a m b*)(x m y*) = 1/2 ((x b*)(a y*) + (x J a) conj(y J b)); with J real,
         # x J a is the form of J at (x, conj a) and conj(y J b) its form at (conj y, b)
-        ca, cy = ([(re, -im) for re, im in v] for v in (a, y))
+        ca, cy = (u * [[1], [-1]] for u in (a, y))
         herm = _gmul(_form(eye, x, b), _form(eye, a, y))
         omega = _gmul(_form(J, x, ca), _form(J, cy, b))
-        lhs = _family_sum(family, x, y, a, b)
-        gap = [lhs[p] - denom // 2 * (herm[p] + omega[p]) for p in (0, 1)]
-        if any(gap):
-            gaps[t] = _exact_text(*gap, denom * math.prod(scales))
-            failing[t] = vecs
+        lhs = _family_sum(weights, table, x, y, a, b)
+        gap = [lhs[p] - denom // 2 * (herm[p] + omega[p])[:, 0] for p in (0, 1)]
+        for r in np.flatnonzero((gap[0] != 0) | (gap[1] != 0)).tolist():
+            gaps[t[r]] = _exact_text(gap[0][r], gap[1][r], denom * math.prod(scales[r].tolist()))
+            failing[t[r]] = scales[r].tolist(), v[r].tolist()
     report.check("quaternionic sum identity", gaps, None, _vector_inputs(failing))
     return report.done()
 
@@ -256,41 +261,67 @@ def verify_lemma_long(n: int, trials: int = 100, seed: int = 0) -> VerificationR
 # Both identities are linear or conjugate-linear in each of x, y, alpha, beta, so
 # they are checked on the Gaussian-integer multiples L v that the draws give and
 # with both sides times D, the lcm of 2 and the scale_sq denominators: the exact
-# claim at the same points, compared with int ==.  A complex number is an int pair.
+# claim at the same points, compared with int ==.  A Gaussian integer is a (Re, Im)
+# pair, a vector of a block of trials an int64 array of shape (trials, 2, d), and a
+# basis or form an entry table: the entries (i, j, Re m_ij, Im m_ij) of each member
+# m, as int64 of shape (4, members, E), padded with zero entries to the longest.
 
-def _eye(d: int) -> list[tuple[int, int, int, int]]:
-    return [(i, i, 1, 0) for i in range(d)]
+def _table(members) -> np.ndarray:
+    """The entry table of a list of members, each a tuple of entries."""
+    table = np.zeros((4, len(members), max(map(len, members), default=0)), dtype=np.int64)
+    for k, m in enumerate(members):
+        table[:, k, :len(m)] = np.reshape(m, (-1, 4)).T
+    return table
 
 
-def _integer_family(basis: list) -> tuple[int, list]:
-    """(D, [(D scale_sq, entries), ...]) of an exact basis, D as above."""
+def _eye(d: int) -> np.ndarray:
+    return _table([[(i, i, 1, 0) for i in range(d)]])
+
+
+def _integer_family(basis: list) -> tuple[int, np.ndarray, np.ndarray]:
+    """(D, weights, table) of an exact basis: D as above, each element's weight D scale_sq
+    as a Python int, and the elements' entry table."""
     denom = math.lcm(2, *(c.denominator for _, c in basis))
-    return denom, [(c.numerator * (denom // c.denominator), m) for m, c in basis]
+    weights = np.array([c.numerator * (denom // c.denominator) for _, c in basis], dtype=object)
+    return denom, weights, _table([m for m, _ in basis])
 
 
-def _form(entries, u, w) -> tuple[int, int]:
-    """sum of m_ij u_i conj(w_j) over the entries (i, j, Re m_ij, Im m_ij)."""
-    re = im = 0
-    for i, j, mr, mi in entries:
-        (ur, ui), (wr, wi) = u[i], w[j]
-        pr, pi = ur * wr + ui * wi, ui * wr - ur * wi
-        re += mr * pr - mi * pi
-        im += mr * pi + mi * pr
-    return re, im
+def _exact_blocks(draw, d: int, seed: int, trials: int, tables):
+    """(trials, L, L v) of each block of an exact suite's trials, drawn as
+    draw(generators, d), with a real draw's imaginary parts 0: a block gathers at most
+    _EXACT_BLOCK_ENTRIES entries of the tables, and at least one trial."""
+    size = max(1, _EXACT_BLOCK_ENTRIES // sum(table[0].size for table in tables))
+    for start in range(0, trials, size):
+        t = range(start, min(start + size, trials))
+        scales, v = draw(generators(seed, np.array(t)), d)
+        if v.shape[2] == 1:
+            v = np.concatenate((v, np.zeros_like(v)), axis=2)
+        yield t, scales, v
 
 
-def _gmul(p, q) -> tuple[int, int]:
+def _form(table, u, w) -> tuple[np.ndarray, np.ndarray]:
+    """s_m(u, w) = sum of m_ij u_i conj(w_j) for each member m of the table at each
+    trial's vectors u and w: (Re, Im), each of shape (trials, members) in Python ints.
+
+    Gathered in int64, which is exact: |L v_i| <= 9 * 2520 and |Re m|, |Im m| <= 1, so
+    each part is below 2 E (9 * 2520)^2.  A product of two forms is not, so the forms
+    leave as Python ints.
+    """
+    i, j, mr, mi = table
+    (ur, ui), (wr, wi) = u[:, :, i].swapaxes(0, 1), w[:, :, j].swapaxes(0, 1)
+    pr, pi = ur * wr + ui * wi, ui * wr - ur * wi
+    return (mr * pr - mi * pi).sum(-1).astype(object), (mr * pi + mi * pr).sum(-1).astype(object)
+
+
+def _gmul(p, q):
     return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
 
 
-def _family_sum(family, x, y, a, b) -> tuple[int, int]:
-    """sum of w s_m(a, b) s_m(x, y) over the (w, entries) of an integer family."""
-    re = im = 0
-    for w, m in family:
-        pr, pi = _gmul(_form(m, a, b), _form(m, x, y))
-        re += w * pr
-        im += w * pi
-    return re, im
+def _family_sum(weights, table, x, y, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """sum of w s_m(a, b) s_m(x, y) over the weights w and members m of an integer
+    family, at each trial."""
+    pr, pi = _gmul(_form(table, a, b), _form(table, x, y))
+    return pr.dot(weights), pi.dot(weights)
 
 
 def _exact_text(re: int, im: int, denom: int) -> str:
@@ -301,11 +332,10 @@ def _exact_text(re: int, im: int, denom: int) -> str:
 
 
 def _vector_inputs(failing):
-    """inputs(t) of an exact check: the four drawn vectors (L, pairs) of failing trial
-    t, each entry in lowest terms.  Only failing trials keep theirs: holding every
-    trial's vectors costs the suite extra garbage collections."""
-    return lambda t: {name: [_exact_text(re, im, scale) for re, im in pairs]
-                      for name, (scale, pairs) in zip(("x", "y", "alpha", "beta"), failing[t])}
+    """inputs(t) of an exact check: the four drawn vectors of failing trial t, from its
+    lists of L and L v, each entry in lowest terms.  Only failing trials keep theirs."""
+    return lambda t: {name: [_exact_text(re, im, scale) for re, im in zip(*parts)]
+                      for name, scale, parts in zip(("x", "y", "alpha", "beta"), *failing[t])}
 
 
 # ---------------------------------------------------------------------------

@@ -222,47 +222,51 @@ def test_determinant_one_where_required():
 
 
 def test_rational_vector_ranges():
-    vectors = rational_vector(rng_from_seed(3), 50)
-    assert len(vectors) == 4
-    for scale, v in vectors:
-        assert len(v) == 50 and 2520 % scale == 0  # 2520 = lcm(1, ..., 9)
-        assert all(im == 0 and abs(Fraction(re, scale)) <= 9 for re, im in v)
-        assert all(Fraction(re, scale).denominator <= 9 for re, _ in v)
+    scales, v = rational_vector(generators(3, np.arange(20)), 50)
+    assert scales.dtype == v.dtype == np.int64
+    assert scales.shape == (20, 4) and v.shape == (20, 4, 1, 50)
+    for scale, (re,) in zip(scales.ravel().tolist(), v.reshape(80, 1, 50).tolist()):
+        assert 2520 % scale == 0  # 2520 = lcm(1, ..., 9)
+        assert all(abs(Fraction(q, scale)) <= 9 and Fraction(q, scale).denominator <= 9
+                   for q in re)
 
 
 def test_complex_rational_vector_exact():
-    vectors = complex_rational_vector(rng_from_seed(4), 10)
-    assert len(vectors) == 4
-    for scale, v in vectors:
-        assert len(v) == 10 and 2520 % scale == 0
-        assert all(type(re) is int and type(im) is int for re, im in v)
-        assert all(abs(Fraction(p, scale)) <= 9 for pair in v for p in pair)
+    scales, v = complex_rational_vector(generators(4, np.arange(20)), 10)
+    assert scales.dtype == v.dtype == np.int64
+    assert scales.shape == (20, 4) and v.shape == (20, 4, 2, 10)
+    for scale, parts in zip(scales.ravel().tolist(), v.reshape(80, 2, 10).tolist()):
+        assert 2520 % scale == 0
+        assert all(abs(Fraction(q, scale)) <= 9 for part in parts for q in part)
 
 
-def _assert_exact(vectors, want, dens):
-    """Each (L, L v) gives the wanted vector value for value, with L the lcm of its
-    drawn denominators and every L and value a Python int."""
-    assert len(vectors) == len(want) == 4
-    for (scale, v), w, d in zip(vectors, want, dens):
-        assert type(scale) is int and scale == math.lcm(*d)
-        assert all(type(p) is int for pair in v for p in pair)
-        assert [(Fraction(a, scale), Fraction(b, scale)) for a, b in v] == w
+def _assert_exact(draws, want):
+    """Each trial's (L, L v) gives its wanted vectors value for value, with L the lcm of
+    each vector's drawn denominators; want holds (vectors, denominators) per trial."""
+    scales, v = draws
+    assert scales.dtype == v.dtype == np.int64 and scales.shape == v.shape[:2] == (len(want), 4)
+    for trial_scales, trial_v, (vectors, dens) in zip(scales.tolist(), v.tolist(), want):
+        assert trial_scales == [math.lcm(*d) for d in dens]
+        for scale, parts, w in zip(trial_scales, trial_v, vectors):
+            values = [[Fraction(q, scale) for q in part] for part in parts]
+            assert (list(zip(*values)) if len(parts) == 2 else values[0]) == w
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_exact_draws_equal_the_fractions_of_the_same_integers(seed):
-    """An exact trial's four vectors are the decoding of one rng.integers(0, 171, ...)
-    call on the trial's generator, which they leave where that call leaves it."""
-    for t in range(100):
-        for n in range(1, 7):
-            want, rng = rng_from_seed(seed, t), rng_from_seed(seed, t)
-            re, dens = exact_trial_fractions(want, n)
-            _assert_exact(rational_vector(rng, n), [[(q, 0) for q in v] for v in re], dens)
-            assert rng.integers(2**62) == want.integers(2**62)
-            want, rng = rng_from_seed(seed, t), rng_from_seed(seed, t)
-            z, dens = exact_trial_fractions(want, n, complex_parts=True)
-            _assert_exact(complex_rational_vector(rng, n), z, dens)
-            assert rng.integers(2**62) == want.integers(2**62)
+    """A block's exact trials are the decodings of one rng.integers(0, 171, ...) call on
+    each trial's generator, which they leave where that call leaves it, and the
+    stacked generators of the suites give the same block."""
+    trials = np.arange(100)
+    for n in range(1, 7):
+        for draw, complex_parts in ((rational_vector, False), (complex_rational_vector, True)):
+            want = [rng_from_seed(seed, t) for t in trials]
+            rngs = [rng_from_seed(seed, t) for t in trials]
+            draws = draw(iter(rngs), n)
+            _assert_exact(draws, [exact_trial_fractions(rng, n, complex_parts) for rng in want])
+            assert all(a.integers(2**62) == b.integers(2**62) for a, b in zip(rngs, want))
+            stacked = draw(generators(seed, trials), n)
+            assert all(np.array_equal(a, b) for a, b in zip(stacked, draws))
 
 
 def _chi_square_quantile(counts: Counter, probabilities: dict) -> tuple[float, float]:
@@ -279,11 +283,11 @@ _PAIRS = [(a, b) for a in range(-9, 10) for b in range(1, 10)]
 
 
 def test_exact_draws_are_uniform_over_numerator_denominator_pairs():
-    """A real vector of one entry is (b, [(a, 0)]) for the drawn a / b, so 5,000 trials
+    """A real vector of one entry has L = b and L v = a for the drawn a / b, so 5,000 trials
     show 20,000 drawn pairs: each of the 171 must appear, and the counts must fit the
     uniform distribution.  A degenerate draw (all zeros, one denominator) fails here."""
-    counts = Counter((a, scale) for rng in generators(20240823, np.arange(5000))
-                     for scale, [(a, _)] in rational_vector(rng, 1))
+    scales, v = rational_vector(generators(20240823, np.arange(5000)), 1)
+    counts = Counter(zip(v.ravel().tolist(), scales.ravel().tolist()))
     assert counts.total() == 20000 and set(counts) == set(_PAIRS)
     stat, quantile = _chi_square_quantile(counts, {c: 1 / 171 for c in _PAIRS})
     assert stat < quantile
@@ -293,10 +297,10 @@ def test_complex_exact_draws_have_the_distribution_of_the_pairs():
     """The real and the imaginary parts of 20,000 complex entries each take every value
     a / b of the 171 pairs, as often as the pairs give it."""
     values = {q: k / 171 for q, k in Counter(Fraction(*pair) for pair in _PAIRS).items()}
-    draws = [(scale, z) for rng in generators(20240823, np.arange(5000))
-             for scale, [z] in complex_rational_vector(rng, 1)]
+    scales, v = complex_rational_vector(generators(20240823, np.arange(5000)), 1)
     for part in (0, 1):
-        counts = Counter(Fraction(z[part], scale) for scale, z in draws)
+        counts = Counter(Fraction(q, scale) for q, scale in
+                         zip(v[:, :, part, 0].ravel().tolist(), scales.ravel().tolist()))
         assert counts.total() == 20000 and set(counts) == set(values)
         stat, quantile = _chi_square_quantile(counts, values)
         assert stat < quantile

@@ -1,6 +1,7 @@
 """Verification suites: green paths, report contract, determinism, sensitivity."""
 
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,9 @@ from harmorph.morphisms import (STABILIZER_RIGHT, Morphism, control_morphism,
                                 real_morphism, typeIV_bigcell_morphism)
 from harmorph.sampling import _POINTS, sample_group_point
 from harmorph.spaces import make_space
-from harmorph.verify import (SCHEMA_VERSION, VerificationReport, default_tolerance,
-                             render_report, verify_basis_independence, verify_bigcell,
+from harmorph.verify import (MAX_CAPTURED_FAILURES, SCHEMA_VERSION, VerificationReport,
+                             default_tolerance, render_report, verify_basis_independence,
+                             verify_bigcell,
                              verify_derivative_lemmas, verify_family,
                              verify_harmonic, verify_invariance,
                              verify_lemma_formula_real, verify_lemma_long)
@@ -326,9 +328,9 @@ def test_exact_text_is_the_text_of_the_complex_rational(re, im, denom):
 def test_purely_imaginary_quaternionic_gap_is_a_failure(monkeypatch):
     """With the one element of n = 1 dropped, x = y = alpha = (1, 0) and beta = (i, 0)
     leave lhs - rhs = 0 - (-i/2), a gap with no real part."""
-    one, i, zero = (1, 0), (0, 1), (0, 0)
-    draws = [(1, [one, zero]), (1, [one, zero]), (1, [one, zero]), (1, [i, zero])]
-    monkeypatch.setattr(harmorph.verify, "complex_rational_vector", lambda rng, d: draws)
+    one, i = [[1, 0], [0, 0]], [[0, 0], [1, 0]]  # (Re, Im) parts of each vector
+    draws = np.ones((1, 4), dtype=np.int64), np.array([[one, one, one, i]], dtype=np.int64)
+    monkeypatch.setattr(harmorph.verify, "complex_rational_vector", lambda rngs, d: draws)
     monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: [])
     r = verify_lemma_long(1, 1, SEED)
     assert not r.passed
@@ -342,8 +344,8 @@ def test_real_gap_and_inputs_are_written_in_lowest_terms(monkeypatch):
     """With the one element of n = 1 dropped, x, y, alpha, beta = 2/3, 1/2, 1/3, 3/4,
     drawn as 4/6, 2/4, 3/9 and 6/8, leave lhs - rhs = 0 - 1/12: the report shows the
     values, not the drawn fractions or their common denominator."""
-    draws = [(6, [(4, 0)]), (4, [(2, 0)]), (9, [(3, 0)]), (8, [(6, 0)])]
-    monkeypatch.setattr(harmorph.verify, "rational_vector", lambda rng, n: draws)
+    draws = np.array([[6, 4, 9, 8]]), np.array([[4, 2, 3, 6]]).reshape(1, 4, 1, 1)
+    monkeypatch.setattr(harmorph.verify, "rational_vector", lambda rngs, n: draws)
     monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: [])
     r = verify_lemma_formula_real(1, 1, SEED)
     assert not r.passed
@@ -351,6 +353,88 @@ def test_real_gap_and_inputs_are_written_in_lowest_terms(monkeypatch):
                            "value": "-1/12",
                            "inputs": {"x": ["2/3"], "y": ["1/2"], "alpha": ["1/3"],
                                       "beta": ["3/4"]}}]
+
+
+_WIDEST = 9 * 2520  # the largest |L v_i| of a draw: v_i = +-9 and L = lcm(1, ..., 9)
+
+
+def _widest_draws(trials, parts, d):
+    """Multiples L v of modulus _WIDEST in every part, L = 2520 (as when a vector draws
+    the denominators 5, 7, 8 and 9 beside its +-9/1 entries): trial 0 all +, trial 1 x
+    and alpha with the signs (+, +, -) repeated and y and beta all +, the rest random.
+    Trial 1 lines up the four terms of the last sus-sp element at n = 3, so that its
+    term alone is -16 (2 _WIDEST^2)^2, past -2^63."""
+    signs = np.random.default_rng(SEED).choice([-1, 1], (trials, 4, parts, d))
+    signs[:2] = 1
+    signs[1, [0, 2]] = np.resize([1, 1, -1], d)
+    return _WIDEST * signs
+
+
+@pytest.mark.parametrize("corrupt", [None, lambda b: b[:-1]], ids=["intact", "drop-last"])
+@pytest.mark.parametrize("lemma, n", [("formula-real", 5), ("long", 3)])
+def test_exact_suites_at_the_widest_draws(monkeypatch, lemma, n, corrupt):
+    """At the widest draws the products of two forms and their sums pass 2^63: the
+    reports still equal those of the Fraction and ComplexRational loops at the same
+    draws, which PASS with the intact basis and FAIL with its last element dropped."""
+    real = lemma == "formula-real"
+    suite, reference = ((verify_lemma_formula_real, _reference_lemma_formula_real) if real
+                        else (verify_lemma_long, _reference_lemma_long))
+    trials = 12
+    v = _widest_draws(trials, 1 if real else 2, n if real else 2 * n)
+    drawn, referred = iter(range(trials)), iter(range(trials))
+
+    def draw(rngs, d):
+        t = [next(drawn) for _ in rngs]
+        return np.full((len(t), 4), 2520), v[t]
+
+    def fractions(rng, d, complex_parts=False):
+        values = [[[Fraction(q, 2520) for q in part] for part in w] for w in v[next(referred)]]
+        return [list(zip(*w)) if complex_parts else w[0] for w in values], None
+
+    monkeypatch.setattr(harmorph.verify, "rational_vector" if real else "complex_rational_vector",
+                        draw)
+    # the reference loops draw through this module's exact_trial_fractions
+    monkeypatch.setattr(sys.modules[__name__], "exact_trial_fractions", fractions)
+    if corrupt is not None:
+        full = harmorph.verify.p_basis_exact
+        monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: corrupt(full(space)))
+    got, want = suite(n, trials, SEED), reference(n, trials, SEED)
+    assert got.passed is (corrupt is None)
+    assert _strip_time(got) == _strip_time(want)
+    assert got.failed_trials == want.failed_trials
+
+
+@pytest.mark.parametrize("corrupt", [None, _rescale_middle], ids=["intact", "rescale"])
+@pytest.mark.parametrize("suite, n, entries", [(verify_lemma_formula_real, 3, 21),
+                                               (verify_lemma_long, 2, 32)],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_exact_blocks_give_the_report_of_one_block(monkeypatch, suite, n, entries, corrupt):
+    """Blocks of 1 and of 7 trials give the report of one block.  entries is what a
+    trial gathers: formula-real n = 3 has 6 + 3 members of 2 entries and the identity's
+    3, long n = 2 has 6 members of 4 entries, and J's 4 and the identity's 4."""
+    if corrupt is not None:
+        full = harmorph.verify.p_basis_exact
+        monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: corrupt(full(space)))
+    name = "rational_vector" if suite is verify_lemma_formula_real else "complex_rational_vector"
+    sizes, draw = [], getattr(harmorph.verify, name)
+
+    def recorded(rngs, d):
+        scales, v = draw(rngs, d)
+        sizes.append(len(scales))
+        return scales, v
+
+    monkeypatch.setattr(harmorph.verify, name, recorded)
+    trials = 30
+    want = suite(n, trials, SEED)
+    assert sizes == [trials]
+    assert want.passed if corrupt is None else len(want.failed_trials) > MAX_CAPTURED_FAILURES
+    for size in (1, 7):
+        sizes.clear()
+        monkeypatch.setattr(harmorph.verify, "_EXACT_BLOCK_ENTRIES", size * entries)
+        got = suite(n, trials, SEED)
+        assert sizes == [size] * (trials // size) + [trials % size] * (trials % size > 0)
+        assert _strip_time(got) == _strip_time(want)
+        assert got.failed_trials == want.failed_trials
 
 
 class _CountingGenerator:
