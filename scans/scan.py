@@ -3,6 +3,7 @@
     python3 scans/scan.py                          # every scan over its own seeds
     python3 scans/scan.py --scan lemmas --seeds 70-80
     python3 scans/scan.py --scan exact             # the benchmark's exact calls
+    python3 scans/scan.py --scan derivative-lemmas # the benchmark's lemma calls
     python3 scans/scan.py --scan left-out          # the benchmark's left-out calls
     python3 scans/scan.py --update                 # rewrite the baseline from this run
 
@@ -52,6 +53,14 @@ def _lemmas(seed: int) -> list:
     return [verify_derivative_lemmas(make_space("slr-so", 2), 100, seed)]
 
 
+def _derivative_lemmas(seed: int) -> list:
+    """The benchmark's six derivative-lemma calls, 100 trials each."""
+    from harmorph.spaces import make_space
+    from harmorph.verify import verify_derivative_lemmas
+    return [verify_derivative_lemmas(make_space(sid, n), 100, seed, 1e-8, 1e-9)
+            for sid, ns in (("slr-so", (3, 4, 5)), ("sus-sp", (1, 2, 3))) for n in ns]
+
+
 def _sweep(seed: int) -> list:
     from harmorph.cli import run_sweep
     return run_sweep(3, 50, seed)
@@ -77,6 +86,7 @@ def _left_out(seed: int) -> list:
 SCANS = {
     "exact": (_exact, (0, 1999)),   # the benchmark's exact identity calls, 100 trials
     "lemmas": (_lemmas, (0, 599)),  # slr-so n=2 derivative lemmas, 100 trials
+    "derivative-lemmas": (_derivative_lemmas, (0, 599)),  # the benchmark's lemma calls
     "sweep": (_sweep, (0, 299)),    # harmorph all --n-max 3 --trials 50
     "left-out": (_left_out, (0, 1999)),  # the benchmark's left-out calls, 100 trials
 }

@@ -42,6 +42,15 @@ def test_a_short_exact_scan_equals_the_baseline():
     assert out.stdout.splitlines()[-1] == "equal to the baseline"
 
 
+def test_a_short_derivative_lemmas_scan_equals_the_baseline():
+    """The benchmark's derivative-lemma calls PASS at seeds 0-4; the run prints no record."""
+    out = subprocess.run([sys.executable, str(HERE / "scan.py"), "--scan", "derivative-lemmas",
+                          "--seeds", "0-4"], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "0 FAIL []" in out.stdout
+    assert out.stdout.splitlines()[-1] == "equal to the baseline"
+
+
 def test_difference_names_new_and_gone_records():
     known = [r for r in json.loads(scan.BASELINE.read_text()) if r["scan"] == "lemmas"]
     moved = copy.deepcopy(known[0])

@@ -124,11 +124,9 @@ def _build_targets(space_id, n, k, l, family_l):
                 return None, fam_fn(n, family_l)
             if k is None or l is None:
                 raise click.UsageError(f"{space_id} needs --family L or both --k and --l")
-            fam = fam_fn(n, l)
-            match = [m for m in fam if m.label.endswith(f"k={k}")]
-            if not match:
-                raise click.UsageError(f"no member with k={k} (k must differ from l)")
-            return match[0], None
+            if not 1 <= k <= 2 * n or k == l:
+                raise click.UsageError(f"k={k} is not in 1..{2 * n} other than l={l} (n={n})")
+            return next(m for m in fam_fn(n, l) if m.label.endswith(f":k={k}")), None
         if family_l is not None:
             raise click.UsageError(f"--family applies to sus-sp/su-sp, not {space_id}")
         if k is None or l is None:

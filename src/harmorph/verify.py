@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 # eval_jet is not called here, but stays a module global: perfbench/tracing.py wraps it by name
-from .jets import (Jet2, JetContext, _eval, _values, base_map_value,  # noqa: F401
+from .jets import (Jet2, JetContext, _direction_sum, _eval, _values, base_map_value,  # noqa: F401
                    entry_columns, eval_jet, eval_jet_cached, fd_jet, jet_sums, kappa_sum,
                    normalized_residual, raise_first_error, rotated_basis)
 from .morphisms import POSITIVE_SCALE, Morphism, _everywhere, _family_space, _joint_domain, _psi
@@ -42,6 +42,11 @@ ORACLE_STEP = 1e-4
 ORACLE_ABS_TOL = 1e-5
 
 MAX_CAPTURED_FAILURES = 10
+
+# the entries a stacked suite computes per block of trials, which bound a block's arrays:
+# an exact trial gathers its tables' entries, and a derivative-lemma trial counts d^4, its
+# kappa(phi_kl, phi_ij) on slr-so and about its 2 dirs d^2 jet entries on sus-sp
+_BLOCK_ENTRIES = 2**13
 
 # Multiplicative identities (lhs = c * product of entries) are checked as
 # relative errors only where the right-hand side is numerically nonzero.
@@ -204,11 +209,6 @@ def render_report(report: VerificationReport, fmt: str = "text") -> str:
 # exact identity suites
 # ---------------------------------------------------------------------------
 
-# entries gathered (trials x members x E) per block of an exact suite's trials: it
-# bounds a block's arrays, and a call of 100 trials up to n = 4 (real) or 3 is one block
-_EXACT_BLOCK_ENTRIES = 2**13
-
-
 def verify_lemma_formula_real(n: int, trials: int = 100, seed: int = 0) -> VerificationReport:
     """Both exact sum identities over the symmetric/diagonal and Y families."""
     report = VerificationReport("lemma-formula-real", None, [], n, trials, seed, None)
@@ -286,13 +286,17 @@ def _integer_family(basis: list) -> tuple[int, np.ndarray, np.ndarray]:
     return denom, weights, _table([m for m, _ in basis])
 
 
+def _blocks(trials: int, entries: int) -> list[range]:
+    """The trials of each block, at entries a trial: _BLOCK_ENTRIES entries, or one trial."""
+    size = max(1, _BLOCK_ENTRIES // entries)
+    return [range(s, min(s + size, trials)) for s in range(0, trials, size)]
+
+
 def _exact_blocks(draw, d: int, seed: int, trials: int, tables):
     """(trials, L, L v) of each block of an exact suite's trials, drawn as
-    draw(generators, d), with a real draw's imaginary parts 0: a block gathers at most
-    _EXACT_BLOCK_ENTRIES entries of the tables, and at least one trial."""
-    size = max(1, _EXACT_BLOCK_ENTRIES // sum(table[0].size for table in tables))
-    for start in range(0, trials, size):
-        t = range(start, min(start + size, trials))
+    draw(generators, d), with a real draw's imaginary parts 0: a trial gathers every
+    entry of the tables."""
+    for t in _blocks(trials, sum(table[0].size for table in tables)):
         scales, v = draw(generators(seed, np.array(t)), d)
         if v.shape[2] == 1:
             v = np.concatenate((v, np.zeros_like(v)), axis=2)
@@ -401,10 +405,6 @@ def _oracle(family: list[Morphism], xs: np.ndarray, jets: list[Jet2], ok: np.nda
 # derivative-constant lemmas
 # ---------------------------------------------------------------------------
 
-# trials per JetContext: the kappa(phi, phi) of a whole stack at once grow the peak memory
-_LEMMA_BLOCK = 10
-
-
 def _rel_errs_guarded(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The relative error of each entry, and the mask leaving out those with |rhs| < RATIO_GUARD."""
     keep = ~(np.abs(rhs) < RATIO_GUARD)
@@ -419,11 +419,13 @@ def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
     report = VerificationReport(f"derivative-lemmas:{space.id}", space.id, [], space.n,
                                 trials, seed, tol)
     x = sample_group_point(space, seed, index=np.arange(trials))
-    blocks = [{name: _rel_errs_guarded(lhs, rhs) for name, lhs, rhs in
-               _lemma_relations(space, JetContext(space, x[s:s + _LEMMA_BLOCK], p_basis(space)))}
-              for s in range(0, trials, _LEMMA_BLOCK)]
-    for name in blocks[0]:
-        rel, keep = (np.concatenate([b[name][i] for b in blocks]) for i in (0, 1))
+    relations = {}
+    for t in _blocks(trials, space.ambient_dim ** 4):
+        ctx = JetContext(space, x[t.start:t.stop], p_basis(space))
+        for name, lhs, rhs in _lemma_relations(space, ctx):
+            relations.setdefault(name, []).append(_rel_errs_guarded(lhs, rhs))
+    for name, blocks in relations.items():
+        rel, keep = (np.concatenate(parts) for parts in zip(*blocks))
         report.check(name, rel, ratio_tol if name == "tau_phi_ratio" else tol, _inputs(x=x), keep)
     return report.done()
 
@@ -439,7 +441,7 @@ def _lemma_relations(space: SpaceSpec, ctx: JetContext):
     p = ctx.phi
     # (i) tau(phi_kl) = c * phi_kl, as a ratio where phi_kl is nonzero
     c_tau = 2 * (space.n + 1) if space.id == "slr-so" else 4 * space.n - 2
-    yield "tau_phi_ratio", jet_sums(phi)[0], c_tau * p
+    yield "tau_phi_ratio", _direction_sum(phi.d2), c_tau * p
     if space.id == "sus-sp":
         # shared second index: kappa(phi_kl, phi_rl) = 2 phi_kl phi_rl, indexed [l, k, r]
         kap = kappa_sum(phi[:, None, :], phi[None, :, :])  # indexed [k, r, l]
@@ -457,11 +459,10 @@ def _lemma_relations(space: SpaceSpec, ctx: JetContext):
     # entry (i, j) of the 2x2 minor on rows and columns (k, l) is phi[kl[i - 1], kl[j - 1]]
     psi, errors = _eval(_PSI, lambda i, j: phi[kl[i - 1], kl[j - 1]], p.shape[:-2] + rows.shape)
     raise_first_error(errors)
-    tau_psi, kappa_psi, _ = jet_sums(psi)
     # (iv) kappa(psi, psi) = 2 psi^2
-    yield "kappa_psi_psi", kappa_psi, 2.0 * psi.v ** 2
+    yield "kappa_psi_psi", kappa_sum(psi, psi), 2.0 * psi.v ** 2
     # (v) tau(psi) = 2(n-1) psi
-    yield "tau_psi", tau_psi, 2.0 * (n - 1) * psi.v
+    yield "tau_psi", _direction_sum(psi.d2), 2.0 * (n - 1) * psi.v
     # (iii) kappa(phi_km, psi_kl) = 2 phi_km psi_kl, indexed [pair, m]
     yield ("kappa_phi_psi", kappa_sum(phi[rows, :], psi[:, None]),
            2.0 * p[..., rows, :] * psi.v[..., None])

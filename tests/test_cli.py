@@ -101,6 +101,17 @@ def test_verify_family_excludes_k_l(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("space", ["sus-sp", "su-sp"])
+def test_verify_k_outside_the_family_names_its_range(runner, space, k):
+    """At n = 2 the members are k = 1..4 other than l; k = l is no member either."""
+    result = runner.invoke(main, ["verify", "--space", space, "--n", "2", "--k", str(k),
+                                  "--l", "1", "--seed", "7"])
+    assert result.exit_code == 2
+    assert f"k={k} is not in 1..4 other than l=1 (n=2)" in (
+        result.output + getattr(result, "stderr", ""))
+
+
 def test_bigcell_verb(runner):
     result = runner.invoke(main, ["bigcell", "--n", "2", "--trials", "50", "--seed", "7"])
     assert result.exit_code == 0

@@ -46,6 +46,23 @@ def test_derivative_lemmas_pass_both_spaces():
         verify_derivative_lemmas(make_space("su-so", 3), TRIALS, SEED)
 
 
+@pytest.mark.parametrize("suite", [
+    lambda t: verify_lemma_formula_real(3, t, SEED),
+    lambda t: verify_lemma_long(2, t, SEED),
+    lambda t: verify_derivative_lemmas(make_space("slr-so", 3), t, SEED),
+    lambda t: verify_harmonic(real_morphism(3, 1, 2), t, SEED),
+    lambda t: verify_family(quat_family(2, 1), t, SEED),
+    lambda t: verify_invariance(real_morphism(3, 1, 2), t, SEED),
+    lambda t: verify_bigcell(2, t, SEED),
+    lambda t: verify_basis_independence(real_morphism(3, 1, 2), t, SEED),
+], ids=["formula-real", "long", "derivative-lemmas", "harmonic", "family", "invariance",
+        "bigcell", "basis-independence"])
+def test_zero_trials_give_an_empty_pass(suite):
+    r = suite(0)
+    assert r.passed and r.trials == 0
+    assert r.max_residuals == {} and r.failures == [] and r.failed_trials == set()
+
+
 def test_harmonic_suite_real_morphism():
     r = verify_harmonic(real_morphism(3, 1, 2), TRIALS, SEED)
     assert r.passed
@@ -430,7 +447,7 @@ def test_exact_blocks_give_the_report_of_one_block(monkeypatch, suite, n, entrie
     assert want.passed if corrupt is None else len(want.failed_trials) > MAX_CAPTURED_FAILURES
     for size in (1, 7):
         sizes.clear()
-        monkeypatch.setattr(harmorph.verify, "_EXACT_BLOCK_ENTRIES", size * entries)
+        monkeypatch.setattr(harmorph.verify, "_BLOCK_ENTRIES", size * entries)
         got = suite(n, trials, SEED)
         assert sizes == [size] * (trials // size) + [trials % size] * (trials % size > 0)
         assert _strip_time(got) == _strip_time(want)
@@ -642,9 +659,10 @@ def test_stacked_lemmas_equal_per_trial_loop(sid, n, monkeypatch):
 
 @pytest.mark.parametrize("captured", [10, 10_000])
 def test_lemma_failures_keep_trial_check_entry_order_across_blocks(captured, monkeypatch):
-    """At a tolerance nothing meets, every trial of every block fails several
+    """At a tolerance nothing meets, every trial of every block of 10 fails several
     relations; the captured failures are the loop's, in its order."""
     monkeypatch.setattr(harmorph.verify, "MAX_CAPTURED_FAILURES", captured)
+    monkeypatch.setattr(harmorph.verify, "_BLOCK_ENTRIES", 10 * 3**4)
     space = make_space("slr-so", 3)
     got = verify_derivative_lemmas(space, 25, SEED, 1e-17, 1e-17)
     ref, _ = _reference_lemmas(space, 25, SEED, 1e-17, 1e-17)
@@ -653,6 +671,32 @@ def test_lemma_failures_keep_trial_check_entry_order_across_blocks(captured, mon
     assert len(got.failures) == min(captured, len(ref.failures))
     if captured > 10:
         assert len({f["quantity"] for f in got.failures if f["trial"] == 24}) > 1
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-17], ids=["pass", "fail"])
+@pytest.mark.parametrize("sid, n", [("slr-so", 3), ("sus-sp", 2)])
+def test_lemma_blocks_give_the_report_of_one_block(monkeypatch, sid, n, tol):
+    """Blocks of 1 and of 7 trials give the report of one block; a trial computes d^4
+    entries, and at tol 1e-17 more trials fail than the report captures."""
+    space = make_space(sid, n)
+    sizes, context = [], harmorph.verify.JetContext
+
+    def recorded(space, x, *args):
+        sizes.append(len(x))
+        return context(space, x, *args)
+
+    monkeypatch.setattr(harmorph.verify, "JetContext", recorded)
+    trials = 30
+    want = verify_derivative_lemmas(space, trials, SEED, tol, tol)
+    assert sizes == [trials]
+    assert want.passed if tol > 1e-17 else len(want.failed_trials) > MAX_CAPTURED_FAILURES
+    for size in (1, 7):
+        sizes.clear()
+        monkeypatch.setattr(harmorph.verify, "_BLOCK_ENTRIES", size * space.ambient_dim ** 4)
+        got = verify_derivative_lemmas(space, trials, SEED, tol, tol)
+        assert sizes == [size] * (trials // size) + [trials % size] * (trials % size > 0)
+        assert _strip_time(got) == _strip_time(want)
+        assert got.failed_trials == want.failed_trials
 
 
 def test_exact_line_counts_every_failing_trial(monkeypatch):
