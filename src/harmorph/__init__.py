@@ -4,8 +4,8 @@ on five families of matrix symmetric spaces.
 The package constructs the candidate maps symbolically over the base-map
 entries, pushes 2-jets through them along orthonormal tangent bases, and
 certifies harmonicity (vanishing tension) and horizontal conformality
-numerically — with exact rational backends for the algebraic identities
-the constructions rest on.
+numerically; the algebraic identities the constructions rest on are proved
+exactly at each rank, by comparing their Gaussian-integer coefficients.
 """
 
 from .jets import (Const, Entry, Expr, Jet2, ScaleByI, Sqrt, base_map_value, eval_jet, fd_jet,

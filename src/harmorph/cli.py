@@ -82,13 +82,16 @@ def spaces(n):
 @main.command()
 @click.option("--lemma", type=click.Choice(["formula-real", "long"]), required=True)
 @click.option("--n", type=click.IntRange(min=1), default=2, show_default=True)
-@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True,
+              help="Recorded in the report; the proof does not use it.")
 @seed_option
 @format_option
 @output_option
 @click.pass_context
 def identities(ctx, lemma, n, trials, seed, fmt, output):
-    """Exact sum identities on the rational backend."""
+    """Exact sum identities, proved at rank --n from their coefficients.
+
+    --trials and --seed are recorded in the report, and the proof depends on neither."""
     seed = _resolve_seed(seed)
     if lemma == "formula-real":
         report = vf.verify_lemma_formula_real(n, trials, seed)

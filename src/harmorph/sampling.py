@@ -12,10 +12,10 @@ taken from its eigendecomposition (``normal_exp``).  The group and the
 stabilizer samplers draw a whole stack of indices at once through one retry
 loop (``first_accepted``), with the same points as one index at a time; each
 key's candidate is one rng.random call (``_draw``), rounded as the
-rng.uniform calls it replaces.  An exact trial draws its four rational vectors
-with one rng.integers call, each vector directly as its Gaussian-integer
-multiple L v, with L the lcm of its drawn denominators; a block of trials is
-decoded as one stack of int64 arrays (``_exact_draws``).
+rng.uniform calls it replaces.  An exact trial's four rational vectors are one
+rng.integers call, each vector drawn directly as its Gaussian-integer multiple
+L v, with L the lcm of its drawn denominators (``_exact_draws``); no suite draws
+them, since the exact suites prove their identities from coefficients.
 
 Every draw has its own key:
 
@@ -297,7 +297,8 @@ def sample_stabilizer_point(space: SpaceSpec, rng_seed: int,
 
 
 # ---------------------------------------------------------------------------
-# exact rational sampling (numerators in [-9, 9], denominators in [1, 9])
+# exact rational sampling (numerators in [-9, 9], denominators in [1, 9]); no suite calls
+# it, but perfbench/tracing.py wraps the two draws by name as globals of harmorph.verify
 # ---------------------------------------------------------------------------
 
 def _exact_draws(rngs: Iterator[np.random.Generator], parts: int,

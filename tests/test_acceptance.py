@@ -40,7 +40,7 @@ def test_criterion_1_exact_identities():
     reports += [verify_lemma_long(n, 100, SEED) for n in (1, 2, 3)]
     elapsed = time.time() - t0
     ok = all(r.passed for r in reports) and elapsed <= 60.0
-    assert _line(1, "exact identity suites (100 rational points each)", ok,
+    assert _line(1, "exact identity suites (proved from their coefficients)", ok,
                  f"{elapsed:.1f}s")
 
 

@@ -1,7 +1,7 @@
 """Verification suites: green paths, report contract, determinism, sensitivity."""
 
 import json
-import sys
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -197,27 +197,34 @@ def test_failure_capture_is_bounded():
     assert len(r.failures) <= 10
 
 
+def _gaussian(text):
+    """(Re, Im) as Fractions of an exact value's text: a rational, or (a+bi) or (a-bi)."""
+    m = re.fullmatch(r"\((.*)([+-])(.*)i\)", text)
+    return (Fraction(text), Fraction(0)) if m is None else (Fraction(m[1]), Fraction(m[2] + m[3]))
+
+
 def test_exact_suite_failure_detection(monkeypatch):
-    """A corrupted identity must be caught by the exact comparison."""
+    """A corrupted identity must be caught by the coefficient comparison, and each failure
+    names its coefficient (i, j, k, l) with both sides, whose difference is its value."""
     assert verify_lemma_formula_real(2, 5, SEED).passed
     assert verify_lemma_long(1, 5, SEED).passed
     # drop the last basis element: both sum identities lose a term
     full = harmorph.verify.p_basis_exact
     monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: full(space)[:-1])
     real = verify_lemma_formula_real(2, 5, SEED)
-    assert not real.passed
-    assert {f["quantity"] for f in real.failures} == {"symmetric-family identity"}
-    for f in real.failures:
-        Fraction(f["value"])
-        assert set(f["inputs"]) == {"x", "y", "alpha", "beta"}
-        for vec in f["inputs"].values():
-            for v in vec:
-                Fraction(v)  # serialized as an exact rational, not a float pair
     quat = verify_lemma_long(1, 5, SEED)
-    assert not quat.passed and len(quat.failures) == 5
-    for f in quat.failures:
-        assert f["quantity"] == "quaternionic sum identity"
-        assert all(isinstance(v, str) for vec in f["inputs"].values() for v in vec)
+    for r, quantity in ((real, "symmetric-family identity"), (quat, "quaternionic sum identity")):
+        assert not r.passed and r.failed_trials == {0}
+        for f in r.failures:
+            assert f["trial"] == 0 and f["quantity"] == quantity
+            assert set(f["inputs"]) == {"coefficient", "lhs", "rhs"}
+            assert len(f["inputs"]["coefficient"]) == 4
+            assert all(0 <= i < 2 for i in f["inputs"]["coefficient"])
+            (lre, lim), (rre, rim) = (_gaussian(f["inputs"][side]) for side in ("lhs", "rhs"))
+            assert _gaussian(f["value"]) == (lre - rre, lim - rim) != (0, 0)
+    # sus-sp at n = 1 has the one element I / sqrt(2): each coefficient of I (x) I fails
+    assert [f["inputs"]["coefficient"] for f in quat.failures] == [
+        [0, 0, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 1, 1]]
 
 
 def _dense_exact(entries, d, scalar):
@@ -233,63 +240,56 @@ def _real(re, im):
     return Fraction(re)
 
 
-def _vector_inputs(x, y, a, b):
-    return {name: [str(v) for v in vec] for name, vec in
-            (("x", x), ("y", y), ("alpha", a), ("beta", b))}
-
-
-def _reference_lemma_formula_real(n, trials, seed):
-    """Both real identities on object arrays of Fractions, one dense product per element."""
-    from oracles import rng_from_seed
+def _reference_lemma_formula_real(n, x, y, a, b):
+    """(lhs, rhs) of both real identities at Fraction vectors, by quantity, on object
+    arrays of Fractions, one dense product per element."""
     from harmorph.spaces import HALF, unit
 
-    report = VerificationReport("lemma-formula-real", None, [], n, trials, seed, None)
     sym = [(_dense_exact(m, n, _real), c)
            for m, c in harmorph.verify.p_basis_exact(make_space("slr-so", n))]
     skew = [(_dense_exact(unit(n, k, l, -1), n, _real), HALF)
             for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-    for t in range(trials):
-        vectors, _ = exact_trial_fractions(rng_from_seed(seed, t), n)
-        x, y, a, b = (np.array(v, dtype=object) for v in vectors)
-        dot = lambda u, w: sum(u[i] * w[i] for i in range(n))
-        lhs_sym = sum(c * (x @ m @ y) * (a @ m @ b) for m, c in sym)
-        rhs_sym = Fraction(1, 2) * (dot(a, x) * dot(y, b) + dot(y, a) * dot(x, b))
-        lhs_skew = sum(c * (x @ m @ y) * (a @ m @ b) for m, c in skew)
-        rhs_skew = Fraction(1, 2) * (dot(a, x) * dot(y, b) - dot(y, a) * dot(x, b))
-        inputs = _vector_inputs(x, y, a, b)
-        if lhs_sym != rhs_sym:
-            report.record_failure(t, "symmetric-family identity", lhs_sym - rhs_sym, inputs)
-        if lhs_skew != rhs_skew:
-            report.record_failure(t, "antisymmetric-family identity", lhs_skew - rhs_skew, inputs)
-    return report
+    x, y, a, b = (np.array(v, dtype=object) for v in (x, y, a, b))
+    dot = lambda u, w: sum(u[i] * w[i] for i in range(n))
+    return {quantity: (sum(c * (x @ m @ y) * (a @ m @ b) for m, c in family),
+                       Fraction(1, 2) * (dot(a, x) * dot(y, b) + sign * dot(y, a) * dot(x, b)))
+            for quantity, sign, family in (("symmetric-family identity", 1, sym),
+                                           ("antisymmetric-family identity", -1, skew))}
 
 
-def _reference_lemma_long(n, trials, seed):
-    """The quaternionic identity on object arrays of ComplexRationals."""
-    from oracles import rng_from_seed
+def _reference_lemma_long(n, x, y, a, b):
+    """(lhs, rhs) of the quaternionic identity at ComplexRational vectors, on object arrays
+    of ComplexRationals."""
     from harmorph.scalars import ComplexRational
     from harmorph.spaces import symplectic_J_entries
 
-    report = VerificationReport("lemma-long", None, [], n, trials, seed, None)
     d = 2 * n
     basis = [(_dense_exact(m, d, ComplexRational), c)
              for m, c in harmorph.verify.p_basis_exact(make_space("sus-sp", n))]
     J = _dense_exact(symplectic_J_entries(n), d, ComplexRational)
     herm = lambda u, w: sum(u[i] * w[i].conjugate() for i in range(d))
     omega = lambda u, w: (u @ J) @ w
-    for t in range(trials):
-        vectors, _ = exact_trial_fractions(rng_from_seed(seed, t), d, complex_parts=True)
-        x, y, a, b = (np.array([ComplexRational(re, im) for re, im in v], dtype=object)
-                      for v in vectors)
-        lhs = ComplexRational(0)
-        for m, c in basis:
-            lhs = lhs + c * herm(a @ m, b) * herm(x @ m, y)
-        rhs = Fraction(1, 2) * (herm(x, b) * herm(y, a).conjugate()
-                                + omega(x, a) * omega(y, b).conjugate())
-        if lhs != rhs:
-            report.record_failure(t, "quaternionic sum identity", lhs - rhs,
-                                  _vector_inputs(x, y, a, b))
-    return report
+    x, y, a, b = (np.array(v, dtype=object) for v in (x, y, a, b))
+    lhs = ComplexRational(0)
+    for m, c in basis:
+        lhs = lhs + c * herm(a @ m, b) * herm(x @ m, y)
+    rhs = Fraction(1, 2) * (herm(x, b) * herm(y, a).conjugate()
+                            + omega(x, a) * omega(y, b).conjugate())
+    return {"quaternionic sum identity": (lhs, rhs)}
+
+
+def _contract(terms, d, denom, u):
+    """The sum of value / denom times u[0]_i u[1]_j u[2]_k u[3]_l over the terms, each a
+    flat index of (i, j, k, l) and its Gaussian-integer value."""
+    from harmorph.scalars import ComplexRational
+
+    total = ComplexRational(0)
+    for keys, (re, im) in terms:
+        for key, vre, vim in zip(keys.tolist(), re.tolist(), im.tolist()):
+            i, j, k, l = np.unravel_index(key, (d,) * 4)
+            total = total + (ComplexRational(Fraction(vre, denom), Fraction(vim, denom))
+                             * u[0][i] * u[1][j] * u[2][k] * u[3][l])
+    return total
 
 
 def _rescale_middle(basis):
@@ -297,29 +297,116 @@ def _rescale_middle(basis):
     return basis[:k] + [(basis[k][0], basis[k][1] * Fraction(3, 2))] + basis[k + 1:]
 
 
-@pytest.mark.parametrize("corrupt", [None, lambda b: b[1:], lambda b: b[:-1], _rescale_middle],
-                         ids=["intact", "drop-first", "drop-last", "rescale"])
-@pytest.mark.parametrize("lemma, n", [("formula-real", 2), ("formula-real", 3),
-                                      ("formula-real", 4), ("long", 1), ("long", 2),
-                                      ("long", 3)])
-def test_exact_suites_equal_reference_loop(monkeypatch, lemma, n, corrupt):
-    """The integer kernel gives the object-array computation's reports, failures included."""
-    suite, reference = {"formula-real": (verify_lemma_formula_real, _reference_lemma_formula_real),
-                        "long": (verify_lemma_long, _reference_lemma_long)}[lemma]
+def _flip_entry(basis):
+    """The sign of the first entry of the last element flipped; that element has two
+    entries or more, so this is not the sign of the whole element, which cancels."""
+    (m, c) = basis[-1]
+    return basis[:-1] + [(((m[0][0], m[0][1], -m[0][2], -m[0][3]),) + m[1:], c)]
+
+
+_CORRUPTIONS = {"intact": None, "drop-first": lambda b: b[1:], "drop-last": lambda b: b[:-1],
+                "rescale-middle": _rescale_middle, "flip-entry": _flip_entry}
+_EXACT_SUITES = {"formula-real": verify_lemma_formula_real, "long": verify_lemma_long}
+_EXACT_RANKS = [("formula-real", 2), ("formula-real", 3), ("formula-real", 4), ("long", 1),
+                ("long", 2), ("long", 3)]
+
+
+@pytest.mark.parametrize("corrupt", list(_CORRUPTIONS))
+@pytest.mark.parametrize("lemma, n", _EXACT_RANKS)
+def test_exact_mutations_fail(monkeypatch, lemma, n, corrupt):
+    """Every corruption of the basis FAILs, at every rank, and the intact basis PASSes."""
+    if _CORRUPTIONS[corrupt] is not None:
+        full = harmorph.verify.p_basis_exact
+        monkeypatch.setattr(harmorph.verify, "p_basis_exact",
+                            lambda space: _CORRUPTIONS[corrupt](full(space)))
+    assert _EXACT_SUITES[lemma](n, 100, SEED).passed is (corrupt == "intact")
+
+
+def _agrees_with_reference_loop(monkeypatch, lemma, n, corrupt, trial_vectors):
+    """The coefficients that the suite compares, contracted with each trial's vectors x, y,
+    alpha and beta, give the Fraction and ComplexRational loops' two sides at those
+    vectors, and the suite FAILs iff the loops find the sides apart at some vector."""
+    from harmorph.scalars import ComplexRational
+
     if corrupt is not None:
         full = harmorph.verify.p_basis_exact
         monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: corrupt(full(space)))
-    # more than MAX_CAPTURED_FAILURES trials, except where the reference is slow
-    trials = 4 if (lemma, n) == ("long", 3) else 12
-    for seed in (SEED, 5):
-        got, want = suite(n, trials, seed), reference(n, trials, seed)
-        assert _strip_time(got) == _strip_time(want)
-        assert got.failed_trials == want.failed_trials
+    compared, prove = {}, harmorph.verify._prove
+
+    def recorded(report, quantity, d, denom, lhs, *rhs):
+        compared[quantity] = d, denom, [lhs], rhs
+        return prove(report, quantity, d, denom, lhs, *rhs)
+
+    monkeypatch.setattr(harmorph.verify, "_prove", recorded)
+    real = lemma == "formula-real"
+    report = _EXACT_SUITES[lemma](n, 100, SEED)
+    apart = False
+    for vectors in trial_vectors:
+        if real:
+            x, y, a, b = vectors
+            sides, u = _reference_lemma_formula_real(n, x, y, a, b), (x, y, a, b)
+        else:
+            x, y, a, b = ([ComplexRational(re, im) for re, im in v] for v in vectors)
+            sides = _reference_lemma_long(n, x, y, a, b)
+            u = (a, [v.conjugate() for v in b], x, [v.conjugate() for v in y])
+        assert set(sides) == set(compared)
+        for quantity, (d, denom, lhs, rhs) in compared.items():
+            assert [_contract(terms, d, denom, u) for terms in (lhs, rhs)] == list(sides[quantity])
+            apart |= sides[quantity][0] != sides[quantity][1]
+    assert report.passed is (corrupt is None)
+    assert apart is not report.passed
+
+
+@pytest.mark.parametrize("corrupt", [None, lambda b: b[1:], lambda b: b[:-1], _rescale_middle],
+                         ids=["intact", "drop-first", "drop-last", "rescale"])
+@pytest.mark.parametrize("lemma, n", _EXACT_RANKS)
+def test_exact_suites_equal_reference_loop(monkeypatch, lemma, n, corrupt):
+    """The suite agrees with the exact loops at drawn vectors."""
+    from oracles import rng_from_seed
+
+    d, complex_parts = (n, False) if lemma == "formula-real" else (2 * n, True)
+    trial_vectors = [exact_trial_fractions(rng_from_seed(SEED, t), d, complex_parts)[0]
+                     for t in range(12)]
+    _agrees_with_reference_loop(monkeypatch, lemma, n, corrupt, trial_vectors)
+
+
+_WIDEST = 9 * 2520  # the largest |L v_i| of a draw: v_i = +-9 and L = lcm(1, ..., 9)
+
+
+def _widest_draws(trials, parts, d):
+    """Multiples L v of modulus _WIDEST in every part, L = 2520 (as when a vector draws
+    the denominators 5, 7, 8 and 9 beside its +-9/1 entries): trial 0 all +, trial 1 x
+    and alpha with the signs (+, +, -) repeated and y and beta all +, the rest random.
+    Trial 1 lines up the four terms of the last sus-sp element at n = 3, so that its
+    term alone is -16 (2 _WIDEST^2)^2, past -2^63."""
+    signs = np.random.default_rng(SEED).choice([-1, 1], (trials, 4, parts, d))
+    signs[:2] = 1
+    signs[1, [0, 2]] = np.resize([1, 1, -1], d)
+    return _WIDEST * signs
+
+
+@pytest.mark.parametrize("corrupt", [None, lambda b: b[:-1]], ids=["intact", "drop-last"])
+@pytest.mark.parametrize("lemma, n", [("formula-real", 5), ("long", 3)])
+def test_exact_suites_at_the_widest_draws(monkeypatch, lemma, n, corrupt):
+    """At the widest draws, where the products of two forms and their sums at L v pass
+    2^63, the suite still agrees with the exact loops: it PASSes with the intact basis
+    and FAILs with its last element dropped."""
+    real = lemma == "formula-real"
+    v = _widest_draws(12, 1 if real else 2, n if real else 2 * n)
+    parts = lambda w: [[Fraction(q, 2520) for q in part] for part in w]
+    trial_vectors = [[parts(w)[0] if real else list(zip(*parts(w))) for w in t]
+                     for t in v.tolist()]
+    _agrees_with_reference_loop(monkeypatch, lemma, n, corrupt, trial_vectors)
 
 
 @pytest.mark.parametrize("suite, n", [(verify_lemma_long, 4), (verify_lemma_long, 5),
+                                      (verify_lemma_long, 8), (verify_lemma_long, 12),
+                                      (verify_lemma_long, 16),
                                       (verify_lemma_formula_real, 5),
-                                      (verify_lemma_formula_real, 6)],
+                                      (verify_lemma_formula_real, 6),
+                                      (verify_lemma_formula_real, 8),
+                                      (verify_lemma_formula_real, 12),
+                                      (verify_lemma_formula_real, 16)],
                          ids=lambda v: getattr(v, "__name__", v))
 def test_exact_identities_at_higher_ranks(suite, n):
     r = suite(n, 100, SEED)
@@ -343,145 +430,30 @@ def test_exact_text_is_the_text_of_the_complex_rational(re, im, denom):
 
 
 def test_purely_imaginary_quaternionic_gap_is_a_failure(monkeypatch):
-    """With the one element of n = 1 dropped, x = y = alpha = (1, 0) and beta = (i, 0)
-    leave lhs - rhs = 0 - (-i/2), a gap with no real part."""
-    one, i = [[1, 0], [0, 0]], [[0, 0], [1, 0]]  # (Re, Im) parts of each vector
-    draws = np.ones((1, 4), dtype=np.int64), np.array([[one, one, one, i]], dtype=np.int64)
-    monkeypatch.setattr(harmorph.verify, "complex_rational_vector", lambda rngs, d: draws)
-    monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: [])
+    """One element (2+i) I at n = 1 with scale^2 1/6 gives (1/2 + 2/3 i) on each
+    coefficient of I (x) I: the real parts are the identity's, so the gaps have no real
+    part, and they fail."""
+    element = (((0, 0, 2, 1), (1, 1, 2, 1)), Fraction(1, 6))
+    monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: [element])
     r = verify_lemma_long(1, 1, SEED)
     assert not r.passed
     assert r.failures == [{"trial": 0, "quantity": "quaternionic sum identity",
-                           "value": "(0+1/2i)",
-                           "inputs": {"x": ["1", "0"], "y": ["1", "0"], "alpha": ["1", "0"],
-                                      "beta": ["(0+1i)", "0"]}}]
+                           "value": "(0+2/3i)",
+                           "inputs": {"coefficient": c, "lhs": "(1/2+2/3i)", "rhs": "1/2"}}
+                          for c in ([0, 0, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 1, 1])]
 
 
 def test_real_gap_and_inputs_are_written_in_lowest_terms(monkeypatch):
-    """With the one element of n = 1 dropped, x, y, alpha, beta = 2/3, 1/2, 1/3, 3/4,
-    drawn as 4/6, 2/4, 3/9 and 6/8, leave lhs - rhs = 0 - 1/12: the report shows the
-    values, not the drawn fractions or their common denominator."""
-    draws = np.array([[6, 4, 9, 8]]), np.array([[4, 2, 3, 6]]).reshape(1, 4, 1, 1)
-    monkeypatch.setattr(harmorph.verify, "rational_vector", lambda rngs, n: draws)
-    monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: [])
+    """One element E_11 at n = 1 with scale^2 2/3 leaves lhs - rhs = 2/3 - 1 on the one
+    coefficient, taken times D = 6 as 4 - 6: the report shows the values in lowest terms,
+    not over D."""
+    monkeypatch.setattr(harmorph.verify, "p_basis_exact",
+                        lambda space: [(((0, 0, 1, 0),), Fraction(2, 3))])
     r = verify_lemma_formula_real(1, 1, SEED)
     assert not r.passed
     assert r.failures == [{"trial": 0, "quantity": "symmetric-family identity",
-                           "value": "-1/12",
-                           "inputs": {"x": ["2/3"], "y": ["1/2"], "alpha": ["1/3"],
-                                      "beta": ["3/4"]}}]
-
-
-_WIDEST = 9 * 2520  # the largest |L v_i| of a draw: v_i = +-9 and L = lcm(1, ..., 9)
-
-
-def _widest_draws(trials, parts, d):
-    """Multiples L v of modulus _WIDEST in every part, L = 2520 (as when a vector draws
-    the denominators 5, 7, 8 and 9 beside its +-9/1 entries): trial 0 all +, trial 1 x
-    and alpha with the signs (+, +, -) repeated and y and beta all +, the rest random.
-    Trial 1 lines up the four terms of the last sus-sp element at n = 3, so that its
-    term alone is -16 (2 _WIDEST^2)^2, past -2^63."""
-    signs = np.random.default_rng(SEED).choice([-1, 1], (trials, 4, parts, d))
-    signs[:2] = 1
-    signs[1, [0, 2]] = np.resize([1, 1, -1], d)
-    return _WIDEST * signs
-
-
-@pytest.mark.parametrize("corrupt", [None, lambda b: b[:-1]], ids=["intact", "drop-last"])
-@pytest.mark.parametrize("lemma, n", [("formula-real", 5), ("long", 3)])
-def test_exact_suites_at_the_widest_draws(monkeypatch, lemma, n, corrupt):
-    """At the widest draws the products of two forms and their sums pass 2^63: the
-    reports still equal those of the Fraction and ComplexRational loops at the same
-    draws, which PASS with the intact basis and FAIL with its last element dropped."""
-    real = lemma == "formula-real"
-    suite, reference = ((verify_lemma_formula_real, _reference_lemma_formula_real) if real
-                        else (verify_lemma_long, _reference_lemma_long))
-    trials = 12
-    v = _widest_draws(trials, 1 if real else 2, n if real else 2 * n)
-    drawn, referred = iter(range(trials)), iter(range(trials))
-
-    def draw(rngs, d):
-        t = [next(drawn) for _ in rngs]
-        return np.full((len(t), 4), 2520), v[t]
-
-    def fractions(rng, d, complex_parts=False):
-        values = [[[Fraction(q, 2520) for q in part] for part in w] for w in v[next(referred)]]
-        return [list(zip(*w)) if complex_parts else w[0] for w in values], None
-
-    monkeypatch.setattr(harmorph.verify, "rational_vector" if real else "complex_rational_vector",
-                        draw)
-    # the reference loops draw through this module's exact_trial_fractions
-    monkeypatch.setattr(sys.modules[__name__], "exact_trial_fractions", fractions)
-    if corrupt is not None:
-        full = harmorph.verify.p_basis_exact
-        monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: corrupt(full(space)))
-    got, want = suite(n, trials, SEED), reference(n, trials, SEED)
-    assert got.passed is (corrupt is None)
-    assert _strip_time(got) == _strip_time(want)
-    assert got.failed_trials == want.failed_trials
-
-
-@pytest.mark.parametrize("corrupt", [None, _rescale_middle], ids=["intact", "rescale"])
-@pytest.mark.parametrize("suite, n, entries", [(verify_lemma_formula_real, 3, 21),
-                                               (verify_lemma_long, 2, 32)],
-                         ids=lambda v: getattr(v, "__name__", v))
-def test_exact_blocks_give_the_report_of_one_block(monkeypatch, suite, n, entries, corrupt):
-    """Blocks of 1 and of 7 trials give the report of one block.  entries is what a
-    trial gathers: formula-real n = 3 has 6 + 3 members of 2 entries and the identity's
-    3, long n = 2 has 6 members of 4 entries, and J's 4 and the identity's 4."""
-    if corrupt is not None:
-        full = harmorph.verify.p_basis_exact
-        monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: corrupt(full(space)))
-    name = "rational_vector" if suite is verify_lemma_formula_real else "complex_rational_vector"
-    sizes, draw = [], getattr(harmorph.verify, name)
-
-    def recorded(rngs, d):
-        scales, v = draw(rngs, d)
-        sizes.append(len(scales))
-        return scales, v
-
-    monkeypatch.setattr(harmorph.verify, name, recorded)
-    trials = 30
-    want = suite(n, trials, SEED)
-    assert sizes == [trials]
-    assert want.passed if corrupt is None else len(want.failed_trials) > MAX_CAPTURED_FAILURES
-    for size in (1, 7):
-        sizes.clear()
-        monkeypatch.setattr(harmorph.verify, "_BLOCK_ENTRIES", size * entries)
-        got = suite(n, trials, SEED)
-        assert sizes == [size] * (trials // size) + [trials % size] * (trials % size > 0)
-        assert _strip_time(got) == _strip_time(want)
-        assert got.failed_trials == want.failed_trials
-
-
-class _CountingGenerator:
-    """A generator that counts its integers calls."""
-
-    def __init__(self, rng):
-        self.rng, self.integers_calls = rng, 0
-
-    def integers(self, *args, **kwargs):
-        self.integers_calls += 1
-        return self.rng.integers(*args, **kwargs)
-
-
-@pytest.mark.parametrize("suite, n", [(verify_lemma_formula_real, 3), (verify_lemma_long, 2)],
-                         ids=lambda v: getattr(v, "__name__", v))
-def test_exact_suites_draw_each_trial_with_one_integers_call(monkeypatch, suite, n):
-    """Each exact trial draws its four vectors with one rng.integers call, and the
-    counted generators give the suite's report."""
-    want = suite(n, 20, SEED)
-    taken, full = [], harmorph.verify.generators
-
-    def counted(seed, *spawn):
-        for rng in full(seed, *spawn):
-            taken.append(_CountingGenerator(rng))
-            yield taken[-1]
-
-    monkeypatch.setattr(harmorph.verify, "generators", counted)
-    got = suite(n, 20, SEED)
-    assert [g.integers_calls for g in taken] == [1] * 20
-    assert _strip_time(got) == _strip_time(want)
+                           "value": "-1/3",
+                           "inputs": {"coefficient": [0, 0, 0, 0], "lhs": "2/3", "rhs": "1"}}]
 
 
 def test_harmonic_suite_skips_out_of_domain_points():
@@ -699,15 +671,21 @@ def test_lemma_blocks_give_the_report_of_one_block(monkeypatch, sid, n, tol):
         assert got.failed_trials == want.failed_trials
 
 
-def test_exact_line_counts_every_failing_trial(monkeypatch):
+def test_exact_failures_are_the_first_coefficients_in_order(monkeypatch):
+    """Doubling every element's scale^2 fails every coefficient of T: the report captures
+    the first MAX_CAPTURED_FAILURES by flat index, all of trial 0, and the text report
+    prints them without a count of points, which a proof has none of."""
     full = harmorph.verify.p_basis_exact
-    monkeypatch.setattr(harmorph.verify, "p_basis_exact", lambda space: full(space)[:-1])
-    r = verify_lemma_formula_real(2, 100, SEED)
-    # 98 trials fail (at 2 the dropped term vanishes), as _reference_lemma_formula_real
-    # finds with the same element dropped, but only 10 failures are captured
-    assert len(r.failures) == 10 and len(r.failed_trials) == 98
-    assert "  exact: 2/100" in render_report(r).splitlines()
-    # a float suite prints no exact line, even when no trial left a residual
+    monkeypatch.setattr(harmorph.verify, "p_basis_exact",
+                        lambda space: [(m, 2 * c) for m, c in full(space)])
+    r = verify_lemma_long(2, 100, SEED)
+    assert len(r.failures) == MAX_CAPTURED_FAILURES and r.failed_trials == {0}
+    keys = [np.ravel_multi_index(f["inputs"]["coefficient"], (4,) * 4) for f in r.failures]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    text = render_report(r)
+    assert "exact:" not in text
+    assert text.count("    trial 0: quaternionic sum identity = ") == MAX_CAPTURED_FAILURES
+    # nor does a float suite print one, even when no trial left a residual
     bad = verify_harmonic(_zero_denominator_morphism(), 3, SEED)
     assert bad.max_residuals == {}
     assert "exact:" not in render_report(bad)
