@@ -4,14 +4,15 @@
     python3 scans/scan.py --scan lemmas --seeds 70-80
     python3 scans/scan.py --scan derivative-lemmas # the benchmark's lemma calls
     python3 scans/scan.py --scan left-out          # the benchmark's left-out calls
+    python3 scans/scan.py --scan rank              # bigcell at every rank 2-24
     python3 scans/scan.py --update                 # rewrite the baseline from this run
 
 A scan runs one named call at every seed of a range and records each FAIL as
 (scan, seed, suite, space, n, quantity, first captured trial, x), one record
-per failing quantity of a report.  The records are compared with
-``scans/baseline.json`` over the seeds scanned: a record that is new or gone
-is printed with ``+`` or ``-``, and the exit code is then 1 (0 when they are
-equal).  The baseline lists known defects: a change that moves a FAIL set
+per failing quantity of a report; x is the failure's g where it has no x.
+The records are compared with ``scans/baseline.json`` over the seeds scanned:
+a record that is new or gone is printed with ``+`` or ``-``, and the exit code
+is then 1 (0 when they are equal).  The baseline lists known defects: a change that moves a FAIL set
 says so and updates the baseline with it, and never edits it to make a scan
 pass.
 
@@ -74,28 +75,36 @@ def _left_out(seed: int) -> list:
     return reports
 
 
+def _rank(seed: int) -> list:
+    """verify_bigcell at every rank 2-24, 1000 trials each."""
+    from harmorph.verify import verify_bigcell
+    return [verify_bigcell(n, 1000, seed) for n in range(2, 25)]
+
+
 # name: (the call, returning its reports, and its seeds, inclusive)
 SCANS = {
     "lemmas": (_lemmas, (0, 599)),  # slr-so n=2 derivative lemmas, 100 trials
     "derivative-lemmas": (_derivative_lemmas, (0, 599)),  # the benchmark's lemma calls
     "sweep": (_sweep, (0, 299)),    # harmorph all --n-max 3 --trials 50
     "left-out": (_left_out, (0, 1999)),  # the benchmark's left-out calls, 100 trials
+    "rank": (_rank, (0, 99)),       # bigcell at n = 2-24, 1000 trials
 }
 
 
 def fail_records(scan: str, seed: int, reports) -> list[dict]:
     """One record per failing quantity of each failing report: its first captured
-    failure's trial and the x of its inputs (None if it has none)."""
+    failure's trial and the x of its inputs, else their g (None if it has neither)."""
     records = []
     for report in reports:
         seen = set()
         for f in report.failures:
             if f["quantity"] not in seen:
                 seen.add(f["quantity"])
+                inputs = f.get("inputs", {})
                 records.append({"scan": scan, "seed": seed, "suite": report.suite,
                                 "space": report.space, "n": report.n,
                                 "quantity": f["quantity"], "trial": f["trial"],
-                                "x": f.get("inputs", {}).get("x")})
+                                "x": inputs.get("x", inputs.get("g"))})
     # the JSON form, so that records compare equal to those read from the baseline
     return json.loads(json.dumps(records))
 

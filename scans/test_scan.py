@@ -42,6 +42,19 @@ def test_a_short_derivative_lemmas_scan_equals_the_baseline():
     assert out.stdout.splitlines()[-1] == "equal to the baseline"
 
 
+def test_a_short_rank_scan_equals_the_baseline():
+    """bigcell at seed 6 FAILs at n = 8 and n = 24, and records each failure's g."""
+    out = subprocess.run([sys.executable, str(HERE / "scan.py"), "--scan", "rank",
+                          "--seeds", "6-6"], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "1 FAIL [6]" in out.stdout
+    assert out.stdout.splitlines()[-1] == "equal to the baseline"
+    known = [r for r in json.loads(scan.BASELINE.read_text()) if r["scan"] == "rank"]
+    assert {(r["n"], r["quantity"], r["trial"]) for r in known if r["seed"] == 6} == {
+        (8, "minor_8", 722), (24, "minor_24", 397)}
+    assert all(r["x"] is not None for r in known)
+
+
 def test_difference_names_new_and_gone_records():
     known = [r for r in json.loads(scan.BASELINE.read_text()) if r["scan"] == "lemmas"]
     moved = copy.deepcopy(known[0])

@@ -57,7 +57,7 @@ format_option = click.option("--format", "fmt", type=click.Choice(["text", "json
                              default="text", show_default=True)
 output_option = click.option("--output", type=click.Path(writable=True), default=None,
                              help="Write the report(s) to this path instead of stdout.")
-# the generators mask a seed to 64 bits, so a wider range would alias seeds
+# uniforms masks a seed to 64 bits, so a wider range would alias seeds
 seed_option = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
                            help="64-bit seed, 0 <= S < 2^64; a fresh one is drawn and "
                                 "echoed if omitted.")

@@ -470,28 +470,32 @@ def _divided(a: np.ndarray, b: float) -> np.ndarray:
     return _complex(a.real / b, a.imag / b)
 
 
-def fd_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray, h: float,
-           errors: np.ndarray) -> Jet2:
-    """Independent central-difference oracle for the jets (O(h^2) accurate).
+def fd_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray,
+           h: float) -> tuple[Jet2, np.ndarray]:
+    """Independent central-difference oracle for the jets (O(h^2) accurate), and its
+    error record.
 
     At each point of a stack x of shape (k, d, d) along its own direction, the
     matching entry of z.  A direction is Hermitian, or skew-Hermitian on a compact
     dual, so one stacked eigh of the k directions gives both exp(+hZ) and
     exp(-hZ).  That and one walk of the values over the (3, k) stencil points give
     every point the numbers it gets in a stack of its own.  A point whose stencil
-    has an error gets the first one (+h, then 0, then -h) in its entry of
-    ``errors``, as in _guard.
+    has an error gets the first one (+h, then 0, then -h) in its entry of the record.
     """
     ep, em = normal_exp(z, space.compact, (h, -h))
-    values, stencil_errors = _values(f, space, np.stack([x @ ep, x, x @ em]))
-    for i, stencil in enumerate(stencil_errors.T):
-        if errors[i] is None:
-            errors[i] = next((err for err in stencil if err is not None), None)
-    fp, f0, fm = values
-    return Jet2(f0, _divided(fp - fm, 2.0 * h), _divided(fp - 2.0 * f0 + fm, h * h))
+    (fp, f0, fm), errors = _values(f, space, np.stack([x @ ep, x, x @ em]))
+    jet = Jet2(f0, _divided(fp - fm, 2.0 * h), _divided(fp - 2.0 * f0 + fm, h * h))
+    return jet, _first_errors(*errors)
 
 
-def rotated_basis(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Apply a random orthogonal mixing matrix to the basis elements."""
-    d = len(basis)
-    return np.tensordot(sign_fixed_q(rng.uniform(-1.0, 1.0, (d, d))), basis, axes=1)
+def _first_errors(*records) -> np.ndarray:
+    """Each point's first error over the error records, taken in order, or None."""
+    out = np.full(np.shape(records[0]), None, dtype=object)
+    for r in reversed(records):
+        out = np.where(np.equal(r, None), out, r)
+    return out
+
+
+def rotated_basis(basis: np.ndarray, mixing: np.ndarray) -> np.ndarray:
+    """The basis elements mixed by the orthogonal QR factor of the square matrix mixing."""
+    return np.tensordot(sign_fixed_q(mixing), basis, axes=1)

@@ -11,31 +11,32 @@ an Sp(n) stabilizer point the exponential of a skew-Hermitian Q(alpha, beta),
 taken from its eigendecomposition (``normal_exp``).  The group and the
 stabilizer samplers draw a whole stack of indices at once through one retry
 loop (``first_accepted``), with the same points as one index at a time; each
-key's candidate is one rng.random call (``_draw``), rounded as the
-rng.uniform calls it replaces.  An exact trial's four rational vectors are one
-rng.integers call, each vector drawn directly as its Gaussian-integer multiple
-L v, with L the lcm of its drawn denominators (``_exact_draws``); no suite draws
-them, since the exact suites prove their identities from coefficients.
+key's candidate is made from its words (``_draw``), rounded as the rng.uniform
+calls they replace.  An exact trial's four rational vectors are one
+rng.integers call on a caller's generator, each vector drawn directly as its
+Gaussian-integer multiple L v, with L the lcm of its drawn denominators
+(``_exact_draws``); no suite draws them, since the exact suites prove their
+identities from coefficients.
 
-Every draw has its own key:
+Every draw has its own key and takes a fixed number of words u from it:
 
-========================= ==================================================
-draw                      key (seed, spawn...)
-========================= ==================================================
-group point, attempt a    (seed, index, a); the domain point of trial t
-                          tries the group point of index 1000 t + r in round r
-stabilizer point, a       (seed, index, a, 1)
-invariance scale factor   (seed, trial, 7)
-basis rotation            (seed, rotation, 11)
-exact trial's 4 vectors   (seed, trial), one rng.integers call
-========================= ==================================================
+====================== ==================== ====================================
+draw                   key (seed, spawn...) words
+====================== ==================== ====================================
+group point, attempt a (seed, index, a)     d^2 (slr-so, sus-sp), else 2 d^2
+stabilizer point, a    (seed, index, a, 1)  2 d^2 (su), else d^2
+invariance scale       (seed, trial, 7)     1, as 0.5 + 1.5 u
+basis rotation         (seed, rotation, 11) m^2 for m directions, as 2 u - 1
+====================== ==================== ====================================
 
-The stream of a key (seed, spawn...) is that of Philox seeded by
+The domain point of trial t tries the group point of index 1000 t + r in
+round r.  The stream of a key (seed, spawn...) is that of Philox seeded by
 ``SeedSequence(seed, spawn_key=spawn)``, with the seed masked to 64 bits.
-``generators`` gives a stack of keys their streams without a Philox per key:
-it resets one Philox to each key's fresh state in turn.  Each key's Philox key
-is SeedSequence's own (``_philox_key``), memoized, since the suites draw the
-same few keys again and again.
+``uniforms`` is the one draw: it gives a stack of keys the words rng.random
+draws from each stream, without a Philox per key, by resetting one Philox to
+each key's fresh state in turn.  Each key's Philox key is SeedSequence's own
+(``_philox_key``), memoized, since the suites draw the same few keys again
+and again.
 
 Above that memo of keys sits one of accepted group points, ``_POINTS``: a
 point is a function of (space id, n, seed, index) alone, so every suite on a
@@ -70,21 +71,25 @@ def _philox_key(seed: int, spawn: tuple[int, ...]) -> list[int]:
     return np.random.SeedSequence(seed, spawn_key=spawn).generate_state(2, np.uint64).tolist()
 
 
-def generators(seed: int, *spawn) -> Iterator[np.random.Generator]:
-    """The generator of (seed, *key) for every key of the broadcast spawn arrays, in C order.
+def uniforms(seed: int, shape: tuple[int, ...], *spawn) -> np.ndarray:
+    """The words in [0, 1) that rng.random(shape) draws from the stream of (seed, *key),
+    for every key of the broadcast spawn arrays in C order, stacked to spawn.shape + shape.
 
-    One Philox generator is reset to each key's fresh state in turn, so a generator
-    must be done with before the next one is taken.
+    One Philox is reset to each key's fresh state in turn and fills that key's row.
     """
     seed = int(seed) & (2**64 - 1)
-    keys = zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*spawn))) if spawn else [()]
+    spawn = np.broadcast_arrays(*spawn)
+    stack = spawn[0].shape if spawn else ()
+    keys = zip(*(a.ravel().tolist() for a in spawn)) if spawn else [()]
+    out = np.empty((math.prod(stack), math.prod(shape)))
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
-    for key in keys:
+    for row, key in zip(out, keys):
         bit_generator.state = {"bit_generator": "Philox",
                                "state": {"counter": _FRESH, "key": _philox_key(seed, key)},
                                "buffer": _FRESH, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        yield rng
+        rng.random(out=row)
+    return out.reshape(stack + tuple(shape))
 
 
 def fresh_seed() -> int:
@@ -92,18 +97,12 @@ def fresh_seed() -> int:
     return int(np.random.SeedSequence().entropy) & (2**64 - 1)
 
 
-def _draw(rngs: Iterator[np.random.Generator], shape: tuple[int, ...],
-          real: bool = False) -> np.ndarray:
-    """A complex (or real) draw of the given shape from each generator in turn, each
-    part uniform in [-1, 1), stacked, with one rng.random call per generator.
-
-    -1 + 2u of each word u rounds as uniform(-1, 1) does, since 2u is exact.  Each
-    complex n x n matrix takes its real words, then its imaginary words, as
-    uniform(-1, 1, (n, n)) + 1j * uniform(-1, 1, (n, n)) does.
-    """
-    parts = () if real else (2,)
-    u = np.array([rng.random(math.prod(shape + parts)) for rng in rngs])
-    v = (u * 2.0 - 1.0).reshape((-1,) + shape[:-2] + parts + shape[-2:])
+def _draw(u: np.ndarray, real: bool = False) -> np.ndarray:
+    """The real (or complex) matrices of each key's words u, each part uniform in [-1, 1):
+    a complex stack of shape s + (n, n) from words of shape s + (2, n, n), its real
+    words, then its imaginary words, as uniform(-1, 1, (n, n)) + 1j * uniform(-1, 1,
+    (n, n)) takes them.  -1 + 2u rounds as uniform(-1, 1) does, since 2u is exact."""
+    v = u * 2.0 - 1.0
     if real:
         return v
     z = np.empty(v.shape[:-3] + v.shape[-2:], dtype=complex)
@@ -157,33 +156,32 @@ def _roots(values: np.ndarray, keep: np.ndarray, d: int) -> np.ndarray:
     return np.array([v ** (1.0 / d) if k else 1.0 for v, k in zip(values, keep)])[:, None, None]
 
 
-def _candidates(space: SpaceSpec, count: int,
-                rngs: Iterator[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """One candidate point from each of the count generators, stacked, and which
-    candidates were drawn.  Each generator is used up before the next is taken.
+def _candidates(space: SpaceSpec, seed: int, *spawn) -> tuple[np.ndarray, np.ndarray]:
+    """One candidate point of each key (seed, *spawn), stacked, and which candidates
+    were drawn.
 
-    Each generator makes one _draw: slr-so and slc-su scale it, and sus-sp the
+    Each key's words make one _draw: slr-so and slc-su scale it, and sus-sp the
     quaternionic matrix Q(alpha, beta) of two 0.35 * draws, to determinant 1; a
     draw with determinant below 1e-6 in modulus is not drawn.  Stacked
     determinants and factorizations give each matrix the numbers it gets alone.
     The conditioning cap is left to _conditioned, which runs after membership.
     """
-    d = space.ambient_dim
-    drawn = np.ones(count, dtype=bool)
+    n, d = space.n, space.ambient_dim
     if space.id == "slr-so":
-        m = _draw(rngs, (d, d), real=True)
+        m = _draw(uniforms(seed, (d, d), *spawn), real=True)
         dt = np.linalg.det(m)
         drawn = ~(np.abs(dt) < 1e-6)
         x = m / _roots(np.abs(dt), drawn, d)
         x[np.linalg.det(x) < 0, :, 0] *= -1
         return x.astype(complex), drawn
     if space.id in ("su-so", "su-sp"):
-        return _unitary(_draw(rngs, (d, d))), drawn
+        z = _unitary(_draw(uniforms(seed, (2, d, d), *spawn)))
+        return z, np.ones(len(z), dtype=bool)
     if space.id == "sus-sp":  # a quaternionic determinant is real and >= 0
-        z = _quaternion(*np.moveaxis(_draw(rngs, (2, space.n, space.n)) * 0.35, 1, 0))
+        z = _quaternion(*np.moveaxis(_draw(uniforms(seed, (2, 2, n, n), *spawn)) * 0.35, 1, 0))
         dt = np.linalg.det(z).real
     elif space.id == "slc-su":
-        z = _draw(rngs, (d, d))
+        z = _draw(uniforms(seed, (2, d, d), *spawn))
         dt = np.linalg.det(z)
     else:
         raise AssertionError(space.id)
@@ -236,14 +234,14 @@ def sample_group_point(space: SpaceSpec, rng_seed: int, index: int | np.ndarray 
     """A random ambient-group point passing membership within 1e-10; for an array of
     indices, a stack of points of shape index.shape + (d, d).
 
-    Attempt a at an index draws from the generator of (seed, index, a), so a point
-    is the same whether it is sampled alone or in a stack.  A stack draws the
-    indices still without a point together, with their generators derived
-    together, and tests them together.  Accepted points are memoized (_POINTS), so
+    Attempt a at an index draws from the key (seed, index, a), so a point is the
+    same whether it is sampled alone or in a stack.  A stack draws the indices
+    still without a point together, with their words in one uniforms call, and
+    tests them together.  Accepted points are memoized (_POINTS), so
     only indices never drawn before are drawn; the stack returned is a new array.
     """
     def draw(indices, attempt):
-        x, ok = _candidates(space, indices.size, generators(rng_seed, indices, attempt))
+        x, ok = _candidates(space, rng_seed, indices, attempt)
         ok &= space.membership(x, MEMBERSHIP_TOL)
         ok[ok] = _conditioned(x[ok])
         return x, ok
@@ -263,17 +261,17 @@ def sample_group_point(space: SpaceSpec, rng_seed: int, index: int | np.ndarray 
     return np.array(points, dtype=complex).reshape(index.shape + (d, d))
 
 
-def _stabilizer_candidates(space: SpaceSpec, rngs: Iterator[np.random.Generator]) -> np.ndarray:
-    """One candidate point of K from each generator, stacked."""
-    d = space.ambient_dim
+def _stabilizer_candidates(space: SpaceSpec, seed: int, *spawn) -> np.ndarray:
+    """One candidate point of K of each key (seed, *spawn), stacked."""
+    n, d = space.n, space.ambient_dim
     if space.stabilizer == "so":
-        q = sign_fixed_q(_draw(rngs, (d, d), real=True))
+        q = sign_fixed_q(_draw(uniforms(seed, (d, d), *spawn), real=True))
         q[np.linalg.det(q) < 0, :, 0] *= -1
         return q.astype(complex)
     if space.stabilizer == "su":
-        return _unitary(_draw(rngs, (d, d)))
+        return _unitary(_draw(uniforms(seed, (2, d, d), *spawn)))
     # sp(n): exp(Q(alpha, beta)), alpha anti-Hermitian and beta symmetric, so Q is skew-Hermitian
-    g, h = np.moveaxis(_draw(rngs, (2, space.n, space.n)) * 0.35, 1, 0)
+    g, h = np.moveaxis(_draw(uniforms(seed, (2, 2, n, n), *spawn)) * 0.35, 1, 0)
     alpha = (g - np.swapaxes(g, -1, -2).conj()) / 2.0
     beta = (h + np.swapaxes(h, -1, -2)) / 2.0
     return normal_exp(_quaternion(alpha, beta), skew=True)[0]
@@ -284,12 +282,11 @@ def sample_stabilizer_point(space: SpaceSpec, rng_seed: int,
     """A random point of the stabilizer K within 1e-10; for an array of indices, a
     stack of points of shape index.shape + (d, d).
 
-    Attempt a at an index draws from the generator of (seed, index, a, 1), and the
-    indices still without a point are drawn and tested together, as in
-    sample_group_point.
+    Attempt a at an index draws from the key (seed, index, a, 1), and the indices
+    still without a point are drawn and tested together, as in sample_group_point.
     """
     def draw(indices, attempt):
-        k = _stabilizer_candidates(space, generators(rng_seed, indices, attempt, 1))
+        k = _stabilizer_candidates(space, rng_seed, indices, attempt, 1)
         return k, space.stabilizer_membership(k, MEMBERSHIP_TOL)
 
     return first_accepted(index, space.ambient_dim, draw, _MAX_ATTEMPTS,

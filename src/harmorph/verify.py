@@ -22,14 +22,14 @@ from functools import partial
 import numpy as np
 
 # eval_jet is not called here, but stays a module global: perfbench/tracing.py wraps it by name
-from .jets import (Jet2, JetContext, _direction_sum, _eval, _values, base_map_value,  # noqa: F401
-                   entry_columns, eval_jet, eval_jet_cached, fd_jet, jet_sums, kappa_sum,
-                   normalized_residual, raise_first_error, rotated_basis)
+from .jets import (Jet2, JetContext, _direction_sum, _eval, _first_errors, _values,  # noqa: F401
+                   base_map_value, entry_columns, eval_jet, eval_jet_cached, fd_jet, jet_sums,
+                   kappa_sum, normalized_residual, raise_first_error, rotated_basis)
 from .morphisms import POSITIVE_SCALE, Morphism, _everywhere, _family_space, _joint_domain, _psi
 # rational_vector and complex_rational_vector are not called here, but stay module globals:
 # perfbench/tracing.py wraps them by name
-from .sampling import (complex_rational_vector, first_accepted, generators,  # noqa: F401
-                       rational_vector, sample_group_point, sample_stabilizer_point)
+from .sampling import (complex_rational_vector, first_accepted, rational_vector,  # noqa: F401
+                       sample_group_point, sample_stabilizer_point, uniforms)
 from .spaces import (HALF, SpaceSpec, _modulus, make_space, p_basis, p_basis_exact,
                      stabilizer_algebra, symplectic_J_entries, unit)
 
@@ -358,9 +358,7 @@ def _oracle(family: list[Morphism], xs: np.ndarray, jets: list[Jet2], ok: np.nda
         if not ts.size:
             continue
         zi = ts % len(basis)
-        stencil_errors = np.full(ts.size, None, dtype=object)
-        fd = fd_jet(m.expr, m.space, xs[ts], basis[zi], h=ORACLE_STEP, errors=stencil_errors)
-        errors[ts] = stencil_errors
+        fd, errors[ts] = fd_jet(m.expr, m.space, xs[ts], basis[zi], h=ORACLE_STEP)
         v = np.broadcast_to(jet.v, len(xs))[ts]
         d1, d2 = (np.broadcast_to(j, (len(basis), len(xs)))[zi, ts] for j in (jet.d1, jet.d2))
         scale = np.maximum(1.0, _modulus(v) + _modulus(d1) + _modulus(d2))
@@ -458,14 +456,6 @@ def verify_family(family: list[Morphism], trials: int = 100, seed: int = 0,
                     lambda *members: f"[{'|'.join(m.label for m in members)}]")
 
 
-def _first_errors(*records) -> np.ndarray:
-    """Each point's first error over the error records, taken in order, or None."""
-    out = np.full(np.shape(records[0]), None, dtype=object)
-    for r in reversed(records):
-        out = np.where(np.equal(r, None), out, r)
-    return out
-
-
 def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
              tol: float | None, tag) -> VerificationReport:
     """tau of each member and kappa of each pair at in-domain points; quantity names
@@ -525,7 +515,7 @@ def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,
     ks = sample_stabilizer_point(space, seed, np.arange(trials))
     points = [xs, xs @ ks]
     if scaled:
-        r = np.array([rng.uniform(0.5, 2.0) for rng in generators(seed, np.arange(trials), 7)])
+        r = 0.5 + 1.5 * uniforms(seed, (), np.arange(trials), 7)  # as rng.uniform(0.5, 2.0)
         points.append(r[:, None, None] * xs)
     values, value_errors = _values(morphism.expr, space, np.stack(points))
     k_gens = stabilizer_algebra(space)
@@ -571,15 +561,17 @@ def verify_basis_independence(morphism: Morphism, rotations: int = 10, seed: int
     # the stock-basis jets as _certify computes them, all trials in one walk
     jet, errors = eval_jet_cached(morphism.expr, JetContext(space, xs, stock))
     tau0, kap0, energy = (np.broadcast_to(a, rotations) for a in jet_sums(jet))
-    # each trial's point alone along its own rotation of the basis
+    # each trial's point alone along its own rotation of the basis, mixed as by
+    # rng.uniform(-1, 1, (d, d))
+    mixing = uniforms(seed, (len(stock),) * 2, np.arange(rotations), 11) * 2.0 - 1.0
     tau1, kap1 = np.empty((2, rotations), dtype=complex)
-    for t, rng in enumerate(generators(seed, np.arange(rotations), 11)):
-        rotated, rot_errors = eval_jet_cached(
-            morphism.expr, JetContext(space, xs[t:t + 1], rotated_basis(stock, rng)))
-        errors[t] = errors[t] if errors[t] is not None else rot_errors[0]
+    rot_errors = np.full(rotations, None, dtype=object)
+    for t in range(rotations):
+        rotated, (rot_errors[t],) = eval_jet_cached(
+            morphism.expr, JetContext(space, xs[t:t + 1], rotated_basis(stock, mixing[t])))
         tau1[t], kap1[t], _ = (np.ravel(a)[0] for a in jet_sums(rotated))
     inputs = _inputs(x=xs)
-    ok = report.check("evaluation-error", errors, None, inputs)
+    ok = report.check("evaluation-error", _first_errors(errors, rot_errors), None, inputs)
     scale = np.maximum(1.0, energy)
     report.check("tau_rotation_diff", _modulus(tau1 - tau0) / scale, tol, inputs, ok)
     report.check("kappa_rotation_diff", _modulus(kap1 - kap0) / scale, tol, inputs, ok)

@@ -1,6 +1,6 @@
 """Independent oracles that only the tests use: Gauss LDU, the invariant forms, the
-Casimir-style p-sum, the generator of one key, the value of a map at one point and
-the decoding of an exact trial's draw.
+Casimir-style p-sum, the generator of one key, a basis rotated by one key's draw,
+the value of a map at one point and the decoding of an exact trial's draw.
 
 Everything here stays small (n <= 16), so clarity wins over performance
 throughout.
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from harmorph.jets import Expr, _values, raise_first_error
+from harmorph.jets import Expr, _values, raise_first_error, rotated_basis
 from harmorph.scalars import ComplexRational
 from harmorph.spaces import SpaceSpec, p_basis_exact
 
@@ -107,6 +107,12 @@ def rng_from_seed(seed: int, *spawn: int) -> np.random.Generator:
     SeedSequence(seed, spawn_key=spawn), the seed masked to 64 bits."""
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=tuple(spawn))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def random_rotation(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The basis rotated by the mixing matrix rng.uniform(-1, 1, (m, m)), m its size, as
+    verify_basis_independence draws it."""
+    return rotated_basis(basis, rng.uniform(-1.0, 1.0, (len(basis),) * 2))
 
 
 def eval_value(f: Expr, space: SpaceSpec, x: np.ndarray) -> complex:

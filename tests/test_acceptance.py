@@ -120,8 +120,7 @@ def test_criterion_5_type_four_big_cell():
 
 def _central_differences(m, x, z, h):
     """fd_jet's first and second derivative of m at the one point x along z."""
-    errors = np.full(1, None, dtype=object)
-    fd = fd_jet(m.expr, m.space, x[None], z[None], h, errors)
+    fd, errors = fd_jet(m.expr, m.space, x[None], z[None], h)
     raise_first_error(errors)
     return complex(fd.d1[0]), complex(fd.d2[0])
 

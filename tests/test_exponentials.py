@@ -20,11 +20,11 @@ import pytest
 import scipy.linalg
 
 import harmorph
-from harmorph.jets import rotated_basis
-from harmorph.sampling import (MEMBERSHIP_TOL, _candidates, _stabilizer_candidates, generators,
-                               normal_exp, sample_group_point)
+import harmorph.sampling
+from harmorph.sampling import (MEMBERSHIP_TOL, _candidates, _stabilizer_candidates, normal_exp,
+                               sample_group_point, uniforms)
 from harmorph.spaces import SPACE_IDS, make_space, p_basis, p_basis_exact
-from oracles import rng_from_seed
+from oracles import random_rotation, rng_from_seed
 
 ALL_SPACES = [(sid, n) for sid in SPACE_IDS for n in range(1, 5)]
 
@@ -43,7 +43,7 @@ def test_every_direction_is_exactly_hermitian_or_skew_hermitian(sid, n):
     sign = -1.0 if space.compact else 1.0
     exact = [_exact_matrix(m, d) for m, _ in p_basis_exact(space)]
     rotated = [z for seed in (0, 7, 20240823)
-               for z in rotated_basis(p_basis(space), rng_from_seed(seed, 0, 11))]
+               for z in random_rotation(p_basis(space), rng_from_seed(seed, 0, 11))]
     for z in list(p_basis(space)) + exact + rotated:
         assert np.array_equal(z, sign * z.conj().T)
 
@@ -58,7 +58,7 @@ def test_oracle_exponentials_agree_with_scipy(sid, n):
     basis = p_basis(space)
     if not len(basis):
         return
-    z = np.concatenate([basis, rotated_basis(basis, rng_from_seed(3, 0, 11))])
+    z = np.concatenate([basis, random_rotation(basis, rng_from_seed(3, 0, 11))])
     ep, em = normal_exp(z, space.compact, (1e-4, -1e-4))
     for zi, p, m in zip(z, ep, em):
         assert _max_gap(p, scipy.linalg.expm(1e-4 * zi)) <= 1e-14
@@ -69,7 +69,7 @@ def test_oracle_exponentials_agree_with_scipy(sid, n):
 def test_stabilizer_exponentials_agree_with_scipy(n):
     space = make_space("sus-sp", n)
     indices = np.arange(40)
-    k = _stabilizer_candidates(space, generators(5, indices, 0, 1))
+    k = _stabilizer_candidates(space, 5, indices, 0, 1)
     for i, ki in zip(indices, k):
         rng = rng_from_seed(5, int(i), 0, 1)
         g, h = (0.35 * (rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n)))
@@ -80,22 +80,21 @@ def test_stabilizer_exponentials_agree_with_scipy(n):
     assert space.stabilizer_membership(k, MEMBERSHIP_TOL).all()
 
 
-class _Zeros:
-    """A generator whose uniform(-1, 1) draws are all zeros: its candidate has
-    determinant 0."""
-
-    def random(self, words):
-        return np.full(words, 0.5)
-
-
 @pytest.mark.parametrize("n", range(1, 5))
-def test_sus_sp_candidates_have_determinant_one(n):
+def test_sus_sp_candidates_have_determinant_one(monkeypatch, n):
     space = make_space("sus-sp", n)
     x = sample_group_point(space, 11, index=np.arange(200))
     assert space.membership(x, MEMBERSHIP_TOL).all()
     assert np.max(np.abs(np.linalg.det(x) - 1)) <= 1e-10
-    rngs = [rng_from_seed(11, 0, 0), _Zeros(), rng_from_seed(11, 1, 0)]
-    z, drawn = _candidates(space, 3, iter(rngs))
+
+    def middle_row_of_halves(seed, shape, *spawn):
+        # words of 0.5 are uniform(-1, 1) draws of 0: that candidate has determinant 0
+        u = uniforms(seed, shape, *spawn)
+        u[1] = 0.5
+        return u
+
+    monkeypatch.setattr(harmorph.sampling, "uniforms", middle_row_of_halves)
+    z, drawn = _candidates(space, 11, np.array([0, 2, 1]), 0)
     assert drawn.tolist() == [True, False, True]
     assert np.all(np.isfinite(z))
 

@@ -7,16 +7,16 @@ import pytest
 
 from harmorph.jets import (Add, BranchCutError, Const, Div, Entry, EvaluationError, Jet2,
                            JetContext, Mul, ScaleByI, Sqrt, Sub, _companion, _eval,
-                           _stock_products, base_map_value, eval_jet, eval_jet_cached, fd_jet,
-                           jet_sums, kappa_sum, normalized_residual, raise_first_error,
-                           rotated_basis)
+                           _first_errors, _stock_products, _values, base_map_value, eval_jet,
+                           eval_jet_cached, fd_jet, jet_sums, kappa_sum, normalized_residual,
+                           raise_first_error)
 from harmorph.morphisms import (dual_quat_family, dual_real_morphism, quat_family,
                                 real_morphism, typeIV_bigcell_morphism)
-from harmorph.sampling import sample_group_point
+from harmorph.sampling import normal_exp, sample_group_point
 from harmorph.spaces import (HALF, SPACE_IDS, dense, make_space, p_basis,
                              stabilizer_algebra, unit)
 from harmorph.verify import sample_in_domain
-from oracles import eval_value, rng_from_seed
+from oracles import eval_value, random_rotation, rng_from_seed
 
 
 def _record():
@@ -93,8 +93,7 @@ def test_base_map_jet_dimension_mismatch():
 
 def _fd(f, space, x, z, h):
     """fd_jet at the one point x along z, as a stack of one."""
-    errors = np.full(1, None, dtype=object)
-    fd = fd_jet(f, space, x[None], z[None], h, errors)
+    fd, errors = fd_jet(f, space, x[None], z[None], h)
     raise_first_error(errors)
     return Jet2(*(complex(a[0]) for a in (fd.v, fd.d1, fd.d2)))
 
@@ -159,7 +158,7 @@ def test_tau_kappa_basis_rotation_invariance():
     x = sample_group_point(space, 17)
     expr = Entry(1, 2) / Entry(2, 2)
     stock = p_basis(space)
-    rot = rotated_basis(stock, rng_from_seed(5))
+    rot = random_rotation(stock, rng_from_seed(5))
     tau0, kap0, _ = jet_sums(_jets(expr, space, x, stock))
     tau1, kap1, _ = jet_sums(_jets(expr, space, x, rot))
     assert abs(tau0 - tau1) < 1e-10
@@ -292,7 +291,7 @@ def test_point_jets_do_not_depend_on_stack_or_columns(sid, n, algebra):
     so no product term is an exact zero that would hide a change of rounding."""
     space = make_space(sid, n)
     basis = {"tangent": p_basis(space), "stabilizer": np.array(stabilizer_algebra(space)),
-             "rotated": rotated_basis(p_basis(space), rng_from_seed(83, 0))}[algebra]
+             "rotated": random_rotation(p_basis(space), rng_from_seed(83, 0))}[algebra]
     d = space.ambient_dim
     x = sample_group_point(space, 81, index=np.arange(100))
     full = JetContext(space, x, basis)
@@ -333,7 +332,7 @@ def test_real_points_along_a_real_basis_get_real_derivatives():
     x = sample_group_point(space, 91, index=np.arange(20))
     stock = p_basis(space)
     for basis in (stock, np.array(stabilizer_algebra(space)),
-                  rotated_basis(stock, rng_from_seed(5, 0))):
+                  random_rotation(stock, rng_from_seed(5, 0))):
         ctx = JetContext(space, x, basis)
         assert ctx.d1.dtype == ctx.d2.dtype == np.float64
         assert ctx.phi.dtype == complex
@@ -431,13 +430,11 @@ def test_stacked_fd_jet_equals_per_point(sid, n, expr):
     k = 12
     x = sample_group_point(space, 71, index=np.arange(k))
     z = basis[np.arange(k) % len(basis)]
-    errors = np.full(k, None, dtype=object)
-    stacked = fd_jet(expr, space, x, z, 1e-4, errors)
+    stacked, errors = fd_jet(expr, space, x, z, 1e-4)
     assert stacked.v.shape == stacked.d1.shape == stacked.d2.shape == (k,)
     failed = []
     for i in range(k):
-        alone = np.full(1, None, dtype=object)
-        ref = fd_jet(expr, space, x[i:i + 1], z[i:i + 1], 1e-4, alone)
+        ref, alone = fd_jet(expr, space, x[i:i + 1], z[i:i + 1], 1e-4)
         assert type(errors[i]) is type(alone[0]) and str(errors[i]) == str(alone[0])
         if alone[0] is None:
             assert (stacked.v[i], stacked.d1[i], stacked.d2[i]) == (ref.v[0], ref.d1[0], ref.d2[0])
@@ -448,10 +445,16 @@ def test_stacked_fd_jet_equals_per_point(sid, n, expr):
     else:
         # the stack mixes evaluated points and failed ones
         assert 0 < len(failed) < k
-        # a point that already has an error keeps it, as in _guard
-        kept = np.full(k, None, dtype=object)
-        kept[failed[0]] = marker = ValueError("earlier")
-        fd_jet(expr, space, x, z, 1e-4, kept)
+        # a point's error is its stencil's first: at +h, then at 0, then at -h
+        ep, em = normal_exp(z, space.compact, (1e-4, -1e-4))
+        stencil = [_values(expr, space, p)[1] for p in (x @ ep, x, x @ em)]
+        for i in failed:
+            first = next(e for e in (s[i] for s in stencil) if e is not None)
+            assert str(errors[i]) == str(first)
+        # merged after an earlier record, a point that already has an error keeps it
+        earlier = np.full(k, None, dtype=object)
+        earlier[failed[0]] = marker = ValueError("earlier")
+        kept = _first_errors(earlier, errors)
         assert kept[failed[0]] is marker
         assert ([str(e) for e in np.delete(kept, failed[0])]
                 == [str(e) for e in np.delete(errors, failed[0])])

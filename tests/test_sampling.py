@@ -17,8 +17,9 @@ from harmorph.morphisms import (Morphism, control_morphism, dual_quat_family,
                                 dual_real_morphism, quat_family, real_morphism,
                                 typeIV_bigcell_morphism)
 from harmorph.sampling import (COND_CAP, MEMBERSHIP_TOL, _POINTS, _candidates, _conditioned,
-                               _draw, _philox_key, complex_rational_vector, fresh_seed, generators,
-                               rational_vector, sample_group_point, sample_stabilizer_point)
+                               _draw, _philox_key, complex_rational_vector, fresh_seed,
+                               rational_vector, sample_group_point, sample_stabilizer_point,
+                               uniforms)
 from harmorph.spaces import SPACE_IDS, make_space
 from harmorph.verify import SamplingError, sample_in_domain
 from oracles import exact_trial_fractions, rng_from_seed
@@ -37,12 +38,14 @@ def test_fresh_seed_fits_64_bits():
     assert 0 <= s < 2**64
 
 
-def _key(rng):
-    return rng.bit_generator.state["state"]["key"].tolist()
+def _ref_words(seed, shape, *spawn):
+    """The words rng.random(shape) draws from the generator of one key, built alone."""
+    return np.asarray(rng_from_seed(seed, *(int(s) for s in spawn)).random(shape))
 
 
-def _ref_key(seed, *spawn):
-    return _key(rng_from_seed(seed, *(int(s) for s in spawn)))
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
@@ -51,81 +54,82 @@ KEY_INDICES = np.array([0, 1, 999, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63 - 1
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 def test_stacked_keys_equal_seed_sequence(seed):
-    """A stack of generators has the key rng_from_seed gives each key alone, with
+    """Each key of a stack draws the words rng_from_seed draws for the key alone, with
     one- and two-word spawn entries mixed in one stack."""
     for attempt in (0, 1, 7, 999, 2**32, 2**40):
-        keys = [_key(rng) for rng in generators(seed, KEY_INDICES, attempt)]
-        assert keys == [_ref_key(seed, i, attempt) for i in KEY_INDICES], attempt
+        words = uniforms(seed, (3,), KEY_INDICES, attempt)
+        assert _same_bits(words, [_ref_words(seed, (3,), i, attempt) for i in KEY_INDICES])
     # each attempt of each index, as a broadcast (index, attempt) grid in C order
     attempts = np.array([0, 3, 2**33])
-    grid = [_key(rng) for rng in generators(seed, KEY_INDICES[:, None], attempts)]
-    assert grid == [_ref_key(seed, i, a) for i in KEY_INDICES for a in attempts]
+    grid = uniforms(seed, (2,), KEY_INDICES[:, None], attempts)
+    assert _same_bits(grid, [[_ref_words(seed, (2,), i, a) for a in attempts]
+                             for i in KEY_INDICES])
     # other key lengths: the seed alone, one entry, three entries
     for spawn in ((), (2**64 - 1,), (5, 2**35, 1)):
-        assert [_key(rng) for rng in generators(seed, *spawn)] == [_ref_key(seed, *spawn)]
+        assert _same_bits(uniforms(seed, (2,), *spawn), _ref_words(seed, (2,), *spawn))
 
 
 def test_stacked_keys_reject_negative_entries():
     with pytest.raises(ValueError):
-        list(generators(7, np.array([3, -1])))
+        uniforms(7, (), np.array([3, -1]))
+
+
+_SPAWN = st.one_of(st.integers(0, 2**63 - 1).map(np.array),
+                   hnp.arrays(np.int64, hnp.array_shapes(max_dims=2, max_side=3),
+                              elements=st.integers(0, 2**63 - 1)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(-2**70, 2**70),
-       st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5),
-       st.integers(0, 2**64 - 1))
-@example(-1, [0, 2**32], 3)
-@example(2**64, [0, 2**32], 3)
-@example(2**70, [0, 2**32], 3)
-def test_stacked_keys_property(seed, indices, attempt):
-    """The seed is masked to 64 bits, as in rng_from_seed."""
-    keys = [_key(rng) for rng in generators(seed, np.array(indices), attempt)]
-    assert keys == [_ref_key(seed & (2**64 - 1), i, attempt) for i in indices]
-
-
-def _state(rng):
-    state = rng.bit_generator.state
-    return (state["state"]["key"].tolist(), state["state"]["counter"].tolist(),
-            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"])
+@given(st.integers(-2**70, 2**70), _SPAWN, st.integers(0, 2**64 - 1),
+       st.sampled_from([(), (1,), (5,), (2, 3, 3)]))
+@example(0, np.array([0, 2**32]), 3, ())
+@example(2**32 - 1, np.array(2**32 + 1), 0, (2, 3, 3))
+@example(2**63, np.array([[0], [2**40]]), np.array([0, 2**33, 5]), (2, 3, 3))
+@example(2**64 - 1, np.array([0, 2**32]), 3, (2, 3, 3))
+@example(-1, np.array([0, 2**32]), 3, ())
+@example(2**64, np.array([0, 2**32]), 3, (2, 3, 3))
+@example(2**70, np.array([0, 2**32]), 3, ())
+def test_stacked_keys_property(seed, index, attempt, shape):
+    """uniforms stacks, over the broadcast (index, attempt) keys in C order, the words
+    rng.random(shape) draws from each key's generator; the seed is masked to 64 bits,
+    as in rng_from_seed."""
+    words = uniforms(seed, shape, index, attempt)
+    keys = np.broadcast_arrays(index, np.asarray(attempt))
+    assert words.shape == keys[0].shape + shape
+    for at in np.ndindex(keys[0].shape):
+        want = _ref_words(seed & (2**64 - 1), shape, *(k[at] for k in keys))
+        assert _same_bits(words[at], want)
 
 
 def test_memoized_keys_give_the_same_generators():
-    """A key taken from the memo gives the generator its first derivation gave, and
-    the memo is bounded."""
-    def states_and_draws():
-        return [(_state(rng), rng.uniform(-1.0, 1.0, 4).tolist(), rng.integers(-9, 10, 3).tolist())
-                for rng in generators(11, np.arange(6)[:, None], np.array([0, 2**33]))]
+    """A key taken from the memo gives the words its first derivation gave, and the memo
+    is bounded."""
+    def words():
+        return uniforms(11, (4,), np.arange(6)[:, None], np.array([0, 2**33]))
 
     _philox_key.cache_clear()
-    cold = states_and_draws()
+    cold = words()
     assert _philox_key.cache_info().misses == 12
-    warm = states_and_draws()
+    warm = words()
     assert _philox_key.cache_info().hits == 12
-    assert cold == warm
+    assert _same_bits(cold, warm)
     maxsize = _philox_key.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize < 2**20
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 def test_stacked_generators_draw_as_rng_from_seed(seed):
-    """A generator reset to a key's state draws what rng_from_seed draws for the key."""
+    """The suites' draws from a stack of words round as the rng.uniform calls of each
+    key's own generator: an invariance scale 0.5 + 1.5 u as uniform(0.5, 2.0), and a
+    mixing matrix 2 u - 1 as uniform(-1, 1, (d, d)), for every basis size d used."""
     indices = KEY_INDICES[[0, 2, 3, 4, 6]]
-    for rng, i in zip(generators(seed, indices, 2), indices):
-        ref = rng_from_seed(seed, int(i), 2)
-        got, want = rng.bit_generator.state, ref.bit_generator.state
-        assert got.keys() == want.keys() and got["state"].keys() == want["state"].keys()
-        for field in ("buffer_pos", "has_uint32", "uinteger"):
-            assert got[field] == want[field], field
-        assert np.array_equal(got["buffer"], want["buffer"])
-        for field in ("counter", "key"):
-            assert np.array_equal(got["state"][field], want["state"][field]), field
-        assert np.array_equal(rng.uniform(-1.0, 1.0, (3, 3)), ref.uniform(-1.0, 1.0, (3, 3)))
-        assert np.array_equal(rng.integers(-9, 10, 5), ref.integers(-9, 10, 5))
-        assert rng.random() == ref.random()
-        assert rng.standard_normal() == ref.standard_normal()
-        # leave half of a 64-bit word buffered, which the next reset must drop
-        while not rng.bit_generator.state["has_uint32"]:
-            assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
+    scales = 0.5 + 1.5 * uniforms(seed, (), indices, 7)
+    assert _same_bits(scales, [rng_from_seed(seed, int(i), 7).uniform(0.5, 2.0)
+                               for i in indices])
+    for d in (0, 1, 2, 5, 9, 14):
+        mixing = uniforms(seed, (d, d), indices, 11) * 2.0 - 1.0
+        assert _same_bits(mixing, [rng_from_seed(seed, int(i), 11).uniform(-1.0, 1.0, (d, d))
+                                   for i in indices])
 
 
 @pytest.mark.parametrize("sid", SPACE_IDS)
@@ -158,13 +162,14 @@ def test_stabilizer_points_members(sid):
 
 @pytest.mark.parametrize("seed", (0, 7, 2**64 - 1))
 def test_row_draw_equals_successive_uniform_calls(seed):
-    """One rng.random call per generator draws what successive rng.uniform(-1, 1, shape)
-    calls draw, byte for byte: a real draw as one call, a complex n x n matrix as its
-    real, then its imaginary call; odd and even word counts."""
+    """Each key's words draw what successive rng.uniform(-1, 1, shape) calls draw, byte
+    for byte: a real draw as one call, a complex n x n matrix as its real, then its
+    imaginary call; odd and even word counts."""
     indices = np.array([0, 3, 2**40])
     for shape, real in [((1, 1), True), ((3, 3), True), ((2, 2), True), ((1, 1), False),
                         ((3, 3), False), ((2, 3, 3), False), ((2, 1, 1), False)]:
-        stack = _draw(generators(seed, indices, 2), shape, real)
+        words = shape if real else shape[:-2] + (2,) + shape[-2:]
+        stack = _draw(uniforms(seed, words, indices, 2), real)
         assert stack.shape == (len(indices),) + shape
         for got, i in zip(stack, indices):
             rng = rng_from_seed(seed, int(i), 2)
@@ -221,8 +226,13 @@ def test_determinant_one_where_required():
         assert abs(np.linalg.det(x) - 1) < 1e-9
 
 
+def _rngs(seed, trials):
+    """The generators of the keys (seed, t) of the trials t."""
+    return [rng_from_seed(seed, t) for t in range(trials)]
+
+
 def test_rational_vector_ranges():
-    scales, v = rational_vector(generators(3, np.arange(20)), 50)
+    scales, v = rational_vector(_rngs(3, 20), 50)
     assert scales.dtype == v.dtype == np.int64
     assert scales.shape == (20, 4) and v.shape == (20, 4, 1, 50)
     for scale, (re,) in zip(scales.ravel().tolist(), v.reshape(80, 1, 50).tolist()):
@@ -232,7 +242,7 @@ def test_rational_vector_ranges():
 
 
 def test_complex_rational_vector_exact():
-    scales, v = complex_rational_vector(generators(4, np.arange(20)), 10)
+    scales, v = complex_rational_vector(_rngs(4, 20), 10)
     assert scales.dtype == v.dtype == np.int64
     assert scales.shape == (20, 4) and v.shape == (20, 4, 2, 10)
     for scale, parts in zip(scales.ravel().tolist(), v.reshape(80, 2, 10).tolist()):
@@ -255,8 +265,7 @@ def _assert_exact(draws, want):
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_exact_draws_equal_the_fractions_of_the_same_integers(seed):
     """A block's exact trials are the decodings of one rng.integers(0, 171, ...) call on
-    each trial's generator, which they leave where that call leaves it, and the
-    stacked generators of the suites give the same block."""
+    each trial's generator, which they leave where that call leaves it."""
     trials = np.arange(100)
     for n in range(1, 7):
         for draw, complex_parts in ((rational_vector, False), (complex_rational_vector, True)):
@@ -265,8 +274,6 @@ def test_exact_draws_equal_the_fractions_of_the_same_integers(seed):
             draws = draw(iter(rngs), n)
             _assert_exact(draws, [exact_trial_fractions(rng, n, complex_parts) for rng in want])
             assert all(a.integers(2**62) == b.integers(2**62) for a, b in zip(rngs, want))
-            stacked = draw(generators(seed, trials), n)
-            assert all(np.array_equal(a, b) for a, b in zip(stacked, draws))
 
 
 def _chi_square_quantile(counts: Counter, probabilities: dict) -> tuple[float, float]:
@@ -286,7 +293,7 @@ def test_exact_draws_are_uniform_over_numerator_denominator_pairs():
     """A real vector of one entry has L = b and L v = a for the drawn a / b, so 5,000 trials
     show 20,000 drawn pairs: each of the 171 must appear, and the counts must fit the
     uniform distribution.  A degenerate draw (all zeros, one denominator) fails here."""
-    scales, v = rational_vector(generators(20240823, np.arange(5000)), 1)
+    scales, v = rational_vector(_rngs(20240823, 5000), 1)
     counts = Counter(zip(v.ravel().tolist(), scales.ravel().tolist()))
     assert counts.total() == 20000 and set(counts) == set(_PAIRS)
     stat, quantile = _chi_square_quantile(counts, {c: 1 / 171 for c in _PAIRS})
@@ -297,7 +304,7 @@ def test_complex_exact_draws_have_the_distribution_of_the_pairs():
     """The real and the imaginary parts of 20,000 complex entries each take every value
     a / b of the 171 pairs, as often as the pairs give it."""
     values = {q: k / 171 for q, k in Counter(Fraction(*pair) for pair in _PAIRS).items()}
-    scales, v = complex_rational_vector(generators(20240823, np.arange(5000)), 1)
+    scales, v = complex_rational_vector(_rngs(20240823, 5000), 1)
     for part in (0, 1):
         counts = Counter(Fraction(q, scale) for q, scale in
                          zip(v[:, :, part, 0].ravel().tolist(), scales.ravel().tolist()))
@@ -429,7 +436,7 @@ def test_group_points_past_the_bound_equal_reference_loop():
     accepts it (cond 1.2e4, 3.6e3 and 7.8e5)."""
     space = make_space("slr-so", 5)
     indices = np.array([250, 969, 3035])
-    x, drawn = _candidates(space, indices.size, generators(0, indices, 0))
+    x, drawn = _candidates(space, 0, indices, 0)
     assert (drawn & space.membership(x, MEMBERSHIP_TOL)).all()
     bound = np.linalg.norm(x, axis=(-2, -1)) ** 5 / np.abs(np.linalg.det(x))
     assert (bound > COND_CAP / 2).all() and (np.linalg.cond(x) <= COND_CAP).all()

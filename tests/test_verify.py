@@ -759,9 +759,7 @@ def _reference_certify(suite, family, trials, seed, tag):
             zi = t % len(basis)
             d1, d2 = (complex(np.broadcast_to(v, (len(basis), 1))[zi, 0])
                       for v in (jets[a].d1, jets[a].d2))
-            errors = np.full(1, None, dtype=object)
-            fd = fd_jet(family[a].expr, space, x[None], basis[zi:zi + 1], ORACLE_STEP,
-                        errors)
+            fd, errors = fd_jet(family[a].expr, space, x[None], basis[zi:zi + 1], ORACLE_STEP)
             inputs = {"morphism": family[a].label, "x": _ser_mat(x)}
             if errors[0] is not None:
                 report.record_failure(t, "oracle-evaluation-error", str(errors[0]), inputs)
@@ -889,6 +887,32 @@ def test_basis_independence_and_invariance_record_jet_errors(m):
         assert not r.passed
         assert {f["quantity"] for f in r.failures} == {"evaluation-error"}
         assert 0 < len(r.failed_trials) < 20
+
+
+def test_basis_independence_records_an_error_of_a_rotated_walk(monkeypatch):
+    """An error that only a trial's rotated walk has is a failure of that trial, and a
+    trial with errors in both walks records its stock walk's: the suite merges the
+    records in that order with jets._first_errors."""
+    from harmorph.jets import EvaluationError
+
+    walk, rotated_walks = harmorph.verify.eval_jet_cached, []
+
+    def failing_walks(f, ctx):
+        jet, errors = walk(f, ctx)
+        if len(ctx.x) > 1:  # the stock walk of every trial
+            errors[5] = EvaluationError("stock walk of trial 5")
+        else:  # a trial's point alone along its rotated basis
+            rotated_walks.append(ctx)
+            if len(rotated_walks) in (4, 6):
+                errors[0] = EvaluationError(f"rotated walk of trial {len(rotated_walks) - 1}")
+        return jet, errors
+
+    monkeypatch.setattr(harmorph.verify, "eval_jet_cached", failing_walks)
+    r = verify_basis_independence(real_morphism(3, 1, 2), 10, SEED)
+    assert len(rotated_walks) == 10 and r.failed_trials == {3, 5}
+    assert [(f["trial"], f["quantity"], f["value"]) for f in r.failures] == [
+        (3, "evaluation-error", "rotated walk of trial 3"),
+        (5, "evaluation-error", "stock walk of trial 5")]
 
 
 def _reference_invariance(morphism, trials, seed, tol):
