@@ -5,6 +5,7 @@
     python3 scans/scan.py --scan derivative-lemmas # the benchmark's lemma calls
     python3 scans/scan.py --scan left-out          # the benchmark's left-out calls
     python3 scans/scan.py --scan rank              # bigcell at every rank 2-24
+    python3 scans/scan.py --scan float-certify     # the benchmark's float calls
     python3 scans/scan.py --update                 # rewrite the baseline from this run
 
 A scan runs one named call at every seed of a range and records each FAIL as
@@ -61,8 +62,7 @@ def _sweep(seed: int) -> list:
 
 def _left_out(seed: int) -> list:
     """The float calls perfbench/README.md lists under "Calls left out", 100 trials
-    each, every report's suite naming its first map, so that two calls' records at
-    one seed stay apart."""
+    each, every report's suite naming its first map."""
     from harmorph.morphisms import dual_quat_family, dual_real_morphism, real_morphism
     from harmorph.verify import verify_family, verify_harmonic
     reports = [verify_harmonic(dual_real_morphism(n, k, l), 100, seed, 1e-7)
@@ -70,6 +70,28 @@ def _left_out(seed: int) -> list:
     reports += [verify_harmonic(real_morphism(2, k, l), 100, seed, 1e-8)
                 for k, l in ((1, 2), (2, 1))]
     reports += [verify_family(dual_quat_family(2, l), 100, seed, 1e-7) for l in (1, 2)]
+    return _by_first_map(reports)
+
+
+def _float_certify(seed: int) -> list:
+    """The calls of the benchmark's float-certify workload that must PASS (all but the
+    phi_11 control), 100 trials each, every report's suite naming its first map."""
+    from harmorph.morphisms import (dual_quat_family, quat_family, real_morphism,
+                                    typeIV_bigcell_morphism)
+    from harmorph.verify import verify_family, verify_harmonic
+    reports = [verify_harmonic(real_morphism(n, k, l), 100, seed, 1e-8)
+               for n in (3, 4, 5) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
+    reports += [verify_family(quat_family(n, l), 100, seed, 1e-8)
+                for n in (1, 2, 3) for l in range(1, n + 1)]
+    reports.append(verify_family(dual_quat_family(1, 1), 100, seed, 1e-7))
+    reports += [verify_harmonic(typeIV_bigcell_morphism(n, 2, 1), 100, seed, 1e-7)
+                for n in (2, 3)]
+    return _by_first_map(reports)
+
+
+def _by_first_map(reports: list) -> list:
+    """The reports, each suite renamed suite:first map, so that two calls' records at
+    one seed stay apart."""
     for report in reports:
         report.suite = f"{report.suite}:{report.morphisms[0]}"
     return reports
@@ -88,6 +110,7 @@ SCANS = {
     "sweep": (_sweep, (0, 299)),    # harmorph all --n-max 3 --trials 50
     "left-out": (_left_out, (0, 1999)),  # the benchmark's left-out calls, 100 trials
     "rank": (_rank, (0, 99)),       # bigcell at n = 2-24, 1000 trials
+    "float-certify": (_float_certify, (0, 299)),  # the benchmark's float calls that must PASS
 }
 
 

@@ -55,6 +55,15 @@ def test_a_short_rank_scan_equals_the_baseline():
     assert all(r["x"] is not None for r in known)
 
 
+def test_a_short_float_certify_scan_equals_the_baseline():
+    """The benchmark's float-certify calls that must PASS do so at seeds 0-2."""
+    out = subprocess.run([sys.executable, str(HERE / "scan.py"), "--scan", "float-certify",
+                          "--seeds", "0-2"], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "0 FAIL []" in out.stdout
+    assert out.stdout.splitlines()[-1] == "equal to the baseline"
+
+
 def test_difference_names_new_and_gone_records():
     known = [r for r in json.loads(scan.BASELINE.read_text()) if r["scan"] == "lemmas"]
     moved = copy.deepcopy(known[0])

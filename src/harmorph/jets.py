@@ -19,7 +19,7 @@ or on how the stack is laid out in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -285,12 +285,15 @@ def _direction_products(space: SpaceSpec, z: np.ndarray) -> np.ndarray:
     return np.concatenate([z + tz, z @ z + 2.0 * (z @ tz) + tz @ tz]).reshape(-1, z.shape[-1])
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=None)
 def _stock_products(space: SpaceSpec) -> np.ndarray:
     """_direction_products of p_basis(space), built once per space and read-only."""
-    m = _direction_products(space, p_basis(space))
-    m.setflags(write=False)
-    return m
+    return _read_only(_direction_products(space, p_basis(space)))
 
 
 class JetContext:
@@ -303,54 +306,76 @@ class JetContext:
 
     For Z in the horizontal complement T(Z) = Z, and the derivatives reduce to
     2 x Z T(x) and 4 x Z^2 T(x).  For x of shape (..., d, d), ``phi`` is the
-    base map, shape (..., d, c), and ``d1`` and ``d2`` stack its first and
-    second derivatives along each basis direction, shape (directions, ..., d, c).
-    They hold the c base-map columns listed in ``columns`` (1-based), by default
-    all of them: a suite over a stack asks only for the columns its maps read,
-    which keeps the stack's jets small.
+    base map, shape (..., d, d), and ``d1`` and ``d2`` stack its first and
+    second derivatives along each basis direction, shape (directions, ..., d, d).
+    ``entry_jet`` computes a column's derivatives when it is first asked for and
+    keeps them, so a walk computes only the columns its map reads, and a later walk
+    on the same context reuses them; ``d1`` and ``d2`` take all columns in one
+    product.  Every array the context holds is read-only.
 
     Column l of a derivative is x (M T(x) e_l) for each M above.  One product
-    gives M T(x) e_l for every M at every point and every wanted column l, and
-    each point's x then multiplies its own block, so no column is computed that
-    no map reads.  A point's jets are the same numbers alone, in any stack and
-    with any columns.  Where neither the points nor the basis have an imaginary
-    part (slr-so, and real stabilizer or rotated bases), the derivatives are
-    real and taken in float64; ``phi`` is the complex product either way.
+    gives M T(x) e_l for every M at every point and every asked column l, and
+    each point's x then multiplies its own block.  A point's jets are the same
+    numbers alone, in any stack and with any columns.  Where neither the points
+    nor the basis have an imaginary part (slr-so, and real stabilizer or rotated
+    bases), the derivatives are real and taken in float64; ``phi`` is the complex
+    product either way.
     """
 
-    def __init__(self, space: SpaceSpec, x: np.ndarray, basis: np.ndarray | None = None,
-                 columns=None):
+    def __init__(self, space: SpaceSpec, x: np.ndarray, basis: np.ndarray | None = None):
         self.space = space
-        self.x = x
+        self.x = _read_only(x.view())
         self.basis = basis if basis is not None else p_basis(space)
-        d, dirs = x.shape[-1], len(self.basis)
-        cols = range(1, d + 1) if columns is None else sorted(columns)
-        self._column = {l: i for i, l in enumerate(cols)}
-        keep = [l - 1 for l in cols]
+        d = x.shape[-1]
         xs = x.reshape(-1, d, d)
-        self.phi = (xs @ _companion(space, xs))[..., keep].reshape(x.shape[:-2] + (d, len(cols)))
+        self.phi = _read_only((xs @ _companion(space, xs)).reshape(x.shape))
         if self.basis is p_basis(space):
             m = _stock_products(space)
         else:
-            m = _direction_products(space, np.asarray(self.basis).reshape(dirs, d, d))
+            m = _direction_products(space, np.asarray(self.basis).reshape(len(self.basis), d, d))
         if not np.imag(m).any() and not np.imag(xs).any():
             m, xs = np.ascontiguousarray(m.real), np.ascontiguousarray(xs.real)
+        # row l of point p: (T(x) e_l)^T
+        self._m, self._xs, self._tx = m, xs, _companion(space, xs).swapaxes(-1, -2)
+        self._columns: dict[int, np.ndarray] = {}
+
+    def _jets(self, columns: list[int]) -> np.ndarray:
+        """d1 then d2 of the base-map columns listed (1-based), stacked over
+        2 * directions, shape (2 directions, ..., d, len(columns))."""
+        xs, d, dirs = self._xs, self._xs.shape[-1], len(self.basis)
         # The stack and the columns set only the number of rows of each product below:
         # BLAS rounds a row the same way whatever their number, but not a column (the
         # last few take another kernel), and it sends a product of one row to gemv,
         # which rounds differently (hence a spare row).
-        rows = np.zeros((len(xs) * len(cols) + 1, d), dtype=xs.dtype)
-        rows[:-1] = _companion(space, xs)[..., keep].swapaxes(-1, -2).reshape(-1, d)
+        rows = np.zeros((len(xs) * len(columns) + 1, d), dtype=xs.dtype)
+        rows[:-1] = self._tx[:, [l - 1 for l in columns]].reshape(-1, d)
         # row (point, l) of the first product holds (M T(x) e_l)^T of every M; taken
         # per point, row (l, M) of the second holds (x M T(x) e_l)^T
-        mt = (rows @ m.T)[:-1].reshape(len(xs), len(cols) * 2 * dirs, d)
-        both = (mt @ xs.swapaxes(-1, -2)).reshape(len(xs), len(cols), 2 * dirs, d)
-        both = both.transpose(2, 0, 3, 1).reshape((2 * dirs,) + x.shape[:-2] + (d, len(cols)))
-        self.d1, self.d2 = both[:dirs], both[dirs:]
+        mt = (rows @ self._m.T)[:-1].reshape(len(xs), len(columns) * 2 * dirs, d)
+        both = (mt @ xs.swapaxes(-1, -2)).reshape(len(xs), len(columns), 2 * dirs, d)
+        return _read_only(both.transpose(2, 0, 3, 1).reshape(
+            (2 * dirs,) + self.x.shape[:-2] + (d, len(columns))))
+
+    @cached_property
+    def _all(self) -> np.ndarray:
+        return self._jets(range(1, self.x.shape[-1] + 1))
+
+    @property
+    def d1(self) -> np.ndarray:
+        return self._all[:len(self.basis)]
+
+    @property
+    def d2(self) -> np.ndarray:
+        return self._all[len(self.basis):]
 
     def entry_jet(self, k: int, l: int) -> Jet2:
         """Jet of the base-map entry (k, l), 1-based, along every basis direction."""
-        return Jet2(self.phi, self.d1, self.d2)[k - 1, self._column[l]]
+        column = self._columns.get(l)
+        if column is None:
+            column = self._columns[l] = self._jets([l])[..., 0]
+        dirs = len(self.basis)
+        return Jet2(self.phi[..., k - 1, l - 1], column[:dirs, ..., k - 1],
+                    column[dirs:, ..., k - 1])
 
 
 def _eval(f: Expr, entry_fn, shape: tuple[int, ...]) -> tuple[Jet2, np.ndarray]:
@@ -400,24 +425,11 @@ def eval_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray) -> Jet2:
     return Jet2(*(complex(np.ravel(a)[0]) for a in (jet.v, jet.d1, jet.d2)))
 
 
-def _values(f: Expr, space: SpaceSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values of f at a stack of points, and the walk's error record."""
-    phi = base_map_value(space, x, check=False)
+def _values(f: Expr, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of f at a stack of base-map values phi (base_map_value of a stack of
+    points), and the walk's error record."""
     jet, errors = _eval(f, lambda k, l: Jet2(phi[..., k - 1, l - 1], 0.0, 0.0), phi.shape[:-2])
     return np.broadcast_to(jet.v, errors.shape), errors
-
-
-def entry_columns(f: Expr) -> set[int]:
-    """The base-map columns l of the entries (k, l) that f reads."""
-    seen, todo, cols = set(), [f], set()
-    while todo:
-        e = todo.pop()
-        if id(e) not in seen:
-            seen.add(id(e))
-            if isinstance(e, Entry):
-                cols.add(e.l)
-            todo.extend(v for v in vars(e).values() if isinstance(v, Expr))
-    return cols
 
 
 def eval_jet_cached(f: Expr, ctx: JetContext) -> tuple[Jet2, np.ndarray]:
@@ -479,13 +491,40 @@ def fd_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray,
     matching entry of z.  A direction is Hermitian, or skew-Hermitian on a compact
     dual, so one stacked eigh of the k directions gives both exp(+hZ) and
     exp(-hZ).  That and one walk of the values over the (3, k) stencil points give
-    every point the numbers it gets in a stack of its own.  A point whose stencil
-    has an error gets the first one (+h, then 0, then -h) in its entry of the record.
+    every point the numbers it gets in a stack of its own.  The stencil's base-map
+    values are kept for the next calls with the same space, h, x and z (_stencil),
+    so every map of one space at one seed walks the same ones.  A point whose
+    stencil has an error gets the first one (+h, then 0, then -h) in its entry of
+    the record.
     """
-    ep, em = normal_exp(z, space.compact, (h, -h))
-    (fp, f0, fm), errors = _values(f, space, np.stack([x @ ep, x, x @ em]))
+    (fp, f0, fm), errors = _values(f, _stencil(space, x, z, h))
     jet = Jet2(f0, _divided(fp - fm, 2.0 * h), _divided(fp - 2.0 * f0 + fm, h * h))
     return jet, _first_errors(*errors)
+
+
+# the base-map values of the latest oracle stencils, oldest first, with their
+# (space, h, x, z); enough for every member of a family to find its own again
+_STENCILS: list[tuple] = []
+_STENCILS_MAXSIZE = 8
+
+
+def _stencil(space: SpaceSpec, x: np.ndarray, z: np.ndarray, h: float) -> np.ndarray:
+    """The base map at x exp(+hZ), x and x exp(-hZ), shape (3, k, d, d) and read-only:
+    from _STENCILS if an entry has the same space, h and bits of x and z."""
+    for held_space, step, held_x, held_z, phi in _STENCILS:
+        if held_space == space and step == h and _same_bits(held_x, x) and _same_bits(held_z, z):
+            return phi
+    ep, em = normal_exp(z, space.compact, (h, -h))
+    phi = _read_only(base_map_value(space, np.stack([x @ ep, x, x @ em]), check=False))
+    _STENCILS.append((space, h, x.copy(), z.copy(), phi))
+    del _STENCILS[:-_STENCILS_MAXSIZE]
+    return phi
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the arrays have the same dtype, shape and bits, so that every product
+    of theirs is the same."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _first_errors(*records) -> np.ndarray:

@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 # eval_jet is not called here, but stays a module global: perfbench/tracing.py wraps it by name
-from .jets import (Jet2, JetContext, _direction_sum, _eval, _first_errors, _values,  # noqa: F401
-                   base_map_value, entry_columns, eval_jet, eval_jet_cached, fd_jet, jet_sums,
+from .jets import (Jet2, JetContext, _direction_sum, _eval, _first_errors, _same_bits,  # noqa: F401
+                   _values, base_map_value, eval_jet, eval_jet_cached, fd_jet, jet_sums,
                    kappa_sum, normalized_residual, raise_first_error, rotated_basis)
 from .morphisms import POSITIVE_SCALE, Morphism, _everywhere, _family_space, _joint_domain, _psi
 # rational_vector and complex_rational_vector are not called here, but stay module globals:
@@ -463,7 +463,8 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
 
     All trials go together: one stacked sample, one JetContext, one DAG walk per
     member, residuals as arrays over the trials and one oracle stencil walk per
-    member.  A trial whose jets fail to evaluate records its first member's error.
+    member.  The context is _stock_context's, shared with the calls before on the
+    same points.  A trial whose jets fail to evaluate records its first member's error.
     """
     space = _family_space(family)
     if tol is None:
@@ -471,8 +472,7 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
     report = VerificationReport(suite, space.id, [m.label for m in family], space.n,
                                 trials, seed, tol)
     xs = sample_in_domain(family, seed, np.arange(trials))
-    ctx = JetContext(space, xs, p_basis(space),
-                     set().union(*(entry_columns(m.expr) for m in family)))
+    ctx = _stock_context(space, xs)
     jets, records = zip(*(eval_jet_cached(m.expr, ctx) for m in family))
     errors = _first_errors(*records)
     inputs = _inputs(x=xs)
@@ -499,6 +499,24 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
     return report.done()
 
 
+# the stock-basis JetContext of the latest stack of points _certify walked
+_held: JetContext | None = None
+
+
+def _stock_context(space: SpaceSpec, xs: np.ndarray) -> JetContext:
+    """The stock-basis JetContext at the stack of points xs.  It is held until a call
+    on another space or stack, so every map of one space at one seed, whose points
+    are the same, shares one context and the base-map columns it computed.  Only one
+    is held: on a miss the old one goes before the new one is built."""
+    global _held
+    basis = p_basis(space)
+    if not (_held is not None and _held.space == space and _held.basis is basis
+            and _same_bits(_held.x, xs)):
+        _held = None
+        _held = JetContext(space, xs, basis)
+    return _held
+
+
 def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,
                       tol: float = 1e-9) -> VerificationReport:
     """Right-stabilizer invariance, scale invariance, and vanishing stabilizer jets.
@@ -517,7 +535,8 @@ def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,
     if scaled:
         r = 0.5 + 1.5 * uniforms(seed, (), np.arange(trials), 7)  # as rng.uniform(0.5, 2.0)
         points.append(r[:, None, None] * xs)
-    values, value_errors = _values(morphism.expr, space, np.stack(points))
+    phi = base_map_value(space, np.stack(points), check=False)
+    values, value_errors = _values(morphism.expr, phi)
     k_gens = stabilizer_algebra(space)
     jet, jet_errors = eval_jet_cached(morphism.expr, JetContext(space, xs, np.array(k_gens)))
     t = np.arange(trials)

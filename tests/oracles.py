@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from harmorph.jets import Expr, _values, raise_first_error, rotated_basis
+from harmorph.jets import Expr, _values, base_map_value, raise_first_error, rotated_basis
 from harmorph.scalars import ComplexRational
 from harmorph.spaces import SpaceSpec, p_basis_exact
 
@@ -117,7 +117,7 @@ def random_rotation(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def eval_value(f: Expr, space: SpaceSpec, x: np.ndarray) -> complex:
     """Plain value of f at x (no derivatives), walked as a stack of one."""
-    value, errors = _values(f, space, x[None])
+    value, errors = _values(f, base_map_value(space, x[None], check=False))
     raise_first_error(errors)
     return complex(value[0])
 

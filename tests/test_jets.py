@@ -272,9 +272,15 @@ def test_cross_kappa_equals_reference_loop():
 
 
 def _column_jets(ctx, l):
-    """phi, d1 and d2 of the context's base-map column l, 1-based."""
-    c = ctx._column[l]
-    return ctx.phi[..., c], ctx.d1[..., c], ctx.d2[..., c]
+    """phi, d1 and d2 of the context's base-map column l, 1-based, asked of entry_jet,
+    with the rows k last as in the context's arrays."""
+    jets = [ctx.entry_jet(k, l) for k in range(1, ctx.x.shape[-1] + 1)]
+    return tuple(np.stack([getattr(j, a) for j in jets], axis=-1) for a in ("v", "d1", "d2"))
+
+
+def _all_columns(ctx, l):
+    """phi, d1 and d2 of column l in the context's product of all columns."""
+    return ctx.phi[..., l - 1], ctx.d1[..., l - 1], ctx.d2[..., l - 1]
 
 
 def _same_bits(got, want):
@@ -286,41 +292,62 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("algebra", ["tangent", "stabilizer", "rotated"])
 def test_point_jets_do_not_depend_on_stack_or_columns(sid, n, algebra):
     """Each point's phi, d1 and d2 have the same bits alone and in a stack of 100, whatever
-    columns are asked for: the reference loops and the basis-independence suite compare a
-    point alone, with every column, against the suites' stacks.  A rotated basis is dense,
-    so no product term is an exact zero that would hide a change of rounding."""
+    columns are asked for and in whatever order: the reference loops and the
+    basis-independence suite compare a point alone against the suites' stacks, and a
+    suite asks for the columns its maps read, one at a time.  A context computes only
+    the columns asked for.  A rotated basis is dense, so no product term is an exact
+    zero that would hide a change of rounding."""
     space = make_space(sid, n)
     basis = {"tangent": p_basis(space), "stabilizer": np.array(stabilizer_algebra(space)),
              "rotated": random_rotation(p_basis(space), rng_from_seed(83, 0))}[algebra]
     d = space.ambient_dim
     x = sample_group_point(space, 81, index=np.arange(100))
     full = JetContext(space, x, basis)
-    for columns in (None, {d}, {1, d}):
-        stacked = JetContext(space, x, basis, columns)
-        alone = [JetContext(space, x[p:p + 1], basis, columns) for p in range(len(x))]
-        for l in columns or range(1, d + 1):
-            want = _column_jets(full, l)
+    for order in ((d, 1), tuple(range(1, d + 1)), (d,)):
+        stacked = JetContext(space, x, basis)
+        alone = [JetContext(space, x[p:p + 1], basis) for p in range(len(x))]
+        for l in order:
+            want = _all_columns(full, l)
             assert _same_bits(_column_jets(stacked, l), want)
             for p, ctx in enumerate(alone):
                 phi, d1, d2 = _column_jets(ctx, l)
                 assert _same_bits((phi[0], d1[:, 0], d2[:, 0]),
                                   (want[0][p], want[1][:, p], want[2][:, p]))
+        assert sorted(stacked._columns) == sorted(order)
 
 
 @pytest.mark.parametrize("sid,n", [("slr-so", 3), ("sus-sp", 2), ("su-so", 3), ("su-sp", 1),
                                    ("su-sp", 2), ("slc-su", 3)])
 def test_stock_basis_products_are_built_once_with_the_same_jets(sid, n):
     """A context on the stock basis takes the basis products from the per-space cache;
-    one on a copy of the basis builds them afresh, with the same jets bit for bit."""
+    one on a copy of the basis builds them afresh, with the same jets bit for bit, for
+    all columns at once and for one column asked alone."""
     space = make_space(sid, n)
+    d = space.ambient_dim
     x = sample_group_point(space, 81, index=np.arange(12))
-    for columns in (None, {space.ambient_dim}):
-        hits = _stock_products.cache_info().hits
-        cached = [JetContext(space, x, basis, columns) for basis in (p_basis(space), None)]
-        assert _stock_products.cache_info().hits >= hits + 1
-        fresh = JetContext(space, x, p_basis(space).copy(), columns)
-        for ctx in cached:
-            assert _same_bits((ctx.phi, ctx.d1, ctx.d2), (fresh.phi, fresh.d1, fresh.d2))
+    hits = _stock_products.cache_info().hits
+    cached = [JetContext(space, x, basis) for basis in (p_basis(space), None)]
+    assert _stock_products.cache_info().hits >= hits + 1
+    fresh = JetContext(space, x, p_basis(space).copy())
+    for ctx in cached:
+        assert _same_bits(_column_jets(ctx, d), _column_jets(fresh, d))
+        assert _same_bits((ctx.phi, ctx.d1, ctx.d2), (fresh.phi, fresh.d1, fresh.d2))
+
+
+def test_a_context_walks_maps_after_maps_on_other_columns():
+    """A walk on a context that an earlier walk left holding other columns computes
+    the columns it reads and gets the jets and errors of a fresh context."""
+    space = make_space("slr-so", 4)
+    x = sample_group_point(space, 81, index=np.arange(10))
+    ctx = JetContext(space, x)
+    # (phi_kl + i psi_kl) / phi_ll reads the columns k and l
+    for (k, l), held in (((1, 2), [1, 2]), ((3, 4), [1, 2, 3, 4]), ((2, 1), [1, 2, 3, 4])):
+        m = real_morphism(4, k, l)
+        jet, errors = eval_jet_cached(m.expr, ctx)
+        want, want_errors = eval_jet_cached(m.expr, JetContext(space, x))
+        assert _same_bits((jet.v, jet.d1, jet.d2), (want.v, want.d1, want.d2))
+        assert errors.tolist() == want_errors.tolist()
+        assert sorted(ctx._columns) == held
 
 
 def test_real_points_along_a_real_basis_get_real_derivatives():
@@ -447,7 +474,8 @@ def test_stacked_fd_jet_equals_per_point(sid, n, expr):
         assert 0 < len(failed) < k
         # a point's error is its stencil's first: at +h, then at 0, then at -h
         ep, em = normal_exp(z, space.compact, (1e-4, -1e-4))
-        stencil = [_values(expr, space, p)[1] for p in (x @ ep, x, x @ em)]
+        stencil = [_values(expr, base_map_value(space, p, check=False))[1]
+                   for p in (x @ ep, x, x @ em)]
         for i in failed:
             first = next(e for e in (s[i] for s in stencil) if e is not None)
             assert str(errors[i]) == str(first)

@@ -968,3 +968,118 @@ def test_stacked_invariance_equals_per_trial_loop(m, tol, monkeypatch):
     ref = _reference_invariance(m, 20, SEED, tol)
     assert got.failed_trials == ref.failed_trials
     assert _strip_time(got) == _strip_time(ref)
+
+
+# ---------------------------------------------------------------------------
+# the held stack: suites on the same points share their base-map work
+# ---------------------------------------------------------------------------
+
+def _clear_memos():
+    """Forget the memoized points, the held context and the oracle stencils."""
+    _POINTS.clear()
+    harmorph.verify._held = None
+    harmorph.jets._STENCILS.clear()
+
+
+def _count_contexts(monkeypatch):
+    """The contexts harmorph.verify builds from now on, in a list."""
+    built, context = [], harmorph.verify.JetContext
+
+    def counted(*args):
+        built.append(context(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harmorph.verify, "JetContext", counted)
+    return built
+
+
+def test_shared_base_map_work_gives_the_reports_of_fresh_calls():
+    """float-certify's kinds of calls on shared points (every slr-so n=3 pair, the sus-sp
+    n=2 families) and on points of their own (the phi_11 control), in order and then
+    shuffled, give the reports of the same calls with every memo cleared before each."""
+    import random
+    from functools import partial
+
+    calls = [partial(verify_harmonic, real_morphism(3, k, l), 100, SEED)
+             for k in range(1, 4) for l in range(1, 4) if k != l]
+    calls += [partial(verify_family, quat_family(2, l), 100, SEED) for l in (1, 2)]
+    calls.append(partial(verify_harmonic, control_morphism(2), 100, SEED))
+    want = []
+    for call in calls:
+        _clear_memos()
+        want.append(_strip_time(call()))
+    order = list(range(len(calls)))
+    random.Random(SEED).shuffle(order)
+    for i in list(range(len(calls))) + order:
+        assert _strip_time(calls[i]()) == want[i]
+
+
+def test_the_held_stack_misses_on_other_points(monkeypatch):
+    """Another map on the same points reuses the held context; another seed, trial
+    count, space or domain (so another stack of points) builds a new one."""
+    _clear_memos()
+    built = _count_contexts(monkeypatch)
+    verify_harmonic(real_morphism(3, 1, 2), 20, SEED)
+    verify_harmonic(real_morphism(3, 2, 1), 20, SEED)
+    assert len(built) == 1
+    for call in (lambda: verify_harmonic(real_morphism(3, 1, 2), 20, SEED + 1),  # seed
+                 lambda: verify_harmonic(real_morphism(3, 1, 2), 21, SEED + 1),  # trials
+                 lambda: verify_harmonic(real_morphism(4, 1, 2), 21, SEED + 1),  # space
+                 lambda: verify_harmonic(real_morphism(2, 1, 2), 21, SEED + 1),
+                 lambda: verify_harmonic(control_morphism(2), 21, SEED + 1)):  # domain
+        before = len(built)
+        call()
+        assert len(built) == before + 1
+        assert harmorph.verify._held is built[-1]
+
+
+def test_held_arrays_are_read_only():
+    _clear_memos()
+    verify_harmonic(real_morphism(3, 1, 2), 20, SEED)
+    ctx = harmorph.verify._held
+    jet = ctx.entry_jet(1, 2)
+    stencil = harmorph.jets._STENCILS[-1][-1]
+    for a in (ctx.x, ctx.phi, ctx.d1, ctx.d2, jet.v, jet.d1, jet.d2, stencil):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+
+
+def test_only_one_stack_is_held(monkeypatch):
+    """After calls on several stacks, only the last one's context is alive, and the
+    oracle stencils kept are at most _STENCILS_MAXSIZE."""
+    import gc
+    import weakref
+
+    _clear_memos()
+    built = _count_contexts(monkeypatch)
+    for call in (lambda: verify_harmonic(real_morphism(3, 1, 2), 20, SEED),
+                 lambda: verify_family(quat_family(3, 1), 20, SEED),
+                 lambda: verify_family(quat_family(3, 2), 20, SEED),
+                 lambda: verify_harmonic(real_morphism(4, 1, 2), 20, SEED)):
+        call()
+    alive = [weakref.ref(ctx) for ctx in built]
+    built.clear()
+    gc.collect()
+    assert [r() for r in alive if r() is not None] == [harmorph.verify._held]
+    assert len(alive) == 3
+    assert len(harmorph.jets._STENCILS) <= harmorph.jets._STENCILS_MAXSIZE
+
+
+def test_maps_of_one_space_build_its_base_map_work_once(monkeypatch):
+    """The 20 slr-so n=5 pairs at one seed build one JetContext and take one stencil
+    exponential between them: the base-map work of a stack of points is not redone
+    per map."""
+    _clear_memos()
+    built = _count_contexts(monkeypatch)
+    exps, normal_exp = [], harmorph.jets.normal_exp
+
+    def counted(*args):
+        exps.append(args)
+        return normal_exp(*args)
+
+    monkeypatch.setattr(harmorph.jets, "normal_exp", counted)
+    for k in range(1, 6):
+        for l in range(1, 6):
+            if k != l:
+                assert verify_harmonic(real_morphism(5, k, l), 100, 7).passed
+    assert len(built) == 1 and len(exps) == 1
