@@ -311,7 +311,8 @@ class JetContext:
     ``entry_jet`` computes a column's derivatives when it is first asked for and
     keeps them, so a walk computes only the columns its map reads, and a later walk
     on the same context reuses them; ``d1`` and ``d2`` take all columns in one
-    product.  Every array the context holds is read-only.
+    product.  The context also keeps the oracle's stencils at its points (fd_jet),
+    so it owns all the base-map work done there.  Every array it holds is read-only.
 
     Column l of a derivative is x (M T(x) e_l) for each M above.  One product
     gives M T(x) e_l for every M at every point and every asked column l, and
@@ -338,6 +339,7 @@ class JetContext:
         # row l of point p: (T(x) e_l)^T
         self._m, self._xs, self._tx = m, xs, _companion(space, xs).swapaxes(-1, -2)
         self._columns: dict[int, np.ndarray] = {}
+        self._stencils: dict[tuple, np.ndarray] = {}
 
     def _jets(self, columns: list[int]) -> np.ndarray:
         """d1 then d2 of the base-map columns listed (1-based), stacked over
@@ -482,49 +484,32 @@ def _divided(a: np.ndarray, b: float) -> np.ndarray:
     return _complex(a.real / b, a.imag / b)
 
 
-def fd_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray,
+def fd_jet(f: Expr, ctx: JetContext, points: np.ndarray, directions: np.ndarray,
            h: float) -> tuple[Jet2, np.ndarray]:
     """Independent central-difference oracle for the jets (O(h^2) accurate), and its
     error record.
 
-    At each point of a stack x of shape (k, d, d) along its own direction, the
-    matching entry of z.  A direction is Hermitian, or skew-Hermitian on a compact
-    dual, so one stacked eigh of the k directions gives both exp(+hZ) and
-    exp(-hZ).  That and one walk of the values over the (3, k) stencil points give
-    every point the numbers it gets in a stack of its own.  The stencil's base-map
-    values are kept for the next calls with the same space, h, x and z (_stencil),
-    so every map of one space at one seed walks the same ones.  A point whose
-    stencil has an error gets the first one (+h, then 0, then -h) in its entry of
-    the record.
+    Entry i is f's central differences at the context's point ctx.x[points[i]] along
+    its basis direction ctx.basis[directions[i]]; the context's jets are never read.
+    A direction is Hermitian, or skew-Hermitian on a compact dual, so one stacked
+    eigh of the directions gives both exp(+hZ) and exp(-hZ).  That and one walk of
+    the values over the (3, k) stencil points give every point the numbers it gets
+    in a stack of its own.  The stencil's base-map values are kept on the context,
+    keyed by the points, the directions and h, so every map walked on the context
+    reuses them.  A point whose stencil has an error gets the first one (+h, then 0,
+    then -h) in its entry of the record.
     """
-    (fp, f0, fm), errors = _values(f, _stencil(space, x, z, h))
+    points, directions = np.asarray(points, np.intp), np.asarray(directions, np.intp)
+    key = (points.tobytes(), directions.tobytes(), h)
+    phi = ctx._stencils.get(key)
+    if phi is None:
+        x, space = ctx.x[points], ctx.space
+        ep, em = normal_exp(np.asarray(ctx.basis)[directions], space.compact, (h, -h))
+        phi = ctx._stencils[key] = _read_only(
+            base_map_value(space, np.stack([x @ ep, x, x @ em]), check=False))
+    (fp, f0, fm), errors = _values(f, phi)
     jet = Jet2(f0, _divided(fp - fm, 2.0 * h), _divided(fp - 2.0 * f0 + fm, h * h))
     return jet, _first_errors(*errors)
-
-
-# the base-map values of the latest oracle stencils, oldest first, with their
-# (space, h, x, z); enough for every member of a family to find its own again
-_STENCILS: list[tuple] = []
-_STENCILS_MAXSIZE = 8
-
-
-def _stencil(space: SpaceSpec, x: np.ndarray, z: np.ndarray, h: float) -> np.ndarray:
-    """The base map at x exp(+hZ), x and x exp(-hZ), shape (3, k, d, d) and read-only:
-    from _STENCILS if an entry has the same space, h and bits of x and z."""
-    for held_space, step, held_x, held_z, phi in _STENCILS:
-        if held_space == space and step == h and _same_bits(held_x, x) and _same_bits(held_z, z):
-            return phi
-    ep, em = normal_exp(z, space.compact, (h, -h))
-    phi = _read_only(base_map_value(space, np.stack([x @ ep, x, x @ em]), check=False))
-    _STENCILS.append((space, h, x.copy(), z.copy(), phi))
-    del _STENCILS[:-_STENCILS_MAXSIZE]
-    return phi
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether the arrays have the same dtype, shape and bits, so that every product
-    of theirs is the same."""
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _first_errors(*records) -> np.ndarray:

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 # eval_jet is not called here, but stays a module global: perfbench/tracing.py wraps it by name
-from .jets import (Jet2, JetContext, _direction_sum, _eval, _first_errors, _same_bits,  # noqa: F401
+from .jets import (Jet2, JetContext, _direction_sum, _eval, _first_errors,  # noqa: F401
                    _values, base_map_value, eval_jet, eval_jet_cached, fd_jet, jet_sums,
                    kappa_sum, normalized_residual, raise_first_error, rotated_basis)
 from .morphisms import POSITIVE_SCALE, Morphism, _everywhere, _family_space, _joint_domain, _psi
@@ -340,15 +340,15 @@ def sample_in_domain(morphisms: Morphism | list[Morphism], seed: int,
         f"no in-domain point for {labels} after {_DOMAIN_ATTEMPTS} attempts"))
 
 
-def _oracle(family: list[Morphism], xs: np.ndarray, jets: list[Jet2], ok: np.ndarray):
-    """The oracle cross-check over the trials: (checked, residual, stencil error).
+def _oracle(family: list[Morphism], ctx: JetContext, jets: list[Jet2], ok: np.ndarray):
+    """The oracle cross-check over the trials at ctx's points: (checked, residual, stencil error).
 
     Every ORACLE_SUBSAMPLE-th trial whose jets evaluated is checked, if the space
     has tangent directions.  Trial t compares the suite's jet of member t % len(family)
     with its central differences at the trial's point along basis direction
     t % len(basis): one fd_jet call per member, over that member's trials.
     """
-    basis = p_basis(family[0].space)
+    xs, basis = ctx.x, ctx.basis
     trials = np.arange(len(xs))
     checked = ok & (trials % ORACLE_SUBSAMPLE == 0) & (len(basis) > 0)
     residual = np.zeros(len(xs))
@@ -358,7 +358,7 @@ def _oracle(family: list[Morphism], xs: np.ndarray, jets: list[Jet2], ok: np.nda
         if not ts.size:
             continue
         zi = ts % len(basis)
-        fd, errors[ts] = fd_jet(m.expr, m.space, xs[ts], basis[zi], h=ORACLE_STEP)
+        fd, errors[ts] = fd_jet(m.expr, ctx, ts, zi, h=ORACLE_STEP)
         v = np.broadcast_to(jet.v, len(xs))[ts]
         d1, d2 = (np.broadcast_to(j, (len(basis), len(xs)))[zi, ts] for j in (jet.d1, jet.d2))
         scale = np.maximum(1.0, _modulus(v) + _modulus(d1) + _modulus(d2))
@@ -464,7 +464,8 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
     All trials go together: one stacked sample, one JetContext, one DAG walk per
     member, residuals as arrays over the trials and one oracle stencil walk per
     member.  The context is _stock_context's, shared with the calls before on the
-    same points.  A trial whose jets fail to evaluate records its first member's error.
+    same points, with its base-map columns and oracle stencils.  A trial whose jets
+    fail to evaluate records its first member's error.
     """
     space = _family_space(family)
     if tol is None:
@@ -491,7 +492,7 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
                 report.check(f"kappa{tag(family[a], family[b])}",
                              np.broadcast_to(normalized_residual(kappa, scale), trials),
                              tol, inputs, ok)
-    checked, residual, stencil_errors = _oracle(family, xs, jets, ok)
+    checked, residual, stencil_errors = _oracle(family, ctx, jets, ok)
     oracle_inputs = lambda t: {"morphism": family[t % len(family)].label, "x": _ser_mat(xs[t])}
     report.check("oracle-evaluation-error", stencil_errors, None, oracle_inputs, checked)
     report.check("oracle", residual, ORACLE_ABS_TOL, oracle_inputs,
@@ -506,8 +507,9 @@ _held: JetContext | None = None
 def _stock_context(space: SpaceSpec, xs: np.ndarray) -> JetContext:
     """The stock-basis JetContext at the stack of points xs.  It is held until a call
     on another space or stack, so every map of one space at one seed, whose points
-    are the same, shares one context and the base-map columns it computed.  Only one
-    is held: on a miss the old one goes before the new one is built."""
+    are the same, shares one context with the base-map columns and oracle stencils it
+    keeps.  Only one is held: on a miss the old one, with all it keeps, goes before
+    the new one is built."""
     global _held
     basis = p_basis(space)
     if not (_held is not None and _held.space == space and _held.basis is basis
@@ -515,6 +517,12 @@ def _stock_context(space: SpaceSpec, xs: np.ndarray) -> JetContext:
         _held = None
         _held = JetContext(space, xs, basis)
     return _held
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the arrays have the same dtype, shape and bits, so that every product
+    of theirs is the same."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def verify_invariance(morphism: Morphism, trials: int = 20, seed: int = 0,

@@ -120,7 +120,7 @@ def test_criterion_5_type_four_big_cell():
 
 def _central_differences(m, x, z, h):
     """fd_jet's first and second derivative of m at the one point x along z."""
-    fd, errors = fd_jet(m.expr, m.space, x[None], z[None], h)
+    fd, errors = fd_jet(m.expr, JetContext(m.space, x[None], z[None]), [0], [0], h)
     raise_first_error(errors)
     return complex(fd.d1[0]), complex(fd.d2[0])
 

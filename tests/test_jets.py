@@ -92,8 +92,8 @@ def test_base_map_jet_dimension_mismatch():
 
 
 def _fd(f, space, x, z, h):
-    """fd_jet at the one point x along z, as a stack of one."""
-    fd, errors = fd_jet(f, space, x[None], z[None], h)
+    """fd_jet at the one point x along z, on a context of one point and one direction."""
+    fd, errors = fd_jet(f, JetContext(space, x[None], z[None]), [0], [0], h)
     raise_first_error(errors)
     return Jet2(*(complex(a[0]) for a in (fd.v, fd.d1, fd.d2)))
 
@@ -456,12 +456,13 @@ def test_stacked_fd_jet_equals_per_point(sid, n, expr):
     basis = p_basis(space)
     k = 12
     x = sample_group_point(space, 71, index=np.arange(k))
-    z = basis[np.arange(k) % len(basis)]
-    stacked, errors = fd_jet(expr, space, x, z, 1e-4)
+    zi = np.arange(k) % len(basis)
+    z = basis[zi]
+    stacked, errors = fd_jet(expr, JetContext(space, x), np.arange(k), zi, 1e-4)
     assert stacked.v.shape == stacked.d1.shape == stacked.d2.shape == (k,)
     failed = []
     for i in range(k):
-        ref, alone = fd_jet(expr, space, x[i:i + 1], z[i:i + 1], 1e-4)
+        ref, alone = fd_jet(expr, JetContext(space, x[i:i + 1], z[i:i + 1]), [0], [0], 1e-4)
         assert type(errors[i]) is type(alone[0]) and str(errors[i]) == str(alone[0])
         if alone[0] is None:
             assert (stacked.v[i], stacked.d1[i], stacked.d2[i]) == (ref.v[0], ref.d1[0], ref.d2[0])
@@ -486,6 +487,30 @@ def test_stacked_fd_jet_equals_per_point(sid, n, expr):
         assert kept[failed[0]] is marker
         assert ([str(e) for e in np.delete(kept, failed[0])]
                 == [str(e) for e in np.delete(errors, failed[0])])
+
+
+@pytest.mark.parametrize("sid,n", [("slr-so", 3), ("sus-sp", 2), ("su-so", 3), ("slc-su", 3)])
+def test_fd_jet_reads_no_jets_of_its_context(sid, n, monkeypatch):
+    """The oracle stays independent of the jets it checks: on a context that cannot
+    compute a jet column it still runs, and on a context whose columns are all
+    computed it gives the same bits as on a fresh one."""
+    space = make_space(sid, n)
+    k = 12
+    x = sample_group_point(space, 71, index=np.arange(k))
+    points, directions = np.arange(0, k, 2), np.arange(k // 2) % len(p_basis(space))
+    computed = JetContext(space, x)
+    for l in range(1, x.shape[-1] + 1):  # every column, one at a time and all in one product
+        computed.entry_jet(1, l)
+    assert computed.d1.size
+
+    def no_jets(self, columns):
+        raise AssertionError("fd_jet read a jet column")
+
+    monkeypatch.setattr(JetContext, "_jets", no_jets)
+    fresh, errors = fd_jet(ALL_NODES, JetContext(space, x), points, directions, 1e-4)
+    assert all(e is None for e in errors)
+    warm, _ = fd_jet(ALL_NODES, computed, points, directions, 1e-4)
+    assert _same_bits((fresh.v, fresh.d1, fresh.d2), (warm.v, warm.d1, warm.d2))
 
 
 def test_each_point_keeps_its_first_error_in_dag_order():

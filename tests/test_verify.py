@@ -759,7 +759,8 @@ def _reference_certify(suite, family, trials, seed, tag):
             zi = t % len(basis)
             d1, d2 = (complex(np.broadcast_to(v, (len(basis), 1))[zi, 0])
                       for v in (jets[a].d1, jets[a].d2))
-            fd, errors = fd_jet(family[a].expr, space, x[None], basis[zi:zi + 1], ORACLE_STEP)
+            fd, errors = fd_jet(family[a].expr, JetContext(space, x[None], basis), [0], [zi],
+                                ORACLE_STEP)
             inputs = {"morphism": family[a].label, "x": _ser_mat(x)}
             if errors[0] is not None:
                 report.record_failure(t, "oracle-evaluation-error", str(errors[0]), inputs)
@@ -975,10 +976,9 @@ def test_stacked_invariance_equals_per_trial_loop(m, tol, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _clear_memos():
-    """Forget the memoized points, the held context and the oracle stencils."""
+    """Forget the memoized points and the held context, with the stencils it keeps."""
     _POINTS.clear()
     harmorph.verify._held = None
-    harmorph.jets._STENCILS.clear()
 
 
 def _count_contexts(monkeypatch):
@@ -1038,7 +1038,7 @@ def test_held_arrays_are_read_only():
     verify_harmonic(real_morphism(3, 1, 2), 20, SEED)
     ctx = harmorph.verify._held
     jet = ctx.entry_jet(1, 2)
-    stencil = harmorph.jets._STENCILS[-1][-1]
+    [stencil] = ctx._stencils.values()
     for a in (ctx.x, ctx.phi, ctx.d1, ctx.d2, jet.v, jet.d1, jet.d2, stencil):
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0
@@ -1046,7 +1046,7 @@ def test_held_arrays_are_read_only():
 
 def test_only_one_stack_is_held(monkeypatch):
     """After calls on several stacks, only the last one's context is alive, and the
-    oracle stencils kept are at most _STENCILS_MAXSIZE."""
+    oracle stencils of the others went with their contexts."""
     import gc
     import weakref
 
@@ -1058,11 +1058,26 @@ def test_only_one_stack_is_held(monkeypatch):
                  lambda: verify_harmonic(real_morphism(4, 1, 2), 20, SEED)):
         call()
     alive = [weakref.ref(ctx) for ctx in built]
+    stencils = [weakref.ref(s) for ctx in built for s in ctx._stencils.values()]
+    assert all(ctx._stencils for ctx in built)
     built.clear()
     gc.collect()
     assert [r() for r in alive if r() is not None] == [harmorph.verify._held]
     assert len(alive) == 3
-    assert len(harmorph.jets._STENCILS) <= harmorph.jets._STENCILS_MAXSIZE
+    assert ([id(r()) for r in stencils if r() is not None]
+            == [id(s) for s in harmorph.verify._held._stencils.values()])
+
+
+def _count_exponentials(monkeypatch):
+    """The stencil exponentials fd_jet takes from now on, in a list."""
+    exps, normal_exp = [], harmorph.jets.normal_exp
+
+    def counted(*args):
+        exps.append(args)
+        return normal_exp(*args)
+
+    monkeypatch.setattr(harmorph.jets, "normal_exp", counted)
+    return exps
 
 
 def test_maps_of_one_space_build_its_base_map_work_once(monkeypatch):
@@ -1071,15 +1086,35 @@ def test_maps_of_one_space_build_its_base_map_work_once(monkeypatch):
     per map."""
     _clear_memos()
     built = _count_contexts(monkeypatch)
-    exps, normal_exp = [], harmorph.jets.normal_exp
-
-    def counted(*args):
-        exps.append(args)
-        return normal_exp(*args)
-
-    monkeypatch.setattr(harmorph.jets, "normal_exp", counted)
+    exps = _count_exponentials(monkeypatch)
     for k in range(1, 6):
         for l in range(1, 6):
             if k != l:
                 assert verify_harmonic(real_morphism(5, k, l), 100, 7).passed
     assert len(built) == 1 and len(exps) == 1
+
+
+def test_families_on_one_stack_share_a_stencil_per_member(monkeypatch):
+    """The two sus-sp n=2 quaternionic families at one seed build one JetContext and
+    take one stencil exponential per member between them: member a of each family is
+    checked at the same trials along the same directions, so the second family reuses
+    the first one's stencils from the held context."""
+    _clear_memos()
+    built = _count_contexts(monkeypatch)
+    exps = _count_exponentials(monkeypatch)
+    for l in (1, 2):
+        assert verify_family(quat_family(2, l), 100, 7).passed
+    assert len(quat_family(2, 1)) == 3
+    assert len(built) == 1 and len(exps) == 3
+    assert len(built[0]._stencils) == 3
+
+
+def test_another_oracle_step_takes_new_stencils_on_the_held_stack(monkeypatch):
+    """A patched ORACLE_STEP on the held stack gives the report of a fresh call: the
+    stencils the context keeps are keyed by the step as well as by the trials."""
+    _clear_memos()
+    default = _strip_time(verify_harmonic(ON_THE_CUT, 30, SEED))
+    monkeypatch.setattr(harmorph.verify, "ORACLE_STEP", 0.5)
+    warm = _strip_time(verify_harmonic(ON_THE_CUT, 30, SEED))
+    _clear_memos()
+    assert _strip_time(verify_harmonic(ON_THE_CUT, 30, SEED)) == warm != default
