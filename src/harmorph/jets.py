@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .sampling import normal_exp, sign_fixed_q
-from .spaces import SpaceSpec, X_JT_XT_J, X_XSTAR, X_XT, p_basis
+from .spaces import SpaceSpec, X_JT_XT_J, X_XSTAR, X_XT, _modulus, p_basis
 
 BRANCH_CUT_EPS = 1e-9
 
@@ -133,8 +133,7 @@ class Jet2:
         """Principal square root; 0 and points within eps of the branch cut go to
         ``errors`` as in _guard."""
         w = np.asarray(self.v, dtype=complex)
-        # hypot is abs() of a complex number; numpy's complex abs rounds differently
-        cut = (w.real <= 0) & (np.abs(w.imag) <= BRANCH_CUT_EPS * np.hypot(w.real, w.imag))
+        cut = (w.real <= 0) & (np.abs(w.imag) <= BRANCH_CUT_EPS * _modulus(w))
         w = _guard(w, cut, _sqrt_error, errors)
         r = np.sqrt(w)  # principal branch, the same numbers as cmath.sqrt
         d1 = self.d1 / (2.0 * r)

@@ -165,8 +165,7 @@ def _family_space(family: Sequence[Morphism]) -> SpaceSpec:
 
 
 def holomorphic_compose(coeffs: Mapping[tuple[int, ...], complex],
-                        family: Sequence[Morphism],
-                        label: str | None = None) -> Morphism:
+                        family: Sequence[Morphism]) -> Morphism:
     """Polynomial F(f_1, ..., f_m) of the family members.
 
     ``coeffs`` maps exponent tuples (one exponent per member) to complex
@@ -187,8 +186,7 @@ def holomorphic_compose(coeffs: Mapping[tuple[int, ...], complex],
 
     shared = tuple(inv for inv in family[0].invariances
                    if all(inv in m.invariances for m in family))
-    if label is None:
-        label = f"{space.id}:n={space.n}:compose[{len(family)}]"
+    label = f"{space.id}:n={space.n}:compose[{len(family)}]"
     return Morphism(expr, space, label, _joint_domain(family), shared)
 
 

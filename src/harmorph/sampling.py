@@ -55,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spaces import SpaceSpec
+from .spaces import SpaceSpec, _modulus
 
 COND_CAP = 1e6
 MEMBERSHIP_TOL = 1e-10
@@ -185,7 +185,7 @@ def _candidates(space: SpaceSpec, seed: int, *spawn) -> tuple[np.ndarray, np.nda
         dt = np.linalg.det(z)
     else:
         raise AssertionError(space.id)
-    drawn = ~(np.hypot(dt.real, dt.imag) < 1e-6)  # abs() of each determinant
+    drawn = ~(_modulus(dt) < 1e-6)
     return z / _roots(dt, drawn, d), drawn
 
 

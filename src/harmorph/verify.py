@@ -46,9 +46,9 @@ ORACLE_ABS_TOL = 1e-5
 
 MAX_CAPTURED_FAILURES = 10
 
-# the entries the derivative-lemma suite computes per block of trials, which bound a
-# block's arrays: a trial counts d^4, its kappa(phi_kl, phi_ij) on slr-so and about its
-# 2 dirs d^2 jet entries on sus-sp
+# the entries the derivative-lemma suite computes per block of trials, which bound its
+# memory, since each block's relations go to check and are dropped: a trial counts d^4,
+# its kappa(phi_kl, phi_ij) on slr-so and about its 2 dirs d^2 jet entries on sus-sp
 _BLOCK_ENTRIES = 2**13
 
 # Multiplicative identities (lhs = c * product of entries) are checked as
@@ -106,14 +106,16 @@ class VerificationReport:
     # when the suite started: the report is made first, and done() stops the clock
     _t0: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
-    def check(self, quantity: str, values, tol: float | None, inputs, checked=True) -> np.ndarray:
-        """One check of every trial: values has a leading axis over the trials, and only
-        the entries where the mask checked is true count.
+    def check(self, quantity: str, values, tol: float | None, inputs, checked=True,
+              first: int = 0) -> np.ndarray:
+        """One check of a block of trials: values has a leading axis over the trials
+        first, first + 1, ..., and only the entries where the mask checked is true count.
+        A quantity checked block by block accumulates its maximum and its failures.
 
         With a tol, a value is a residual: it fails unless <= tol, and the quantity's
         maximum takes it in, a NaN included.  With tol None, a value is an error
-        message, or None for no error, and fails unless None.  inputs(t) gives a
-        failing trial's inputs.  Returns the pass mask: true where no entry fails.
+        message, or None for no error, and fails unless None.  inputs(t) gives failing
+        trial t's inputs.  Returns the pass mask: true where no entry fails.
         """
         values = np.asarray(values)
         checked = np.broadcast_to(checked, values.shape)
@@ -121,16 +123,17 @@ class VerificationReport:
             failing = checked & np.not_equal(values, None)
         else:
             if checked.any():
-                self.max_residuals[quantity] = float(np.max(
-                    values, where=checked, initial=self.max_residuals.get(quantity, 0.0)))
+                self.max_residuals[quantity] = float(np.maximum(
+                    self.max_residuals.get(quantity, 0.0), values[checked].max()))
             failing = checked & ~(values <= tol)
         self._checks += 1
         if failing.any():
             per_trial = math.prod(values.shape[1:])
             at = np.flatnonzero(failing)
-            self.failed_trials.update(np.unique(at // per_trial).tolist())
+            self.failed_trials.update((first + np.unique(at // per_trial)).tolist())
             for p in at[:MAX_CAPTURED_FAILURES].tolist():
                 trial, entry = divmod(p, per_trial)
+                trial += first
                 self.record_failure(trial, quantity, values.flat[p], partial(inputs, trial), entry)
         return ~failing
 
@@ -390,14 +393,13 @@ def verify_derivative_lemmas(space: SpaceSpec, trials: int = 100, seed: int = 0,
     report = VerificationReport(f"derivative-lemmas:{space.id}", space.id, [], space.n,
                                 trials, seed, tol)
     x = sample_group_point(space, seed, index=np.arange(trials))
-    relations = {}
+    inputs = _inputs(x=x)
     for t in _blocks(trials, space.ambient_dim ** 4):
         ctx = JetContext(space, x[t.start:t.stop], p_basis(space))
         for name, lhs, rhs in _lemma_relations(space, ctx):
-            relations.setdefault(name, []).append(_rel_errs_guarded(lhs, rhs))
-    for name, blocks in relations.items():
-        rel, keep = (np.concatenate(parts) for parts in zip(*blocks))
-        report.check(name, rel, ratio_tol if name == "tau_phi_ratio" else tol, _inputs(x=x), keep)
+            rel, keep = _rel_errs_guarded(lhs, rhs)
+            report.check(name, rel, ratio_tol if name == "tau_phi_ratio" else tol, inputs, keep,
+                         t.start)
     return report.done()
 
 

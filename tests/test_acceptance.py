@@ -178,8 +178,7 @@ def test_criterion_8_invariance_and_composition():
              typeIV_bigcell_morphism(2, 2, 1)]
     ok = all(verify_invariance(m, 20, SEED, tol=1e-9).passed for m in cases)
     fam = quat_family(2, 1)
-    composed = holomorphic_compose({(2, 0, 0): 1, (1, 1, 0): 3}, fam,
-                                   label="sus-sp:n=2:F=z1^2+3z1z2")
+    composed = holomorphic_compose({(2, 0, 0): 1, (1, 1, 0): 3}, fam)
     ok = ok and verify_invariance(composed, 20, SEED, tol=1e-9).passed
     r = verify_harmonic(composed, 100, SEED, tol=1e-7)
     ok = ok and r.passed and r.max_residuals["kappa"] <= 1e-7

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -517,6 +518,37 @@ def test_check_captures_failures_in_trial_check_entry_order(monkeypatch):
     assert clean.passed and clean.failures == [] and clean.max_residuals == {"a": 1.0}
 
 
+def test_check_streams_blocks_under_their_global_trial_numbers(monkeypatch):
+    """Two blocks of trials checked in turn, the second from trial first=3, in either
+    order, give the report of one check of all five: the failing trials, each captured
+    failure's trial and inputs, and the capture order (trial, check, entry)."""
+    a = np.array([[0.5, 3.0], [2.0, 0.0], [0.0, 0.0], [0.5, 7.0], [np.nan, 4.0]])
+    b = np.array([0.5, 6.0, 0.5, 8.0, 0.5])
+    inputs = lambda t: {"t": t}
+
+    def run(blocks):
+        r = VerificationReport("s", None, [], 2, 5, 0, 1.0)
+        for t in blocks:
+            r.check("a", a[t], 1.0, inputs, first=t.start)
+            r.check("b", b[t], 1.0, inputs, first=t.start)
+        return r
+
+    one = run([slice(0, 5)])
+    assert [(f["trial"], f["quantity"], f["value"]) for f in one.failures] == [
+        (0, "a", [3.0, 0.0]), (1, "a", [2.0, 0.0]), (1, "b", [6.0, 0.0]), (3, "a", [7.0, 0.0]),
+        (3, "b", [8.0, 0.0]), (4, "a", "nan"), (4, "a", [4.0, 0.0])]
+    assert one.failed_trials == {0, 1, 3, 4}
+    for blocks in ([slice(0, 3), slice(3, 5)], [slice(3, 5), slice(0, 3)]):
+        got = run(blocks)
+        assert got.failures == one.failures and got.failed_trials == one.failed_trials
+        assert all(f["inputs"] == {"t": f["trial"]} for f in got.failures)
+        assert np.isnan(got.max_residuals["a"]) and got.max_residuals["b"] == 8.0
+    monkeypatch.setattr(harmorph.verify, "MAX_CAPTURED_FAILURES", 4)
+    for blocks in ([slice(0, 3), slice(3, 5)], [slice(3, 5), slice(0, 3)]):
+        got = run(blocks)
+        assert got.failures == one.failures[:4] and got.failed_trials == one.failed_trials
+
+
 def _as_family_names(report, label):
     """The report with the family suite's name and quantity names for its one member."""
     names = {"tau": f"tau[{label}]", "kappa": f"kappa[{label}|{label}]"}
@@ -540,16 +572,19 @@ def test_harmonic_suite_is_the_one_member_family(morphism):
 
 
 def _recorded_checks(monkeypatch) -> dict:
-    """From now on, the values each check counts, by quantity: a list per trial."""
+    """From now on, the values each check counts, by quantity: a list per trial, each
+    block's trials after the trials of the quantity's earlier blocks."""
     recorded = {}
     check = VerificationReport.check
 
-    def recording(report, quantity, values, tol, inputs, checked=True):
+    def recording(report, quantity, values, tol, inputs, checked=True, first=0):
         v = np.asarray(values)
         mask = np.broadcast_to(checked, v.shape)
-        recorded[quantity] = [row[keep].tolist() for row, keep in
-                              zip(v.reshape(len(v), -1), mask.reshape(len(v), -1))]
-        return check(report, quantity, values, tol, inputs, checked)
+        rows = recorded.setdefault(quantity, [])
+        assert len(rows) == first
+        rows += [row[keep].tolist() for row, keep in
+                 zip(v.reshape(len(v), -1), mask.reshape(len(v), -1))]
+        return check(report, quantity, values, tol, inputs, checked, first)
 
     monkeypatch.setattr(VerificationReport, "check", recording)
     return recorded
@@ -669,6 +704,20 @@ def test_lemma_blocks_give_the_report_of_one_block(monkeypatch, sid, n, tol):
         assert sizes == [size] * (trials // size) + [trials % size] * (trials % size > 0)
         assert _strip_time(got) == _strip_time(want)
         assert got.failed_trials == want.failed_trials
+
+
+def test_lemma_memory_is_bounded_by_the_block():
+    """Each block's relations are checked and dropped: at 3,000 trials of slr-so n=5, the
+    traced peak stays near a block's arrays and the drawn points (about 5 MB), where
+    holding every block's ratios took over 40 MB."""
+    space = make_space("slr-so", 5)
+    tracemalloc.start()
+    try:
+        assert verify_derivative_lemmas(space, 3000, SEED).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_exact_failures_are_the_first_coefficients_in_order(monkeypatch):
