@@ -11,9 +11,11 @@ and branch-cut test acts per point, and a point that fails one is recorded,
 not raised, so the other points go on.  The tension field tau and the
 conformality operator kappa are the sums of these derivatives over an
 orthonormal basis of the horizontal complement; kappa is complex bilinear
-(no conjugation).  Every such sum adds the directions one at a time in
-basis order (_direction_sum), so a point's sums do not depend on its stack
-or on how the stack is laid out in memory.
+(no conjugation).  A map's tau, kappa and energy add the directions one at a
+time in basis order (_direction_sum), so a point's sums do not depend on its
+stack or on how the stack is laid out in memory.  The derivative-lemma suite's
+kappa tables are per-point Gram products instead (_gram), taken on a fixed
+contiguous layout, so they too have the same bits alone and in any stack.
 """
 
 from __future__ import annotations
@@ -443,7 +445,9 @@ def _direction_sum(a, b=None):
     """The sum of a[z], or of a[z] * b[z], over the leading axis of directions z,
     added to zero one direction at a time in basis order.  Each term is an array
     over the stack (numpy's scalar complex product rounds differently), so a
-    point's sum has the same bits whatever its stack and memory layout."""
+    point's sum has the same bits whatever its stack and memory layout.  The
+    sums of a map's jets all come from here; only the derivative-lemma suite's
+    kappa tables are taken by _gram."""
     if b is not None:
         a, b = np.broadcast_arrays(a, b)
     if not np.ndim(a):  # a constant's 0
@@ -452,6 +456,21 @@ def _direction_sum(a, b=None):
     for z in range(len(a)):
         total = total + (a[z, ...] if b is None else a[z, ...] * b[z, ...])
     return total
+
+
+def _gram(a, b=None):
+    """The sum over the leading axis of directions z of a[z, ..., i] * a[z, ..., j],
+    shape (..., i, j), or with b of a[z, ..., i] * b[z, ...], shape (..., i): one
+    BLAS product per point of the stack, of contiguous copies laid out (..., i, z)
+    and (..., z, j) or (..., z).  So a point's sum has the same bits whatever its
+    stack and memory layout, though not those of _direction_sum."""
+    if b is None:
+        # the (..., z, j) copy first, a fast one from JetContext's layout; two copies, since
+        # numpy sends an array times its own transpose to syrk, slower on small tables
+        cols = np.ascontiguousarray(np.moveaxis(a, 0, -2))
+        return np.ascontiguousarray(cols.swapaxes(-1, -2)) @ cols
+    rows = np.ascontiguousarray(np.moveaxis(a, 0, -1))
+    return (rows @ np.ascontiguousarray(np.moveaxis(b, 0, -1))[..., None])[..., 0]
 
 
 def jet_sums(j: Jet2) -> tuple:

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 # eval_jet is not called here, but stays a module global: perfbench/tracing.py wraps it by name
-from .jets import (Jet2, JetContext, _direction_sum, _eval, _first_errors,  # noqa: F401
+from .jets import (Jet2, JetContext, _direction_sum, _eval, _first_errors, _gram,  # noqa: F401
                    _values, base_map_value, eval_jet, eval_jet_cached, fd_jet, jet_sums,
                    kappa_sum, normalized_residual, raise_first_error, rotated_basis)
 from .morphisms import POSITIVE_SCALE, Morphism, _everywhere, _family_space, _joint_domain, _psi
@@ -409,22 +409,20 @@ _PSI = _psi(1, 2)
 def _lemma_relations(space: SpaceSpec, ctx: JetContext):
     """(quantity, lhs, rhs) of each relation at the context's stack of points."""
     n = space.ambient_dim
-    # contiguous derivatives: the broadcast products below then run over long inner loops
-    phi = Jet2(ctx.phi, np.ascontiguousarray(ctx.d1), np.ascontiguousarray(ctx.d2))
-    p = ctx.phi
+    phi, p = Jet2(ctx.phi, ctx.d1, ctx.d2), ctx.phi
     # (i) tau(phi_kl) = c * phi_kl, as a ratio where phi_kl is nonzero
     c_tau = 2 * (space.n + 1) if space.id == "slr-so" else 4 * space.n - 2
     yield "tau_phi_ratio", _direction_sum(phi.d2), c_tau * p
     if space.id == "sus-sp":
         # shared second index: kappa(phi_kl, phi_rl) = 2 phi_kl phi_rl, indexed [l, k, r]
-        kap = kappa_sum(phi[:, None, :], phi[None, :, :])  # indexed [k, r, l]
         pt = np.swapaxes(p, -1, -2)
-        yield ("kappa_phi_phi_shared_col", np.moveaxis(kap, -1, -3),
+        yield ("kappa_phi_phi_shared_col", _gram(np.swapaxes(phi.d1, -1, -2)),
                2.0 * pt[..., :, None] * pt[..., None, :])
         return
     # (ii) the kappa(phi, phi) product formula, indexed [k, l, i, j]
-    yield "kappa_phi_phi", kappa_sum(phi[:, :, None, None], phi[None, None, :, :]), 2.0 * (
-        np.einsum("...ki,...lj->...klij", p, p) + np.einsum("...kj,...li->...klij", p, p))
+    kap = _gram(phi.d1.reshape(phi.d1.shape[:-2] + (n * n,))).reshape(p.shape + (n, n))
+    yield "kappa_phi_phi", kap, 2.0 * (p[..., :, None, :, None] * p[..., None, :, None, :]
+                                       + p[..., :, None, None, :] * p[..., None, :, :, None])
     rows, cols = kl = np.triu_indices(n, 1)  # the pairs k < l, in C order
     if not rows.size:
         return
@@ -437,7 +435,7 @@ def _lemma_relations(space: SpaceSpec, ctx: JetContext):
     # (v) tau(psi) = 2(n-1) psi
     yield "tau_psi", _direction_sum(psi.d2), 2.0 * (n - 1) * psi.v
     # (iii) kappa(phi_km, psi_kl) = 2 phi_km psi_kl, indexed [pair, m]
-    yield ("kappa_phi_psi", kappa_sum(phi[rows, :], psi[:, None]),
+    yield ("kappa_phi_psi", _gram(phi.d1[..., rows, :], psi.d1),
            2.0 * p[..., rows, :] * psi.v[..., None])
 
 

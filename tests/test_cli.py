@@ -162,6 +162,23 @@ def test_all_sweep_small(runner):
     assert "sensitivity-control" in result.output
 
 
+def test_all_sweep_fails_when_the_control_is_harmonic(runner, monkeypatch):
+    """The sensitivity control's verdict follows its tau: a harmonic control passes its
+    suite, so the control report FAILs and the sweep exits 1."""
+    from harmorph import cli
+    from harmorph.morphisms import real_morphism
+
+    monkeypatch.setattr(cli, "control_morphism", lambda n: real_morphism(2, 1, 2))
+    result = runner.invoke(main, ["all", "--n-max", "2", "--trials", "5", "--seed", "7",
+                                  "--format", "json"])
+    assert result.exit_code == 1
+    reports = [json.loads(line) for line in result.output.splitlines() if line.startswith("{")]
+    control = [r for r in reports if r["suite"] == "sensitivity-control"]
+    assert len(control) == 1 and not control[0]["passed"]
+    assert control[0]["max_residuals"]["tau"] < 0.1
+    assert all(r["passed"] for r in reports if r["suite"] != "sensitivity-control")
+
+
 def test_unknown_space_is_usage_error(runner):
     result = runner.invoke(main, ["verify", "--space", "nope", "--n", "2"])
     assert result.exit_code == 2

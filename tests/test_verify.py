@@ -599,9 +599,10 @@ def _check_one(report, trial, quantity, value, tol, inputs):
 
 def _reference_lemmas(space, trials, seed, tol, ratio_tol):
     """The derivative lemmas one trial at a time, at the jets of each point as a stack
-    of one, with each sum of one base-map entry or pair of entries, and psi and its
-    sums pair by pair: the report, and each quantity's guarded ratios per trial."""
-    from harmorph.jets import JetContext, eval_jet_cached, jet_sums, kappa_sum
+    of one, with each tau of one base-map entry, each kappa table from the point's own
+    Gram products, and psi and its sums pair by pair: the report, and each quantity's
+    guarded ratios per trial."""
+    from harmorph.jets import JetContext, _gram, eval_jet_cached, jet_sums
     from harmorph.verify import RATIO_GUARD, _ser_mat
 
     d = space.ambient_dim
@@ -614,20 +615,19 @@ def _reference_lemmas(space, trials, seed, tol, ratio_tol):
     for t in range(trials):
         x = sample_group_point(space, seed, index=t)
         ctx = JetContext(space, x[None])
-        phi, e = ctx.phi[0], ctx.entry_jet
+        phi, e, d1 = ctx.phi[0], ctx.entry_jet, ctx.d1
         tau_phi = [jet_sums(e(k, l))[0][0] for k in idx for l in idx]
         sides = {"tau_phi_ratio": zip(tau_phi, (c_tau * phi).ravel())}
         if space.id == "sus-sp":
             pt = phi.T
             expected = 2.0 * pt[:, :, None] * pt[:, None, :]
-            kap = [kappa_sum(e(k, l), e(r, l))[0] for l in idx for k in idx for r in idx]
-            sides["kappa_phi_phi_shared_col"] = zip(kap, expected.ravel())
+            kap = _gram(np.swapaxes(d1, -1, -2))[0]  # indexed [l, k, r]
+            sides["kappa_phi_phi_shared_col"] = zip(kap.ravel(), expected.ravel())
         else:
             expected = 2.0 * (np.einsum("ki,lj->klij", phi, phi)
                               + np.einsum("kj,li->klij", phi, phi))
-            kap = [kappa_sum(e(k, l), e(i, j))[0]
-                   for k in idx for l in idx for i in idx for j in idx]
-            sides["kappa_phi_phi"] = zip(kap, expected.ravel())
+            kap = _gram(d1.reshape(len(d1), 1, d * d))[0]  # indexed [(k, l), (i, j)]
+            sides["kappa_phi_phi"] = zip(kap.ravel(), expected.ravel())
             sides.update(kappa_psi_psi=[], tau_psi=[], kappa_phi_psi=[])
             for k in idx:
                 for l in range(k + 1, d + 1):
@@ -636,8 +636,8 @@ def _reference_lemmas(space, trials, seed, tol, ratio_tol):
                     tau, kap_psi, _ = jet_sums(psi)
                     sides["kappa_psi_psi"].append((kap_psi[0], (2.0 * psi.v ** 2)[0]))
                     sides["tau_psi"].append((tau[0], (2.0 * (d - 1) * psi.v)[0]))
-                    sides["kappa_phi_psi"] += [(kappa_sum(e(k, m), psi)[0],
-                                                (2.0 * phi[k - 1, m - 1] * psi.v)[0])
+                    kap = _gram(d1[..., k - 1, :], psi.d1)[0]  # indexed [m]
+                    sides["kappa_phi_psi"] += [(kap[m - 1], (2.0 * phi[k - 1, m - 1] * psi.v)[0])
                                                for m in idx]
         for q, pairs in sides.items():
             guarded = [float(np.abs(lhs - rhs) / np.abs(rhs)) for lhs, rhs in pairs
