@@ -43,34 +43,10 @@ class EvaluationError(ArithmeticError):
 # 2-jets
 # ---------------------------------------------------------------------------
 
-# Values are multiplied and divided as Python multiplies and divides complex
-# numbers: with the same real products and sums, rounded one by one (never
-# fused), and the same quotient.  numpy's complex loops round differently, and
-# the finite-difference oracle divides value differences by h^2 = 1e-8, so a
-# last-bit change in a value would move an oracle residual by about 1e-8.  This
-# keeps every value the same number at a point whatever stack it is walked in.
-
-def _complex(re, im) -> np.ndarray:
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _cmul(a, b):
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    return _complex(ar * br - ai * bi, ar * bi + ai * br)
-
-
-def _cdiv(a, b):
-    """a / b for nonzero b: divide through by the larger of |Re b| and |Im b|."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_re = np.abs(br) >= np.abs(bi)
-    big, small = np.where(by_re, br, bi), np.where(by_re, bi, br)
-    u, w = np.where(by_re, ar, ai), np.where(by_re, ai, ar)
-    ratio = small / big
-    denom = big + small * ratio
-    return _complex((u + w * ratio) / denom, np.where(by_re, 1.0, -1.0) * ((w - u * ratio) / denom))
-
+# Values go through numpy's own complex loops, which round differently from Python's
+# but give an element the same bits alone and in any array (tests/test_jets.py pins
+# each loop used here).  The finite-difference oracle needs that: it divides value
+# differences by h^2 = 1e-8, so a last-bit change would move a residual by about 1e-8.
 
 def _guard(value, bad, make_error, errors):
     """value with 1 where bad, so that no arithmetic fails there.
@@ -116,7 +92,7 @@ class Jet2:
 
     def __mul__(self, o: "Jet2") -> "Jet2":
         return Jet2(
-            _cmul(self.v, o.v),
+            self.v * o.v,
             self.d1 * o.v + self.v * o.d1,
             self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
         )
@@ -125,8 +101,8 @@ class Jet2:
         """self / o; points where o is 0 go to ``errors`` as in _guard."""
         ov = _guard(o.v, np.asarray(o.v == 0),
                     lambda _: EvaluationError("division by zero in expression evaluation"), errors)
-        inv = _cdiv(1.0, ov)
-        w = _cmul(self.v, inv)
+        inv = 1.0 / ov
+        w = self.v * inv
         d1 = (self.d1 - w * o.d1) * inv
         d2 = (self.d2 - 2.0 * d1 * o.d1 - w * o.d2) * inv
         return Jet2(w, d1, d2)
@@ -143,7 +119,7 @@ class Jet2:
         return Jet2(r, d1, d2)
 
     def times_i(self) -> "Jet2":
-        return Jet2(_cmul(1j, self.v), 1j * self.d1, 1j * self.d2)
+        return Jet2(1j * self.v, 1j * self.d1, 1j * self.d2)
 
     def __getitem__(self, index) -> "Jet2":
         """The jet at v[..., index]: the index acts on the stack's last axes."""
@@ -497,11 +473,6 @@ def normalized_residual(value, scale):
     return np.where(np.isfinite(scale), np.abs(value) / np.maximum(1.0, scale), np.nan)
 
 
-def _divided(a: np.ndarray, b: float) -> np.ndarray:
-    # Python's complex / float divides each part; numpy multiplies by a reciprocal
-    return _complex(a.real / b, a.imag / b)
-
-
 def fd_jet(f: Expr, ctx: JetContext, points: np.ndarray, directions: np.ndarray,
            h: float) -> tuple[Jet2, np.ndarray]:
     """Independent central-difference oracle for the jets (O(h^2) accurate), and its
@@ -526,7 +497,7 @@ def fd_jet(f: Expr, ctx: JetContext, points: np.ndarray, directions: np.ndarray,
         phi = ctx._stencils[key] = _read_only(
             base_map_value(space, np.stack([x @ ep, x, x @ em]), check=False))
     (fp, f0, fm), errors = _values(f, phi)
-    jet = Jet2(f0, _divided(fp - fm, 2.0 * h), _divided(fp - 2.0 * f0 + fm, h * h))
+    jet = Jet2(f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h))
     return jet, _first_errors(*errors)
 
 

@@ -12,7 +12,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .jets import BRANCH_CUT_EPS, Const, Entry, Expr, ScaleByI, Sqrt, base_map_value
+from .jets import BRANCH_CUT_EPS, Const, Entry, Expr, ScaleByI, Sqrt, _values, base_map_value
 from .spaces import SpaceSpec, make_space
 
 DEFAULT_MARGIN = 1e-6
@@ -103,11 +103,13 @@ def dual_real_domain_detail(space: SpaceSpec, k: int, l: int, x: np.ndarray,
     The stated condition is phi_ll != 0 and w = phi_kk phi_ll - phi_kl^2
     off the imaginary axis; the guard additionally keeps w away from the
     principal branch cut.  The two can disagree; callers may count such
-    points.
+    points.  w is the argument of the square root in psi_kl, taken by a walk of
+    its expression, so the guard holds exactly where a walk of psi_kl at x does
+    not record a BranchCutError.
     """
-    phi = base_map_value(space, x, check=False)
-    pll = complex(phi[l - 1, l - 1])
-    w = complex(phi[k - 1, k - 1]) * pll - complex(phi[k - 1, l - 1]) ** 2
+    phi = base_map_value(space, x[None], check=False)
+    pll = complex(phi[0, l - 1, l - 1])
+    w = complex(_values(_psi(k, l).a, phi)[0][0])
     stated = abs(pll) > margin and abs(w.real) > margin * abs(w)
     cut_ok = not (w.real <= 0 and abs(w.imag) <= BRANCH_CUT_EPS * abs(w)) and w != 0
     return stated, cut_ok

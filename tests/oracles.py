@@ -1,6 +1,7 @@
 """Independent oracles that only the tests use: Gauss LDU, the invariant forms, the
-Casimir-style p-sum, the generator of one key, a basis rotated by one key's draw,
-the value of a map at one point and the decoding of an exact trial's draw.
+Casimir-style p-sum, the generator of one key, a basis rotated by one key's draw
+(its orthogonal factor built by Givens rotations), the value of a map at one point and
+the decoding of an exact trial's draw.
 
 Everything here stays small (n <= 16), so clarity wins over performance
 throughout.
@@ -8,11 +9,12 @@ throughout.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from harmorph.jets import Expr, _values, base_map_value, raise_first_error, rotated_basis
+from harmorph.jets import Expr, _values, base_map_value, raise_first_error
 from harmorph.scalars import ComplexRational
 from harmorph.spaces import SpaceSpec, p_basis_exact
 
@@ -109,10 +111,29 @@ def rng_from_seed(seed: int, *spawn: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def givens_q(m: np.ndarray) -> np.ndarray:
+    """The orthogonal factor Q of the real square matrix m = QR, with R's diagonal
+    positive: Givens rotations zero m's entries below the diagonal, column by column
+    from the bottom up, and Q is the product of their transposes."""
+    r, n = np.array(m, dtype=float), len(m)
+    q = np.eye(n)
+    for j in range(n):
+        for i in range(n - 1, j, -1):
+            h = math.hypot(r[i - 1, j], r[i, j])
+            if h == 0:
+                continue
+            c, s = r[i - 1, j] / h, r[i, j] / h
+            g = np.array([[c, s], [-s, c]])
+            r[[i - 1, i]] = g @ r[[i - 1, i]]
+            q[:, [i - 1, i]] = q[:, [i - 1, i]] @ g.T
+    return q * np.sign(np.diag(r))
+
+
 def random_rotation(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The basis rotated by the mixing matrix rng.uniform(-1, 1, (m, m)), m its size, as
-    verify_basis_independence draws it."""
-    return rotated_basis(basis, rng.uniform(-1.0, 1.0, (len(basis),) * 2))
+    """The basis mixed by the orthogonal factor of rng.uniform(-1, 1, (m, m)), m its
+    size, the mixing verify_basis_independence draws."""
+    q = givens_q(rng.uniform(-1.0, 1.0, (len(basis),) * 2))
+    return np.tensordot(q, basis, axes=1)
 
 
 def eval_value(f: Expr, space: SpaceSpec, x: np.ndarray) -> complex:

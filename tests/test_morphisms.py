@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from harmorph.morphisms import (POSITIVE_SCALE, STABILIZER_RIGHT, _everywhere,
+from harmorph.jets import BranchCutError, _values, base_map_value
+from harmorph.morphisms import (POSITIVE_SCALE, STABILIZER_RIGHT, _everywhere, _psi,
                                 dual_quat_family, dual_real_domain_detail,
                                 dual_real_morphism, holomorphic_compose,
                                 quat_family, real_morphism,
                                 typeIV_bigcell_morphism)
-from harmorph.sampling import sample_group_point
-from harmorph.spaces import make_space
+from harmorph.sampling import normal_exp, sample_group_point
+from harmorph.spaces import make_space, p_basis
 from oracles import eval_value, gauss_ldu
 
 
@@ -58,6 +59,49 @@ def test_dual_real_domain_detail_reports_both_predicates():
     space = make_space("su-so", 2)
     stated, cut_ok = dual_real_domain_detail(space, 1, 2, np.eye(2, dtype=complex))
     assert stated and cut_ok
+
+
+def _walk_cuts(space, k, l, xs):
+    """Whether a walk of psi_kl over the stack xs records a BranchCutError, per point."""
+    _, errors = _values(_psi(k, l), base_map_value(space, xs, check=False))
+    return [isinstance(e, BranchCutError) for e in errors]
+
+
+def _cut_edge(space, x, z):
+    """Points x exp(sZ) on both sides of the edge of psi_13's branch cut, from x on the
+    cut: the two closest steps s, one on the cut and one off it, found by bisection;
+    None where the step 1e-6 along Z stays on the cut."""
+    def on_cut(s):
+        return _walk_cuts(space, 1, 3, x[None] @ normal_exp(z[None], True, (s,))[0])[0]
+
+    on, off = 0.0, 1e-6
+    if on_cut(off):
+        return None
+    while (on + off) / 2 not in (on, off):
+        mid = (on + off) / 2
+        on, off = (mid, off) if on_cut(mid) else (on, mid)
+    return x @ normal_exp(np.stack([z, z]), True, (on, off))[:, 0]
+
+
+def test_dual_real_cut_guard_is_where_the_walk_records_a_branch_cut():
+    """The domain's branch-cut guard fails exactly where a walk of psi_kl records a
+    BranchCutError: at sampled points of su-so n=3, at x = blockdiag([[i cos t, sin t],
+    [-sin t, -i cos t]], 1), where w_13 = phi_11 phi_33 - phi_13^2 = -cos 2t is negative
+    real, and on both sides of the cut's edge along each direction from x, where the
+    last bit of w decides."""
+    space = make_space("su-so", 3)
+    c, s = np.cos(0.3), np.sin(0.3)
+    x = np.eye(3, dtype=complex)
+    x[:2, :2] = [[1j * c, s], [-s, -1j * c]]
+    assert space.membership(x, 1e-12)
+    edges = [e for e in (_cut_edge(space, x, z) for z in p_basis(space)) if e is not None]
+    edges = np.concatenate(edges)
+    assert _walk_cuts(space, 1, 3, edges) == [True, False, True, False]
+    points = np.concatenate([sample_group_point(space, 5, index=np.arange(40)), x[None], edges])
+    for k, l in [(k, l) for k in (1, 2, 3) for l in (1, 2, 3) if k != l]:
+        guard = [dual_real_domain_detail(space, k, l, p)[1] for p in points]
+        assert guard == [not cut for cut in _walk_cuts(space, k, l, points)], (k, l)
+    assert not dual_real_domain_detail(space, 1, 3, x)[1]
 
 
 def test_dual_quat_out_of_domain_witness():

@@ -939,6 +939,31 @@ def test_basis_independence_and_invariance_record_jet_errors(m):
         assert 0 < len(r.failed_trials) < 20
 
 
+def test_basis_independence_walks_each_trial_along_its_drawn_rotation(monkeypatch):
+    """Each trial's rotated walk goes along the stock basis mixed by the orthogonal
+    factor of its draw rng_from_seed(seed, trial, 11).uniform(-1, 1, (m, m)), built
+    here by Givens rotations, not by jets.rotated_basis: a suite that compared the
+    stock basis with itself would fail here."""
+    from harmorph.spaces import p_basis
+    from oracles import random_rotation, rng_from_seed
+
+    walk, bases = harmorph.verify.eval_jet_cached, []
+
+    def recording(f, ctx):
+        bases.append(ctx.basis)
+        return walk(f, ctx)
+
+    monkeypatch.setattr(harmorph.verify, "eval_jet_cached", recording)
+    m = real_morphism(3, 1, 2)
+    assert verify_basis_independence(m, 10, SEED).passed
+    stock = p_basis(m.space)
+    assert len(bases) == 11 and bases[0] is stock
+    for t, basis in enumerate(bases[1:]):
+        want = random_rotation(stock, rng_from_seed(SEED, t, 11))
+        assert np.max(np.abs(basis - want)) <= 1e-12
+        assert np.max(np.abs(basis - stock)) > 0.1
+
+
 def test_basis_independence_records_an_error_of_a_rotated_walk(monkeypatch):
     """An error that only a trial's rotated walk has is a failure of that trial, and a
     trial with errors in both walks records its stock walk's: the suite merges the
