@@ -3,19 +3,23 @@
 A function of the base map's entries is an immutable expression DAG.  Its
 value and first two derivatives along s -> x exp(sZ) propagate through the
 DAG by the 2-jet chain rules, seeded by the closed-form derivatives of the
-base map (Taylor-mode forward differentiation).  A jet carries every
-direction of a tangent basis and every point of a stack at once: its value
-has the stack's shape and its derivatives one more leading axis over the
-directions, so one DAG walk gives them all.  Every division, square root
-and branch-cut test acts per point, and a point that fails one is recorded,
-not raised, so the other points go on.  The tension field tau and the
-conformality operator kappa are the sums of these derivatives over an
-orthonormal basis of the horizontal complement; kappa is complex bilinear
-(no conjugation).  A map's tau, kappa and energy add the directions one at a
-time in basis order (_direction_sum), so a point's sums do not depend on its
-stack or on how the stack is laid out in memory.  The derivative-lemma suite's
-kappa tables are per-point Gram products instead (_gram), taken on a fixed
-contiguous layout, so they too have the same bits alone and in any stack.
+base map (Taylor-mode forward differentiation).  Each expression builds the
+program of its walk once, its nodes in walk order with their children's
+positions (a tape), and every walk replays it in one loop: by the chain rules
+on jets, or by value rules on plain arrays for the oracle's stencils.  A jet
+takes its value by the value rules' own operations, so both walks give the
+same bits.  A jet carries every direction of a tangent basis and every point
+of a stack at once: its value has the stack's shape and its derivatives one
+more leading axis over the directions.  Every division, square root and
+branch-cut test acts per point, and a point that fails one is recorded, not
+raised, so the other points go on.  The tension field tau and the conformality
+operator kappa are the sums of these derivatives over an orthonormal basis of
+the horizontal complement; kappa is complex bilinear (no conjugation).  A map's
+tau, kappa and energy add the directions to one array in place, one at a time in
+basis order (_direction_sum), so a point's sums do not depend on its stack or on
+how the stack is laid out in memory.  The derivative-lemma suite's kappa tables
+are per-point Gram products instead (_gram), taken on a fixed contiguous layout,
+so they too have the same bits alone and in any stack.
 """
 
 from __future__ import annotations
@@ -70,6 +74,21 @@ def _sqrt_error(w: complex) -> BranchCutError:
     return BranchCutError(f"sqrt argument {w} lies on the principal branch cut")
 
 
+def _reciprocal(v, errors):
+    """1 / v; points where v is 0 go to ``errors`` as in _guard."""
+    return 1.0 / _guard(v, np.asarray(v == 0), lambda _: EvaluationError(
+        "division by zero in expression evaluation"), errors)
+
+
+def _root(v, errors):
+    """(r, w): the principal square root r of w, which is v with 0 and the points
+    within eps of the branch cut set to 1 and recorded in ``errors`` as in _guard."""
+    w = np.asarray(v, dtype=complex)
+    cut = (w.real <= 0) & (np.abs(w.imag) <= BRANCH_CUT_EPS * _modulus(w))
+    w = _guard(w, cut, _sqrt_error, errors)
+    return np.sqrt(w), w  # principal branch, the same numbers as cmath.sqrt
+
+
 @dataclass(frozen=True)
 class Jet2:
     """Value and first two derivatives of a scalar function along fixed curves.
@@ -99,27 +118,21 @@ class Jet2:
 
     def divide(self, o: "Jet2", errors: np.ndarray) -> "Jet2":
         """self / o; points where o is 0 go to ``errors`` as in _guard."""
-        ov = _guard(o.v, np.asarray(o.v == 0),
-                    lambda _: EvaluationError("division by zero in expression evaluation"), errors)
-        inv = 1.0 / ov
+        inv = _reciprocal(o.v, errors)
         w = self.v * inv
         d1 = (self.d1 - w * o.d1) * inv
         d2 = (self.d2 - 2.0 * d1 * o.d1 - w * o.d2) * inv
         return Jet2(w, d1, d2)
 
     def sqrt(self, errors: np.ndarray) -> "Jet2":
-        """Principal square root; 0 and points within eps of the branch cut go to
-        ``errors`` as in _guard."""
-        w = np.asarray(self.v, dtype=complex)
-        cut = (w.real <= 0) & (np.abs(w.imag) <= BRANCH_CUT_EPS * _modulus(w))
-        w = _guard(w, cut, _sqrt_error, errors)
-        r = np.sqrt(w)  # principal branch, the same numbers as cmath.sqrt
+        """Principal square root, its value by _root."""
+        r, w = _root(self.v, errors)
         d1 = self.d1 / (2.0 * r)
         d2 = self.d2 / (2.0 * r) - self.d1 * self.d1 / (4.0 * w * r)
         return Jet2(r, d1, d2)
 
-    def times_i(self) -> "Jet2":
-        return Jet2(1j * self.v, 1j * self.d1, 1j * self.d2)
+    def __rmul__(self, c: complex) -> "Jet2":
+        return Jet2(c * self.v, c * self.d1, c * self.d2)
 
     def __getitem__(self, index) -> "Jet2":
         """The jet at v[..., index]: the index acts on the stack's last axes."""
@@ -171,6 +184,24 @@ class Expr:
 
     def __neg__(self):
         return Sub(Const(0.0), self)
+
+    @cached_property
+    def program(self) -> tuple:
+        """The DAG's nodes in walk order, each with its children's positions: each node
+        once by identity, after its children, first child first, as a recursive walk
+        would go, but on an explicit stack so that no depth limit applies."""
+        at, nodes, todo = {}, [], [(self, False)]
+        while todo:
+            e, ready = todo.pop()
+            if id(e) in at:
+                continue
+            kids = [v for v in vars(e).values() if isinstance(v, Expr)]
+            if kids and not ready:
+                todo += [(e, True)] + [(k, False) for k in reversed(kids)]
+                continue
+            at[id(e)] = len(nodes)
+            nodes.append((e, tuple(at[id(k)] for k in kids)))
+        return tuple(nodes)
 
 
 def _wrap(x) -> Expr:
@@ -226,10 +257,15 @@ class ScaleByI(Expr):
     a: Expr
 
 
-# the jet of an operation node from its children's jets and the walk's error record
-_CHAIN_RULES = {Add: lambda a, b, errors: a + b, Sub: lambda a, b, errors: a - b,
-                Mul: lambda a, b, errors: a * b, Div: Jet2.divide, Sqrt: Jet2.sqrt,
-                ScaleByI: lambda a, errors: a.times_i()}
+# A node's jet, or its value, from its children's and the walk's error record (a
+# constant's from its value).  Jet2 takes v by the value rules' arithmetic, _reciprocal
+# and _root, so a value walk gives the bits of a jet walk's v and the same record.
+_ARITHMETIC = {Add: lambda a, b, errors: a + b, Sub: lambda a, b, errors: a - b,
+               Mul: lambda a, b, errors: a * b, ScaleByI: lambda a, errors: 1j * a}
+_CHAIN_RULES = {**_ARITHMETIC, Div: Jet2.divide, Sqrt: Jet2.sqrt,
+                Const: lambda c: Jet2(complex(c), 0.0, 0.0)}
+_VALUE_RULES = {**_ARITHMETIC, Div: lambda a, b, errors: a * _reciprocal(b, errors),
+                Sqrt: lambda a, errors: _root(a, errors)[0], Const: complex}
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +318,9 @@ class JetContext:
         Phi = x T(x),  dPhi = x (Z + TZ) T(x),  d2Phi = x (Z^2 + 2 Z TZ + TZ^2) T(x).
 
     For Z in the horizontal complement T(Z) = Z, and the derivatives reduce to
-    2 x Z T(x) and 4 x Z^2 T(x).  For x of shape (..., d, d), ``phi`` is the
-    base map, shape (..., d, d), and ``d1`` and ``d2`` stack its first and
-    second derivatives along each basis direction, shape (directions, ..., d, d).
+    2 x Z T(x) and 4 x Z^2 T(x).  For a stack x of shape (..., d, d), one point deep
+    at least, ``phi`` is the base map, shape (..., d, d), and ``d1`` and ``d2`` stack
+    its first and second derivatives along each basis direction, shape (directions, ..., d, d).
     ``entry_jet`` computes a column's derivatives when it is first asked for and
     keeps them, so a walk computes only the columns its map reads, and a later walk
     on the same context reuses them; ``d1`` and ``d2`` take all columns in one
@@ -301,6 +337,8 @@ class JetContext:
     """
 
     def __init__(self, space: SpaceSpec, x: np.ndarray, basis: np.ndarray | None = None):
+        if x.ndim < 3:  # a walk of 0-d values would round as Python's scalars do
+            raise ValueError(f"JetContext needs a stack of points, not shape {x.shape}")
         self.space = space
         self.x = _read_only(x.view())
         self.basis = basis if basis is not None else p_basis(space)
@@ -357,36 +395,19 @@ class JetContext:
                     column[dirs:, ..., k - 1])
 
 
-def _eval(f: Expr, entry_fn, shape: tuple[int, ...]) -> tuple[Jet2, np.ndarray]:
-    """Jet of f at a stack of points of the given shape, from one walk of the DAG.
-
-    entry_fn(k, l) gives the jet of the base-map entry (k, l) over the stack.
-    Also returns the stack's error record: at each point the first
-    EvaluationError or BranchCutError of the walk there, in DAG order, or None.
-    The jet is meaningless at a point with an error.
-
-    Each node's jet is taken once, after its children's, first child first: the
-    order of a recursive walk, kept on an explicit stack so that no depth limit
-    applies.
-    """
+def _eval(f: Expr, entry_fn, shape: tuple[int, ...],
+          rules: dict = _CHAIN_RULES) -> tuple[Jet2, np.ndarray]:
+    """Jet of f at a stack of points of the given shape, or with _VALUE_RULES its value,
+    from one replay of f.program, given entry_fn(k, l), the base-map entry's over the
+    stack.  Also returns the walk's error record: at each point the first
+    EvaluationError or BranchCutError there, in DAG order, or None (then f is
+    meaningless there)."""
     errors = np.full(shape, None, dtype=object)
-    memo: dict[int, Jet2] = {}
-    todo = [(f, False)]
-    while todo:
-        e, ready = todo.pop()
-        if id(e) in memo:
-            continue
-        kids = [v for v in vars(e).values() if isinstance(v, Expr)]
-        if kids and not ready:
-            todo += [(e, True)] + [(k, False) for k in reversed(kids)]
-            continue
-        if isinstance(e, Const):
-            memo[id(e)] = Jet2(complex(e.value), 0.0, 0.0)
-        elif isinstance(e, Entry):
-            memo[id(e)] = entry_fn(e.k, e.l)
-        else:
-            memo[id(e)] = _CHAIN_RULES[type(e)](*(memo[id(k)] for k in kids), errors)
-    return memo[id(f)], errors
+    done = []
+    for e, kids in f.program:
+        done.append(rules[type(e)](*map(done.__getitem__, kids), errors) if kids
+                    else entry_fn(e.k, e.l) if type(e) is Entry else rules[Const](e.value))
+    return done[-1], errors
 
 
 def raise_first_error(errors: np.ndarray) -> None:
@@ -406,9 +427,9 @@ def eval_jet(f: Expr, space: SpaceSpec, x: np.ndarray, z: np.ndarray) -> Jet2:
 
 def _values(f: Expr, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of f at a stack of base-map values phi (base_map_value of a stack of
-    points), and the walk's error record."""
-    jet, errors = _eval(f, lambda k, l: Jet2(phi[..., k - 1, l - 1], 0.0, 0.0), phi.shape[:-2])
-    return np.broadcast_to(jet.v, errors.shape), errors
+    points), and the walk's error record: the bits of the jet's value and its record."""
+    value, errors = _eval(f, lambda k, l: phi[..., k - 1, l - 1], phi.shape[:-2], _VALUE_RULES)
+    return np.broadcast_to(value, errors.shape), errors
 
 
 def eval_jet_cached(f: Expr, ctx: JetContext) -> tuple[Jet2, np.ndarray]:
@@ -419,18 +440,21 @@ def eval_jet_cached(f: Expr, ctx: JetContext) -> tuple[Jet2, np.ndarray]:
 
 def _direction_sum(a, b=None):
     """The sum of a[z], or of a[z] * b[z], over the leading axis of directions z,
-    added to zero one direction at a time in basis order.  Each term is an array
-    over the stack (numpy's scalar complex product rounds differently), so a
+    added to zero one direction at a time in basis order, in place.  Each term is an
+    array over the stack (numpy's scalar complex product rounds differently), so a
     point's sum has the same bits whatever its stack and memory layout.  The
     sums of a map's jets all come from here; only the derivative-lemma suite's
     kappa tables are taken by _gram."""
-    if b is not None:
+    if b is not None and np.shape(a) != np.shape(b):
         a, b = np.broadcast_arrays(a, b)
     if not np.ndim(a):  # a constant's 0
         return a if b is None else a * b
-    total = np.zeros(a.shape[1:])
+    if not len(a):  # no directions
+        return np.zeros(a.shape[1:])
+    total = np.zeros(a.shape[1:], np.result_type(float, a, *(() if b is None else (b,))))
+    term = np.empty_like(total)  # the one scratch product
     for z in range(len(a)):
-        total = total + (a[z, ...] if b is None else a[z, ...] * b[z, ...])
+        np.add(total, a[z] if b is None else np.multiply(a[z], b[z], out=term), out=total)
     return total
 
 

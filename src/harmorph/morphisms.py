@@ -8,6 +8,7 @@ invariances it is expected to satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -49,8 +50,9 @@ def _check_kl(n: int, k: int, l: int) -> None:
         raise ValueError("the construction requires k != l")
 
 
+@lru_cache(maxsize=None)
 def _psi(k: int, l: int) -> Expr:
-    """psi_kl = sqrt(phi_kk phi_ll - phi_kl^2) of the minor of phi on (k, l)."""
+    """psi_kl = sqrt(phi_kk phi_ll - phi_kl^2) of the minor of phi on (k, l), built once."""
     return Sqrt(Entry(k, k) * Entry(l, l) - Entry(k, l) ** 2)
 
 

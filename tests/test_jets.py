@@ -1,6 +1,7 @@
 """2-jet propagation: chain rules, base-map jets, oracle agreement."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from harmorph.jets import (BRANCH_CUT_EPS, Add, BranchCutError, Const, Div, Entr
                            _companion, _direction_sum, _eval, _first_errors, _gram,
                            _stock_products, _values, base_map_value, eval_jet, eval_jet_cached,
                            fd_jet, jet_sums, kappa_sum, normalized_residual, raise_first_error)
-from harmorph.morphisms import (dual_quat_family, dual_real_morphism, quat_family,
-                                real_morphism, typeIV_bigcell_morphism)
+from harmorph.morphisms import (dual_quat_family, dual_real_morphism, holomorphic_compose,
+                                quat_family, real_morphism, typeIV_bigcell_morphism)
 from harmorph.sampling import normal_exp, sample_group_point
 from harmorph.spaces import (HALF, SPACE_IDS, dense, make_space, p_basis,
                              stabilizer_algebra, unit)
@@ -151,8 +152,9 @@ def _fd(f, space, x, z, h):
 
 
 def _jets(f, space, x, basis=None):
-    """Jet of f at a point or a stack x along every direction of the basis."""
-    jet, errors = eval_jet_cached(f, JetContext(space, x, basis))
+    """Jet of f at a point or a stack x along every direction of the basis; a point
+    is walked as a stack of one."""
+    jet, errors = eval_jet_cached(f, JetContext(space, x[None] if x.ndim == 2 else x, basis))
     raise_first_error(errors)
     return jet
 
@@ -221,7 +223,9 @@ def test_tau_kappa_basis_rotation_invariance():
 def test_direction_sums_do_not_depend_on_stack_or_layout(directions):
     """jet_sums and kappa_sum give each point the same bits whether its derivatives
     lie in C order, in F order (directions fastest, as JetContext lays them out),
-    alone in a stack of one, or in part of a larger stack."""
+    alone in a stack of one, or in part of a larger stack, and the bits of the loop
+    that adds each direction's term to a new array in basis order: with complex or
+    real d2, with a real d1 against a complex one, and with a constant's scalar 0."""
     rng = np.random.default_rng(directions)
     points = 40
     # d1 and d2 of f, and d1 of g, over (directions, points) in C order
@@ -230,22 +234,39 @@ def test_direction_sums_do_not_depend_on_stack_or_layout(directions):
 
     def sums(f1, f2, g1):
         jf = Jet2(np.zeros(f1.shape[1:], complex), f1, f2)
-        return np.stack([*jet_sums(jf), kappa_sum(jf, Jet2(jf.v, g1, g1))])
+        return [*jet_sums(jf), jet_sums(Jet2(jf.v, f1, f2.real))[0],
+                kappa_sum(jf, Jet2(jf.v, g1, g1)), kappa_sum(jf, Jet2(jf.v, g1.real, g1.real)),
+                kappa_sum(Jet2(2.0, 0.0, 0.0), jf)]
+
+    def reference(a, b=None):
+        if b is not None:
+            a, b = np.broadcast_arrays(a, b)
+        total = np.zeros(a.shape[1:])
+        for z in range(len(a)):
+            total = total + (a[z] if b is None else a[z] * b[z])
+        return total
+
+    def bits(arrays):
+        return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
     c_order = sums(*derivs)
-    assert c_order.shape == (4, points)
+    f1, f2, g1 = derivs
+    assert bits(c_order) == bits([
+        reference(f2), reference(f1, f1), reference(np.abs(f1), np.abs(f1)),
+        reference(f2.real), reference(f1, g1), reference(f1, g1.real), reference(0.0, f1)])
+    assert all(a.shape == (points,) for a in c_order)
     wide = np.zeros((3, points + 20, directions), complex)
     wide[:, 5:5 + points] = np.swapaxes(derivs, 1, 2)
     layouts = {
         "F order": sums(*(np.asfortranarray(a) for a in derivs)),
-        "stacks of one": np.concatenate([sums(*derivs[..., p:p + 1]) for p in range(points)],
-                                        axis=1),
+        "stacks of one": [np.concatenate(parts) for parts in
+                          zip(*(sums(*derivs[..., p:p + 1]) for p in range(points)))],
         "part of a stack": sums(*np.swapaxes(wide, 1, 2)[..., 5:5 + points]),
     }
     for name, got in layouts.items():
-        assert got.tobytes() == c_order.tobytes(), name
+        assert bits(got) == bits(c_order), name
     if not directions:
-        assert not c_order.any()
+        assert not any(a.any() for a in c_order)
 
 
 def test_direction_sums_of_a_constant_are_zero():
@@ -621,6 +642,82 @@ def test_stacked_fd_jet_equals_per_point(sid, n, expr):
         assert kept[failed[0]] is marker
         assert ([str(e) for e in np.delete(kept, failed[0])]
                 == [str(e) for e in np.delete(errors, failed[0])])
+
+
+def _psi_cut_point():
+    """x = blockdiag([[i cos t, sin t], [-sin t, -i cos t]], 1) of su-so n=3, t = 0.3, where
+    w_13 = phi_11 phi_33 - phi_13^2 = -cos 2t lies on psi_13's branch cut."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    x = np.eye(3, dtype=complex)
+    x[:2, :2] = [[1j * c, s], [-s, -1j * c]]
+    return x
+
+
+# (name, expression, space, points besides the sampled ones, an error they must record)
+VALUE_CASES = [(m.label, m.expr, m.space, (), None) for m in REFERENCE_CASES] + [
+    ("composition", holomorphic_compose({(2, 0, 0): 1, (1, 1, 0): 3}, quat_family(2, 1)).expr,
+     make_space("sus-sp", 2), (), None),
+    ("constants", Sqrt(Const(4.0)) / Const(3.0) + ScaleByI(Const(2.0)), make_space("slr-so", 2),
+     (), None),
+    ("psi-cut", dual_real_morphism(3, 1, 3).expr, make_space("su-so", 3), (_psi_cut_point(),),
+     BranchCutError),
+    # phi_12 = 1/2, so sqrt(phi_12^2) - phi_12 is exactly 0
+    ("zero-denominator", DIVIDES_BY_ZERO, make_space("slr-so", 2),
+     (np.array([[1.0, 0.5], [0.0, 1.0]], complex),), EvaluationError),
+]
+
+
+@pytest.mark.parametrize("name,expr,space,extra,error", VALUE_CASES,
+                         ids=[case[0] for case in VALUE_CASES])
+def test_the_value_walk_is_the_jet_walks_value(name, expr, space, extra, error):
+    """The value walk gives each point the bits of the jet walk's value and the same
+    error record: both take a node's value by the same operations, and a quotient's
+    and a root's by the same guarded reciprocal and root."""
+    x = np.concatenate([sample_group_point(space, 97, index=np.arange(30)),
+                        *(e[None] for e in extra)])
+    ctx = JetContext(space, x)
+    jet, jet_errors = eval_jet_cached(expr, ctx)
+    values, errors = _values(expr, ctx.phi)
+    want = np.broadcast_to(jet.v, jet_errors.shape)
+    assert values.dtype == want.dtype and values.tobytes() == want.tobytes()
+    assert [(type(e), str(e)) for e in errors] == [(type(e), str(e)) for e in jet_errors]
+    if error is not None:
+        assert isinstance(errors[-1], error)
+
+
+def test_programs_are_built_once_per_expression_by_identity():
+    """An expression's program lists each node once by identity, so sixty squarings,
+    whose structural hash would recurse 2^60 times, make a program of 61 nodes that
+    walks at once; every later walk replays the same program."""
+    leaf = e = Entry(1, 1)
+    for _ in range(60):
+        e = e * e
+    # no failing assert may show a node: its repr, like its hash, recurses 2^60 times
+    built = "program" in vars(e)
+    assert not built
+    ctx = JetContext(make_space("slr-so", 2), np.eye(2, dtype=complex)[None])
+    start = time.perf_counter()
+    jet, errors = eval_jet_cached(e, ctx)
+    assert time.perf_counter() - start < 1.0
+    program = vars(e)["program"]
+    assert [kids for _, kids in program] == [()] + [(i, i) for i in range(60)]
+    ends = program[0][0] is leaf, program[-1][0] is e
+    assert ends == (True, True)
+    assert jet.v.tolist() == [1] and errors.tolist() == [None]
+    eval_jet_cached(e, ctx)
+    _values(e, ctx.phi)
+    replayed = e.program is program
+    assert replayed
+
+
+def test_a_context_needs_a_stack_axis():
+    """A point of shape (d, d) would walk 0-d values, which numpy rounds as Python's
+    scalars and not as its arrays: a context takes a stack, x[None] for one point."""
+    space = make_space("su-so", 3)
+    x = sample_group_point(space, 5)
+    with pytest.raises(ValueError):
+        JetContext(space, x)
+    assert JetContext(space, x[None]).phi.shape == (1, 3, 3)
 
 
 @pytest.mark.parametrize("sid,n", [("slr-so", 3), ("sus-sp", 2), ("su-so", 3), ("slc-su", 3)])
