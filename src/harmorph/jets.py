@@ -24,6 +24,7 @@ so they too have the same bits alone and in any stack.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -203,6 +204,51 @@ class Expr:
             nodes.append((e, tuple(at[id(k)] for k in kids)))
         return tuple(nodes)
 
+    # Equality, hash and repr go over the program, once per node: recursing into each
+    # child, as the generated ones would, takes time exponential in the depth of a DAG
+    # that shares its nodes, such as one built by repeated squaring.
+
+    def _fold(self, number) -> int:
+        """number(key) of the root, where a node's key is its type, its children's
+        numbers and its other fields, taken once per node of the program."""
+        numbers: list = []
+        for e, kids in self.program:
+            fields = (getattr(e, f) for f in e.__dataclass_fields__)
+            numbers.append(number((type(e), tuple(numbers[k] for k in kids),
+                                   tuple(v for v in fields if not isinstance(v, Expr)))))
+        return numbers[-1]
+
+    def __eq__(self, other):
+        """Structural equality, a DAG equal to the tree it unfolds to: both sides are
+        value-numbered from one table, which gives equal nodes one number."""
+        if not isinstance(other, Expr):
+            return NotImplemented
+        table: dict = {}
+
+        def number(key):
+            return table.setdefault(key, len(table))
+
+        return self is other or self._fold(number) == other._fold(number)
+
+    def __hash__(self):
+        return self._fold(hash)
+
+    def __repr__(self):
+        """The dataclass form, in which a node reached more than once is written #i and
+        defined once, after the root."""
+        program = self.program
+        uses = Counter(k for _, kids in program for k in kids)
+        text: list[str] = []
+        for e, kids in program:
+            args = iter(f"#{k}" if uses[k] > 1 else text[k] for k in kids)
+            fields = []
+            for f in e.__dataclass_fields__:
+                v = getattr(e, f)
+                fields.append(f"{f}={next(args) if isinstance(v, Expr) else repr(v)}")
+            text.append(f"{type(e).__name__}({', '.join(fields)})")
+        shared = [f"#{i} = {text[i]}" for i in range(len(program)) if uses[i] > 1]
+        return text[-1] + (f" where {', '.join(shared)}" if shared else "")
+
 
 def _wrap(x) -> Expr:
     if isinstance(x, Expr):
@@ -210,12 +256,16 @@ def _wrap(x) -> Expr:
     return Const(complex(x))
 
 
-@dataclass(frozen=True)
+# The node types, whose equality, hash and repr are Expr's.
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
 class Const(Expr):
     value: complex
 
 
-@dataclass(frozen=True)
+@_node
 class Entry(Expr):
     """Entry (k, l) of the base map, 1-based."""
 
@@ -223,36 +273,36 @@ class Entry(Expr):
     l: int
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sqrt(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class ScaleByI(Expr):
     a: Expr
 

@@ -28,7 +28,9 @@ class Morphism:
 
     ``domain`` is the map's own condition at a point of the group.  Callers
     pass points the group sampler has accepted, so it does not test
-    membership again.
+    membership again.  It must be a deterministic function of the point:
+    a seed then reproduces its points, and the suites reuse the points that
+    the same seed, trial count and domain drew before (verify._stock_context).
     """
 
     expr: Expr

@@ -326,7 +326,10 @@ def sample_in_domain(morphisms: Morphism | list[Morphism], seed: int,
 
     Round r tries the group point of index trial * 1000 + r of every trial still
     without a point, drawn as one stack, and calls the members' joint domain
-    (morphisms._joint_domain) once per point, unless it is _everywhere.
+    (morphisms._joint_domain) once per point, unless it is _everywhere.  The
+    points are a function of the space, the seed, the trials and the joint domain,
+    which is deterministic; _stock_context keys the points it holds by these and
+    calls this only on a miss.
     """
     family = morphisms if isinstance(morphisms, list) else [morphisms]
     space = family[0].space
@@ -463,17 +466,18 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
 
     All trials go together: one stacked sample, one JetContext, one DAG walk per
     member, residuals as arrays over the trials and one oracle stencil walk per
-    member.  The context is _stock_context's, shared with the calls before on the
-    same points, with its base-map columns and oracle stencils.  A trial whose jets
-    fail to evaluate records its first member's error.
+    member.  The context and its points are _stock_context's, shared with the calls
+    before on the same points, with its base-map columns and oracle stencils; a call
+    with the inputs that drew them draws nothing.  A trial whose jets fail to
+    evaluate records its first member's error.
     """
     space = _family_space(family)
     if tol is None:
         tol = default_tolerance(space)
     report = VerificationReport(suite, space.id, [m.label for m in family], space.n,
                                 trials, seed, tol)
-    xs = sample_in_domain(family, seed, np.arange(trials))
-    ctx = _stock_context(space, xs)
+    ctx = _stock_context(family, seed, trials)
+    xs = ctx.x
     jets, records = zip(*(eval_jet_cached(m.expr, ctx) for m in family))
     errors = _first_errors(*records)
     inputs = _inputs(x=xs)
@@ -500,22 +504,38 @@ def _certify(suite: str, family: list[Morphism], trials: int, seed: int,
     return report.done()
 
 
-# the stock-basis JetContext of the latest stack of points _certify walked
+# the stock-basis JetContext of the latest stack of points _certify walked, and the
+# inputs that drew those points (space, seed, trials, joint domain); the context
+# holds the basis
 _held: JetContext | None = None
+_held_key: tuple | None = None
 
 
-def _stock_context(space: SpaceSpec, xs: np.ndarray) -> JetContext:
-    """The stock-basis JetContext at the stack of points xs.  It is held until a call
-    on another space or stack, so every map of one space at one seed, whose points
-    are the same, shares one context with the base-map columns and oracle stencils it
-    keeps.  Only one is held: on a miss the old one, with all it keeps, goes before
-    the new one is built."""
-    global _held
+def _stock_context(family: list[Morphism], seed: int, trials: int) -> JetContext:
+    """The stock-basis JetContext at the family's in-domain points of trials 0 to
+    trials - 1 at the seed (sample_in_domain).  It is held until a call on another
+    space or stack, so every map of one space at one seed, whose points are the same,
+    shares one context with the base-map columns and oracle stencils it keeps.
+
+    A call with the inputs that drew the held points (the space, its stock basis by
+    identity, the seed, the trial count and the joint domain) takes the context
+    without drawing: the points are a function of these, since a domain is a
+    deterministic function of the point.  Any other call draws its points and still
+    takes the held context if they have its bits, as maps with distinct but
+    equivalent domains do; its inputs then become the key.  Only one context is held:
+    on a miss the old one, with all it keeps, goes before the new one is built."""
+    global _held, _held_key
+    space = family[0].space
     basis = p_basis(space)
+    key = (space, seed, trials, _joint_domain(family))
+    if _held is not None and _held.basis is basis and _held_key == key:
+        return _held
+    xs = sample_in_domain(family, seed, np.arange(trials))
     if not (_held is not None and _held.space == space and _held.basis is basis
             and _same_bits(_held.x, xs)):
         _held = None
         _held = JetContext(space, xs, basis)
+    _held_key = key
     return _held
 
 

@@ -687,12 +687,11 @@ def test_the_value_walk_is_the_jet_walks_value(name, expr, space, extra, error):
 
 def test_programs_are_built_once_per_expression_by_identity():
     """An expression's program lists each node once by identity, so sixty squarings,
-    whose structural hash would recurse 2^60 times, make a program of 61 nodes that
-    walks at once; every later walk replays the same program."""
+    a tree of 2^61 - 1 nodes unfolded, make a program of 61 nodes that walks at once;
+    every later walk replays the same program."""
     leaf = e = Entry(1, 1)
     for _ in range(60):
         e = e * e
-    # no failing assert may show a node: its repr, like its hash, recurses 2^60 times
     built = "program" in vars(e)
     assert not built
     ctx = JetContext(make_space("slr-so", 2), np.eye(2, dtype=complex)[None])
@@ -708,6 +707,36 @@ def test_programs_are_built_once_per_expression_by_identity():
     _values(e, ctx.phi)
     replayed = e.program is program
     assert replayed
+
+
+def _squarings(count, leaf):
+    e = leaf
+    for _ in range(count):
+        e = e * e
+    return e
+
+
+def test_equality_hash_and_repr_go_once_over_the_program():
+    """Sixty squarings of Entry(1, 1) unfold to a tree of 2^61 - 1 nodes: their repr,
+    their equality with a chain built apart and their hash each take one pass over the
+    61 nodes of the program.  Equality stays structural: a DAG equals the tree built
+    without sharing, and equal expressions hash alike."""
+    e, f = _squarings(60, Entry(1, 1)), _squarings(60, Entry(1, 1))
+    for op in (lambda: repr(e), lambda: e == f, lambda: hash(e) == hash(f)):
+        start = time.perf_counter()
+        assert op()
+        assert time.perf_counter() - start < 1.0
+    assert e != _squarings(59, Entry(1, 1)) and e != _squarings(60, Entry(1, 2))
+    assert repr(e).startswith("Mul(a=#59, b=#59) where #0 = Entry(k=1, l=1), "
+                              "#1 = Mul(a=#0, b=#0), #2 = Mul(a=#1, b=#1), ")
+    half = Entry(1, 2) / 2
+    tree = Mul(Div(Entry(1, 2), Const(2)), Entry(1, 2) / 2.0)
+    assert Mul(half, half) == tree and hash(Mul(half, half)) == hash(tree)
+    assert Mul(half, half) != Mul(half, Entry(1, 2) / 3) != Add(half, half)
+    assert repr(tree) == ("Mul(a=Div(a=Entry(k=1, l=2), b=Const(value=2)), "
+                          "b=Div(a=Entry(k=1, l=2), b=Const(value=(2+0j))))")
+    assert repr(Mul(half, half)) == ("Mul(a=#2, b=#2) where "
+                                     "#2 = Div(a=Entry(k=1, l=2), b=Const(value=(2+0j)))")
 
 
 def test_a_context_needs_a_stack_axis():

@@ -1067,17 +1067,43 @@ def _count_contexts(monkeypatch):
     return built
 
 
-def test_shared_base_map_work_gives_the_reports_of_fresh_calls():
-    """float-certify's kinds of calls on shared points (every slr-so n=3 pair, the sus-sp
-    n=2 families) and on points of their own (the phi_11 control), in order and then
-    shuffled, give the reports of the same calls with every memo cleared before each."""
-    import random
+def _count_draws(monkeypatch):
+    """The calls of sample_in_domain and sample_group_point harmorph.verify makes from
+    now on, by name."""
+    calls = {}
+    for name in ("sample_in_domain", "sample_group_point"):
+        def counted(*args, _name=name, _fn=getattr(harmorph.verify, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(harmorph.verify, name, counted)
+    return calls
+
+
+def _float_certify_calls(seed):
+    """The suite calls of the benchmark's float-certify workload, with its tolerances."""
     from functools import partial
 
-    calls = [partial(verify_harmonic, real_morphism(3, k, l), 100, SEED)
-             for k in range(1, 4) for l in range(1, 4) if k != l]
-    calls += [partial(verify_family, quat_family(2, l), 100, SEED) for l in (1, 2)]
-    calls.append(partial(verify_harmonic, control_morphism(2), 100, SEED))
+    calls = [partial(verify_harmonic, real_morphism(n, k, l), 100, seed, 1e-8)
+             for n in (3, 4, 5) for k in range(1, n + 1) for l in range(1, n + 1) if k != l]
+    calls += [partial(verify_family, quat_family(n, l), 100, seed, 1e-8)
+              for n in (1, 2, 3) for l in range(1, n + 1)]
+    calls.append(partial(verify_family, dual_quat_family(1, 1), 100, seed, 1e-7))
+    calls += [partial(verify_harmonic, typeIV_bigcell_morphism(n, 2, 1), 100, seed, 1e-7)
+              for n in (2, 3)]
+    calls.append(partial(verify_harmonic, control_morphism(2), 100, seed))
+    return calls
+
+
+def test_shared_base_map_work_gives_the_reports_of_fresh_calls():
+    """float-certify's calls, which share points (the slr-so pairs of one n, the sus-sp
+    families of one n) or have their own (the phi_11 control), in order and then
+    shuffled, give the reports of the same calls with every memo cleared before each:
+    a held stack taken for the wrong inputs would move a report."""
+    import random
+
+    calls = _float_certify_calls(SEED)
+    assert len(calls) == 48
     want = []
     for call in calls:
         _clear_memos()
@@ -1086,6 +1112,45 @@ def test_shared_base_map_work_gives_the_reports_of_fresh_calls():
     random.Random(SEED).shuffle(order)
     for i in list(range(len(calls))) + order:
         assert _strip_time(calls[i]()) == want[i]
+
+
+def test_a_map_on_the_held_stack_draws_nothing(monkeypatch):
+    """A call with the inputs that drew the held points (space, seed, trial count and
+    domain) takes them without drawing; with the held context forgotten, it draws."""
+    _clear_memos()
+    built = _count_contexts(monkeypatch)
+    verify_harmonic(real_morphism(3, 1, 2), 20, SEED)
+    draws = _count_draws(monkeypatch)
+    for k, l in ((2, 1), (1, 3), (1, 2)):
+        verify_harmonic(real_morphism(3, k, l), 20, SEED)
+    verify_family(quat_family(2, 1), 20, SEED)
+    verify_family(quat_family(2, 2), 20, SEED)
+    assert draws == {"sample_in_domain": 1, "sample_group_point": 1}
+    assert len(built) == 2
+    harmorph.verify._held = None
+    verify_family(quat_family(2, 2), 20, SEED)
+    assert draws == {"sample_in_domain": 2, "sample_group_point": 2}
+    assert len(built) == 3
+
+
+def test_equivalent_domains_share_the_held_stack(monkeypatch):
+    """Maps whose domains are distinct wrappers of one predicate, as a tracer makes
+    them, draw their points each but find the held context by their bits."""
+    import dataclasses
+
+    _clear_memos()
+    built = _count_contexts(monkeypatch)
+    draws = _count_draws(monkeypatch)
+    reports = []
+    for m in (dual_real_morphism(3, 1, 2), real_morphism(3, 1, 2), real_morphism(3, 2, 1)):
+        wrapped = [dataclasses.replace(m, domain=lambda x, d=m.domain: d(x)) for _ in range(3)]
+        for w in wrapped:
+            reports.append(_strip_time(verify_harmonic(w, 20, SEED)))
+        assert reports[-1] == reports[-2] == reports[-3]
+    assert draws["sample_in_domain"] == 9
+    assert len(built) == 2
+    _clear_memos()
+    assert reports[-1] == _strip_time(verify_harmonic(real_morphism(3, 2, 1), 20, SEED))
 
 
 def test_the_held_stack_misses_on_other_points(monkeypatch):
